@@ -34,16 +34,7 @@ from .harness import (
 )
 from .measurement import DEFAULT_DRIFT_SIGMA, NoiseModel, tomography_projectors
 from .optics import NAMED_AXES
-from .son import (
-    COMBOS,
-    combo_axis_and_basis,
-    correlation_operator,
-    e_qm,
-    extract_correlation,
-    phi_to_theta,
-    son_fit,
-    _cached_curve,
-)
+from .son import COMBOS, combo_axis_and_basis, extract_correlation, fitted_correlation, son_fit
 from .tomography import mle_reconstruct
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -89,6 +80,13 @@ _CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
 _LIST_KEYS = {"axes": str, "angles_deg": float, "formats": str}
 
 
+def _is_json_kind(value, kind: type) -> bool:
+    """A JSON value of the kind a config field holds: ints pass as floats, bools only as bools."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
     values = {}
     if path is not None:
@@ -106,12 +104,19 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         for key, value in raw.items():
             if key in _LIST_KEYS:
                 cast = _LIST_KEYS[key]
+                if not isinstance(value, list) or not all(_is_json_kind(v, cast) for v in value):
+                    raise UsageError(f"config key {key!r} must be a list of {cast.__name__}, not {value!r}")
                 values[key] = tuple(cast(v) for v in value)
             else:
+                kind = type(getattr(RunConfig, key))
+                if not _is_json_kind(value, kind):
+                    raise UsageError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
                 values[key] = value
     config = RunConfig(**values)
     if seed is not None:
         config = replace(config, seed=int(seed))
+    if config.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, not {config.seed}")
     if out is not None:
         config = replace(config, out_dir=out)
     if fmt is not None:
@@ -286,18 +291,10 @@ def cmd_son_fit(config: RunConfig) -> int:
 
 
 def _write_fit_curves(out: Path, result) -> None:
-    from .son import _rho_from_params  # internal parameterization
-
     phi_grid = np.deg2rad(np.arange(0.0, 180.5, 1.0))
-    for combo, n_value in zip(result.per_combo, result.per_combo_n):
-        curve = _cached_curve(round(n_value / 5e-4) * 5e-4)
-        rho = _rho_from_params(np.array(result.rho_params[combo]))
-        rows = []
-        for phi in phi_grid:
-            theta = phi_to_theta(phi)
-            e_state = float(np.real(np.trace(correlation_operator(combo, phi) @ rho)))
-            value = float(curve.value_at(theta)) + e_state - e_qm(theta)
-            rows.append((float(np.rad2deg(phi)), value, 0.0))
+    for combo in result.per_combo:
+        values = fitted_correlation(result, combo, phi_grid)
+        rows = [(float(np.rad2deg(phi)), float(v), 0.0) for phi, v in zip(phi_grid, values)]
         eio.write_plot_series(out / f"curve_{combo}.csv", rows)
 
 

@@ -9,11 +9,11 @@ assigns probabilities |psi|^n instead of |psi|^2, constrained by
     p'(theta)^2 + q'(theta)^2 = c   (constant),
     E(0, n) = -1,  E(pi/2, n) = +1,
 
-with E(theta, n) = p^n - q^n. Eliminating q through the normalization
-constraint turns the problem into a first-order ODE for p(theta) with the
-constant c fixed by the boundary conditions; ``solve_son`` integrates it
-with classical RK4 and shoots on c. Ordinary quantum mechanics is the n=2
-case, where the solution is p = sin(theta) and E = -cos(2*theta).
+with E(theta, n) = p^n - q^n. The first two lines say that (p, q) runs
+along the superellipse p^n + q^n = 1 at constant speed sqrt(c), so theta is
+its arc length over sqrt(c); ``solve_son`` evaluates that arc length by
+quadrature and inverts it on the theta grid. Ordinary quantum mechanics is
+the n=2 case, where the solution is p = sin(theta) and E = -cos(2*theta).
 
 During the experiment's middle stage, rotating one qubit by phi (with the
 same analyzer basis on both arms, basis orthogonal to the rotation axis)
@@ -22,19 +22,23 @@ is equivalent to measuring the singlet with analyzers 2*theta apart, where
 turns one analyzer setting's four counts into a correlation sample and
 ``son_fit`` estimates n from several such data sets, using the near-ideal
 model E(phi,n,rho) ~ E(phi,n,singlet) + E(phi,2,rho) - E(phi,2,singlet),
-valid for states close to the singlet and n close to 2.
+valid for states close to the singlet and n close to 2. The state enters
+only through E(phi,2,rho) = A cos(2*phi) + B sin(2*phi) with A^2 + B^2 <= 1,
+so each candidate n costs one weighted 2x2 least-squares solve on a disk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
+from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps son.minimize by name
 
 from .errors import ConvergenceError
-from .linalg import projector, singlet, su2_rotation, validate_density_matrix, werner
+from .linalg import su2_rotation
 from .measurement import BASES, CountRecord, tomography_projectors
 from .optics import STACK_ROTATION_SIGN, named_axis_vector
 
@@ -49,6 +53,7 @@ __all__ = [
     "extract_correlation",
     "correlation_operator",
     "son_fit",
+    "fitted_correlation",
 ]
 
 # Rotation-axis / measurement-basis pairs used for the exponent fit; in
@@ -106,137 +111,72 @@ class CorrelationCurve:
         return np.interp(np.asarray(theta, dtype=float), self.theta_grid, self.values)
 
 
-def _make_rhs(n: float):
-    """Derivatives of the tracked amplitude modulus, per unit sqrt(c).
+# 96-point Gauss-Legendre rule on [0, 1] for the substitution x = d*u**6
+# (dx = 6*d*u**5 du), which smooths the (x/other)**(2n-2) endpoint term of the
+# arc-length integrand; 96 points give c to about 1e-13 up to n = 10
+_GL_U, _GL_W = np.polynomial.legendre.leggauss(96)
+_ARC_X = ((_GL_U + 1) / 2) ** 6
+_ARC_W = 3 * ((_GL_U + 1) / 2) ** 5 * _GL_W
 
-    Track whichever of (p, q) is regular: the ratio in the constraint,
-    (p/q)^(2n-2) when stepping p and (q/p)^(2n-2) when stepping q, must
-    stay bounded. For n >= 1 that is the smaller variable, for n < 1 the
-    larger one.
+
+def _arc_speed(d: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arc length per unit of d along p^n + q^n = 1, and the (tracked, other) moduli.
+
+    d is the distance of the tracked modulus from its value at theta = 0:
+    p = d for n >= 1, q = 1 - d for n < 1. That modulus is the regular one on
+    [0, pi/4], where (tracked/other)^(2n-2) stays bounded.
     """
-    expo = 2 * n - 2
-
-    def ratio_term(num: float, den: float) -> float:
-        if expo == 0:
-            return 1.0
-        if den <= 0.0:
-            return math.inf if expo > 0 else 0.0
-        if num <= 0.0:
-            return 0.0 if expo > 0 else math.inf
-        return (num / den) ** expo
-
-    def dp(p: float) -> float:
-        pp = min(max(p, 0.0), 1.0)
-        q = (1 - pp**n) ** (1 / n)
-        r = ratio_term(pp, q)
-        return 0.0 if math.isinf(r) else 1.0 / math.sqrt(1.0 + r)
-
-    def dq(q: float) -> float:
-        qq = min(max(q, 0.0), 1.0)
-        p = (1 - qq**n) ** (1 / n)
-        r = ratio_term(qq, p)
-        return 0.0 if math.isinf(r) else 1.0 / math.sqrt(1.0 + r)
-
-    return dp, dq
+    tracked = d if n >= 1 else 1 - d
+    with np.errstate(divide="ignore"):
+        log_tracked = np.log(d) if n >= 1 else np.log1p(-d)
+        other = (-np.expm1(n * log_tracked)) ** (1 / n)
+        return np.sqrt(1 + (tracked / other) ** (2 * n - 2)), tracked, other
 
 
-def _integrate(n: float, c: float, steps: int, record_every: int = 0):
-    """RK4 pass over [0, pi/2]; returns boundary residual and (p, q) records.
-
-    For n >= 1 the integration starts in p (p(0) = 0, regular there) and
-    switches to q once p >= q; the residual is q(pi/2), which crosses zero
-    transversally (q' -> -sqrt(c)). For n < 1 the roles are mirrored and
-    the residual is p(pi/2) - 1.
-    """
-    dp, dq = _make_rhs(n)
-    sqc = math.sqrt(c)
-    h = (np.pi / 2) / steps
-    start_in_p = n >= 1
-
-    var = 0.0 if start_in_p else 1.0
-    in_p = start_in_p
-    records = []
-
-    def companion(value: float) -> float:
-        clamped = min(max(value, 0.0), 1.0)
-        return (1 - clamped**n) ** (1 / n)
-
-    def record(value: float) -> tuple[float, float]:
-        return (value, companion(value)) if in_p else (companion(value), value)
-
-    if record_every:
-        records.append(record(var))
-    for k in range(steps):
-        f = dp if in_p else dq
-        sign = 1.0 if in_p else -1.0
-        k1 = sign * sqc * f(var)
-        k2 = sign * sqc * f(var + 0.5 * h * k1)
-        k3 = sign * sqc * f(var + 0.5 * h * k2)
-        k4 = sign * sqc * f(var + h * k3)
-        var = var + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # hand over to the companion variable once it becomes the regular one
-        if in_p == start_in_p:
-            comp = companion(var)
-            flip = var >= comp if start_in_p else var <= comp
-            if flip:
-                var = comp
-                in_p = not in_p
-        if record_every and (k + 1) % record_every == 0:
-            records.append(record(var))
-    # residual convention: positive for undershoot (c too small), negative
-    # for overshoot, in both tracking orders
-    if in_p == start_in_p:
-        residual = companion(var) if start_in_p else 1.0 - companion(var)
-    else:
-        residual = var if start_in_p else 1.0 - var
-    return residual, records
+def _arc_length(d: np.ndarray, n: float) -> np.ndarray:
+    return d * (_arc_speed(d[:, None] * _ARC_X, n)[0] @ _ARC_W)
 
 
 def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
     """Solve the constrained boundary problem for E(theta, n).
 
-    Shoots on the derivative constant c with bisection brackets refined by
-    Brent's method; raises ConvergenceError if the boundary conditions
-    cannot be met within 1e-8.
+    The amplitude moduli run along the superellipse p^n + q^n = 1 at the
+    constant speed sqrt(c), so theta is arc length over sqrt(c). The
+    midpoint p = q = 2^(-1/n) lies at theta = pi/4, which fixes c. Nodes in
+    [0, pi/4] invert the arc length by Newton steps over Gauss-Legendre
+    quadrature; the others follow from the mirror q(theta) = p(pi/2 - theta).
+    Raises ConvergenceError if the inversion misses a node by more than 1e-13
+    in arc length.
     """
     if n <= 0:
         raise ValueError("the exponent n must be positive")
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
 
-    # with the undershoot-positive sign convention the residual decreases
-    # monotonically in c, so a sign change brackets the solution
-    def shoot(c: float, steps: int) -> float:
-        return _integrate(n, c, steps)[0]
-
-    lo, hi = 1e-4, 4.0
-    while shoot(hi, 512) > 0 and hi < 1e6:
-        hi *= 4
-    while shoot(lo, 512) < 0 and lo > 1e-12:
-        lo /= 4
-    if shoot(lo, 512) < 0 or shoot(hi, 512) > 0:
-        raise ConvergenceError(f"could not bracket the shooting constant for n={n}")
-    c_coarse = brentq(lambda c: shoot(c, 512), lo, hi, xtol=1e-10, rtol=1e-12)
-    span = max(1e-6, 1e-4 * c_coarse)
-    lo_f = max(lo, c_coarse - span)
-    hi_f = min(hi, c_coarse + span)
-    if shoot(lo_f, 4096) < 0 or shoot(hi_f, 4096) > 0:
-        lo_f, hi_f = lo, hi
-    c_star = brentq(lambda c: shoot(c, 4096), lo_f, hi_f, xtol=1e-13, rtol=1e-15)
-
-    per = max(1, int(round(4096 / (grid_size - 1))))
-    steps = per * (grid_size - 1)
-    residual, records = _integrate(n, c_star, steps, record_every=per)
-    if abs(residual) > 1e-8:
-        raise ConvergenceError(
-            f"boundary residual {residual:.3e} exceeds 1e-8 for n={n}"
-        )
+    d_mid = 2 ** (-1 / n) if n >= 1 else 1 - 2 ** (-1 / n)
+    s_mid = float(_arc_length(np.array([d_mid]), n)[0])
     theta = np.linspace(0.0, np.pi / 2, grid_size)
-    p = np.clip(np.array([r[0] for r in records]), 0.0, 1.0)
-    q = np.clip(np.array([r[1] for r in records]), 0.0, 1.0)
-    values = np.clip(p**n - q**n, -1.0, 1.0)
-    values = np.maximum.accumulate(values)
-    return CorrelationCurve(theta_grid=theta, values=values, n=float(n), p=p, q=q, c=float(c_star))
+    target = s_mid * theta[: (grid_size + 1) // 2] / (np.pi / 4)
+    # the arc length is >= d, so d = target starts at or above each node, and
+    # it is convex in d, so Newton steps descend monotonically onto the node
+    d = np.minimum(target, d_mid)
+    for _ in range(50):
+        miss = _arc_length(d, n) - target
+        if np.max(np.abs(miss)) <= 1e-13:
+            break
+        d = d - miss / _arc_speed(d, n)[0]
+    else:
+        raise ConvergenceError(
+            f"arc-length inversion misses a node by {np.max(np.abs(miss)):.3e} for n={n}"
+        )
+    _, tracked, other = _arc_speed(d, n)
+    p_half, q_half = (tracked, other) if n >= 1 else (other, tracked)
+    mirror = slice(grid_size - 1 - target.size, None, -1)
+    p = np.concatenate([p_half, q_half[mirror]])
+    q = np.concatenate([q_half, p_half[mirror]])
+    return CorrelationCurve(
+        theta_grid=theta, values=p**n - q**n, n=float(n), p=p, q=q, c=(s_mid / (np.pi / 4)) ** 2
+    )
 
 
 @dataclass(frozen=True)
@@ -317,11 +257,14 @@ def correlation_operator(combo: str, phi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SonFitResult:
+    """Fitted exponent; ``state_ab`` holds each combo's fitted (A, B) with
+    E(phi, 2, rho) = A cos(2 phi) + B sin(2 phi)."""
+
     n: float
     n_uncertainty: float
     per_combo_n: tuple[float, ...]
     per_combo: tuple[str, ...]
-    rho_params: dict[str, tuple[float, ...]]
+    state_ab: dict[str, tuple[float, float]]
     objective: float
 
     def __post_init__(self) -> None:
@@ -329,49 +272,46 @@ class SonFitResult:
             raise ValueError("objective must be non-negative")
 
 
-# Shared cache of solved curves, keyed by (n quantized to the fit lattice,
-# grid size). Curves are immutable, so reuse across fits is safe.
-_N_QUANTUM = 5e-4
-_CURVE_CACHE: dict[tuple[int, int], CorrelationCurve] = {}
+# Exponent lattice of the fit, (half width, step) per refinement stage; the
+# last step quantizes the curves, which are solved once per lattice point
+_N_STAGES = ((0.5, 0.05), (0.05, 0.005), (0.005, 5e-4))
+_N_QUANTUM = _N_STAGES[-1][1]
 _FIT_GRID_SIZE = 721  # 720 intervals: nodes hit every multiple of pi/12
 
 
-def _cached_curve(n: float, grid_size: int = _FIT_GRID_SIZE) -> CorrelationCurve:
-    key = (int(round(n / _N_QUANTUM)), grid_size)
-    if key not in _CURVE_CACHE:
-        _CURVE_CACHE[key] = solve_son(key[0] * _N_QUANTUM, grid_size)
-    return _CURVE_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def _lattice_curve(k: int) -> CorrelationCurve:
+    return solve_son(k * _N_QUANTUM, _FIT_GRID_SIZE)
 
 
-def _t_matrix(params: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    t[0, 0], t[1, 1], t[2, 2], t[3, 3] = params[:4]
-    off = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
-    for i, (r, c) in enumerate(off):
-        t[r, c] = params[4 + 2 * i] + 1j * params[5 + 2 * i]
-    return t
+def _n_shift(n: float, phis: np.ndarray) -> np.ndarray:
+    """E(theta, n, singlet) - E(theta, 2, singlet) at the lattice exponent nearest n."""
+    theta = phi_to_theta(phis)
+    return _lattice_curve(int(round(n / _N_QUANTUM))).value_at(theta) + np.cos(2 * theta)
 
 
-def _rho_from_params(params: np.ndarray) -> np.ndarray:
-    t = _t_matrix(params)
-    rho = t @ t.conj().T
-    tr = np.trace(rho).real
-    if tr <= 0 or not np.isfinite(tr):
-        return np.eye(4, dtype=complex) / 4
-    return rho / tr
+def _state_fit(
+    n: float, phis: np.ndarray, values: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Best state for one combo at fixed n: (weighted objective, (A, B)).
 
-
-def _params_from_rho(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 1e-6, None)
-    chol = np.linalg.cholesky((v * w) @ v.conj().T)
-    params = np.zeros(16)
-    params[:4] = np.real(np.diag(chol))
-    off = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
-    for i, (r, c) in enumerate(off):
-        params[4 + 2 * i] = chol[r, c].real
-        params[5 + 2 * i] = chol[r, c].imag
-    return params
+    Every combo's correlation_operator(phi) is cos(2 phi) O0 + sin(2 phi) O1
+    with O0, O1 anticommuting and squaring to 1, so the physical (A, B) =
+    (<O0>, <O1>) fill exactly the unit disk. The fit is a weighted 2x2 least
+    squares; a solution outside the disk moves onto the circle, where
+    (M + lam I) ab = g with the secular root lam > 0 giving |ab| = 1.
+    """
+    target = values - _n_shift(n, phis)
+    x = np.stack([np.cos(2 * phis), np.sin(2 * phis)], axis=1)
+    mu, v = np.linalg.eigh(x.T @ (weights[:, None] * x))
+    g = v.T @ (x.T @ (weights * target))
+    # a direction the angles do not probe (every sin 2phi = 0) stays at 0
+    mu = np.where(mu > 1e-12 * mu[-1], mu, np.inf)
+    lam = 0.0
+    if np.sum((g / mu) ** 2) > 1:
+        lam = brentq(lambda t: np.sum((g / (mu + t)) ** 2) - 1, 0.0, np.linalg.norm(g))
+    ab = v @ (g / (mu + lam))
+    return float(weights @ (x @ ab - target) ** 2), ab
 
 
 def _n_lattice(center: float, half_width: float, step: float) -> np.ndarray:
@@ -382,23 +322,16 @@ def _n_lattice(center: float, half_width: float, step: float) -> np.ndarray:
     return np.array([k * step for k in range(k_lo, k_hi + 1)])
 
 
-def son_fit(
-    samples: list[CorrelationSample],
-    rho_init: np.ndarray | None = None,
-    restarts: int = 3,
-    seed: int = 0,
-) -> SonFitResult:
+def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     """Weighted fit of the Born-rule exponent n to correlation samples.
 
     Samples are grouped by combo and each combo is fitted independently:
     the exponent is profiled over a lattice refined down to 5e-4 around the
-    best coarse value, and for every candidate n the state parameters (a
-    16-parameter Cholesky-style factorization keeping rho physical) are
-    optimized by Nelder-Mead on the weighted squared residuals. The
-    reported n is the mean of the per-combo estimates and its uncertainty
-    their sample standard deviation. The model linearization holds for
-    states near the singlet and n near 2, so the coarse search spans
-    [1.5, 2.5].
+    best coarse value, and for every candidate n the state enters through
+    the closed-form disk least squares of ``_state_fit``. The reported n is
+    the mean of the per-combo estimates and its uncertainty their sample
+    standard deviation. The model linearization holds for states near the
+    singlet and n near 2, so the coarse search spans [1.5, 2.5].
     """
     groups: dict[str, list[CorrelationSample]] = {}
     for s in samples:
@@ -409,84 +342,29 @@ def son_fit(
         if len(grp) < 5:
             raise ValueError(f"combo {combo} has {len(grp)} samples; at least 5 required")
 
-    if rho_init is None:
-        rho_init = werner(0.98)
-    else:
-        rho_init = validate_density_matrix(rho_init)
-    base_params = _params_from_rho(rho_init)
-    rng = np.random.default_rng(seed)
-
-    psi_minus = projector(singlet())
     per_combo_n: list[float] = []
     per_combo: list[str] = []
-    rho_params: dict[str, tuple[float, ...]] = {}
+    state_ab: dict[str, tuple[float, float]] = {}
     total_objective = 0.0
 
     for combo in sorted(groups, key=COMBOS.index):
         grp = sorted(groups[combo], key=lambda s: s.phi)
         phis = np.array([s.phi for s in grp])
-        thetas = np.array([phi_to_theta(phi) for phi in phis])
-        y = np.array([s.value for s in grp])
+        values = np.array([s.value for s in grp])
         weights = np.array([1.0 / s.sigma**2 for s in grp])
-        ops = np.stack([correlation_operator(combo, phi) for phi in phis])
-        e_qm_singlet = np.array(
-            [float(np.real(np.trace(op @ psi_minus))) for op in ops]
-        )
 
-        def objective(params: np.ndarray, shift: np.ndarray) -> float:
-            rho = _rho_from_params(params)
-            e_state = np.einsum("aij,ji->a", ops, rho).real
-            resid = shift + e_state - y
-            return float(np.dot(weights, resid**2))
+        best_n = 2.0
+        for half_width, step in _N_STAGES:
+            # nearest the center first, so an exact tie keeps the closer n
+            lattice = sorted(_n_lattice(best_n, half_width, step), key=lambda n: abs(n - best_n))
+            fits = {n: _state_fit(n, phis, values, weights) for n in lattice}
+            best_n = min(lattice, key=lambda n: fits[n][0])
 
-        def fit_state(n_value: float, starts: list[np.ndarray]) -> tuple[float, np.ndarray]:
-            curve = _cached_curve(n_value)
-            shift = curve.value_at(thetas) - e_qm_singlet
-            best_val, best_x = np.inf, None
-            for x0 in starts:
-                res = minimize(
-                    objective,
-                    x0,
-                    args=(shift,),
-                    method="Nelder-Mead",
-                    options={"maxiter": 8000, "maxfev": 8000, "xatol": 1e-9, "fatol": 1e-11},
-                )
-                if res.fun < best_val:
-                    best_val, best_x = res.fun, res.x
-            return best_val, best_x
-
-        first_starts = [base_params] + [
-            base_params + rng.normal(0.0, 0.01, size=16) for _ in range(restarts - 1)
-        ]
-        _, warm = fit_state(2.0, first_starts)
-
-        center = 2.0
-        stage_plan = ((0.5, 0.05), (0.05, 0.005), (0.005, _N_QUANTUM))
-        best_n, best_obj, best_params = center, np.inf, warm
-        for half_width, step in stage_plan:
-            lattice = _n_lattice(center, half_width, step)
-            # sweep outward from the center so each fit warm-starts from a
-            # neighboring exponent's optimum
-            order = np.argsort(np.abs(lattice - center), kind="stable")
-            carry = {0: best_params}
-            stage_best = None
-            for rank in order:
-                n_value = lattice[rank]
-                side = int(np.sign(lattice[rank] - center))
-                start = carry.get(side, carry[0])
-                val, x = fit_state(n_value, [start])
-                carry[side] = x
-                if side == 0:
-                    carry[0] = x
-                if stage_best is None or val < stage_best[0]:
-                    stage_best = (val, n_value, x)
-            best_obj, best_n, best_params = stage_best
-            center = best_n
-
+        objective, ab = fits[best_n]
         per_combo.append(combo)
         per_combo_n.append(float(best_n))
-        rho_params[combo] = tuple(float(v) for v in best_params)
-        total_objective += float(best_obj)
+        state_ab[combo] = (float(ab[0]), float(ab[1]))
+        total_objective += objective
 
     n_arr = np.array(per_combo_n)
     n_mean = float(n_arr.mean())
@@ -496,6 +374,14 @@ def son_fit(
         n_uncertainty=n_unc,
         per_combo_n=tuple(per_combo_n),
         per_combo=tuple(per_combo),
-        rho_params=rho_params,
+        state_ab=state_ab,
         objective=total_objective,
     )
+
+
+def fitted_correlation(result: SonFitResult, combo: str, phis) -> np.ndarray:
+    """The fitted model E(phi, n, rho) of one combo at the angles ``phis``."""
+    n = result.per_combo_n[result.per_combo.index(combo)]
+    a, b = result.state_ab[combo]
+    phis = np.asarray(phis, dtype=float)
+    return _n_shift(n, phis) + a * np.cos(2 * phis) + b * np.sin(2 * phis)

@@ -181,6 +181,26 @@ class TestUsageAndIoErrors:
         path.write_text(json.dumps({"not_a_key": 1}))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "override", [{"axes": "xz"}, {"poisson": "no"}, {"seed": 5.0}, {"angles_deg": [0, "90"]}],
+        ids=["axes-string", "poisson-string", "seed-float", "angle-string"],
+    )
+    def test_mistyped_config_value_exits_1(self, tmp_path, capsys, override):
+        cfg = _write_config(tmp_path / "c.json", **override)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_exits_1_before_writing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 3
 

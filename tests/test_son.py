@@ -11,6 +11,8 @@ from envarsim.optics import STACK_ROTATION_SIGN, named_axis_vector
 from envarsim.son import (
     COMBOS,
     CorrelationSample,
+    _state_fit,
+    correlation_operator,
     e_qm,
     extract_correlation,
     phi_to_theta,
@@ -19,6 +21,12 @@ from envarsim.son import (
 )
 
 PHI_GRID = np.deg2rad(np.arange(0, 181, 15))
+
+# the fit grid (721 nodes) at exponents where shooting on c with one step
+# count and recording with another once missed the boundary by up to 1e-6
+BOUNDARY_CASES = [pytest.param(n, 257, id=str(n)) for n in (1.0, 1.5, 2.0, 5.0, 10.0)] + [
+    pytest.param(n, 721, id=f"{n}-721") for n in (0.8, 1.01, 1.2)
+]
 
 
 def _stage2_counts(combo, phi, base, noise, rng):
@@ -47,15 +55,15 @@ class TestSolveSon:
         assert np.max(np.abs(curve.values - expected)) < 1e-6
         assert curve.c == pytest.approx(2 * (2 / np.pi) ** 2, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 5.0, 10.0])
-    def test_boundary_conditions(self, n):
-        curve = solve_son(n, 257)
+    @pytest.mark.parametrize("n, grid_size", BOUNDARY_CASES)
+    def test_boundary_conditions(self, n, grid_size):
+        curve = solve_son(n, grid_size)
         assert abs(curve.values[0] + 1.0) <= 1e-8
         assert abs(curve.values[-1] - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 5.0, 10.0])
-    def test_normalization_constraint(self, n):
-        curve = solve_son(n, 257)
+    @pytest.mark.parametrize("n, grid_size", BOUNDARY_CASES)
+    def test_normalization_constraint(self, n, grid_size):
+        curve = solve_son(n, grid_size)
         assert np.max(np.abs(curve.p**n + curve.q**n - 1.0)) <= 1e-8
 
     @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 5.0, 10.0])
@@ -205,6 +213,19 @@ class TestSonFit:
         bias = abs(np.mean(estimates) - 2.0)
         assert bias < np.mean(uncertainties)
 
+    def test_square_wave_lands_on_the_circle(self):
+        # a +-1 square wave has cosine amplitude 4/pi > 1, so the
+        # unconstrained least squares leaves the disk and the fit must sit
+        # on its boundary
+        samples = [
+            CorrelationSample(combo=combo, phi=float(phi), value=-1.0 if np.cos(2 * phi) > 0 else 1.0, sigma=0.01)
+            for combo in ("Z-DA", "X-HV")
+            for phi in PHI_GRID
+        ]
+        result = son_fit(samples)
+        for a, b in result.state_ab.values():
+            assert math.hypot(a, b) == pytest.approx(1.0, abs=1e-12)
+
     def test_too_few_samples_rejected(self):
         samples = [
             CorrelationSample(combo="Z-DA", phi=float(phi), value=0.0, sigma=0.1)
@@ -212,3 +233,44 @@ class TestSonFit:
         ]
         with pytest.raises(ValueError):
             son_fit(samples)
+
+
+class TestStateFit:
+    @pytest.mark.parametrize("combo", COMBOS)
+    def test_correlation_operator_is_a_rotated_anticommuting_pair(self, combo):
+        o0 = correlation_operator(combo, 0.0)
+        o1 = correlation_operator(combo, np.pi / 4)
+        eye = np.eye(4)
+        assert np.max(np.abs(o0 @ o0 - eye)) < 1e-12
+        assert np.max(np.abs(o1 @ o1 - eye)) < 1e-12
+        assert np.max(np.abs(o0 @ o1 + o1 @ o0)) < 1e-12
+        for phi in np.linspace(0.0, 2 * np.pi, 17):
+            expected = np.cos(2 * phi) * o0 + np.sin(2 * phi) * o1
+            assert np.max(np.abs(correlation_operator(combo, phi) - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1.9, 2.0, 2.1])
+    def test_fit_beats_random_states(self, n):
+        # the closed-form optimum over the disk is at least as good as any
+        # density matrix, scored through the 4x4 observables themselves;
+        # mixing in the source state keeps the rivals near the optimum
+        combo = "Y-HV"
+        base = linalg.werner(0.98)
+        noise = NoiseModel(werner_v=0.98, poisson=True)
+        rng = np.random.default_rng(5)
+        samples = [
+            extract_correlation(_stage2_counts(combo, float(phi), base, noise, rng), combo, float(phi))
+            for phi in PHI_GRID
+        ]
+        phis = np.array([s.phi for s in samples])
+        values = np.array([s.value for s in samples])
+        weights = np.array([1 / s.sigma**2 for s in samples])
+        fitted, _ = _state_fit(n, phis, values, weights)
+
+        curve = solve_son(n, 721)
+        shift = np.array([curve.value_at(phi_to_theta(phi)) - e_qm(phi_to_theta(phi)) for phi in phis])
+        ops = np.stack([correlation_operator(combo, phi) for phi in phis])
+        for _ in range(200):
+            mix = rng.uniform(0.9, 1.0)
+            rho = mix * base + (1 - mix) * linalg.random_density_matrix(4, rng)
+            e_state = np.einsum("aij,ji->a", ops, rho).real
+            assert fitted <= float(weights @ (shift + e_state - values) ** 2) + 1e-9
