@@ -32,10 +32,9 @@ from .harness import (
     cell_seed_entropy,
     run_three_stages,
 )
-from .measurement import DEFAULT_DRIFT_SIGMA, NoiseModel, tomography_projectors
+from .measurement import DEFAULT_DRIFT_SIGMA, CountRecord, NoiseModel
 from .optics import NAMED_AXES
-from .son import COMBOS, combo_axis_and_basis, extract_correlation, fitted_correlation, son_fit
-from .tomography import mle_reconstruct
+from .son import COMBOS, combo_axis_and_basis, extract_correlation, fitted_correlation, n_sensitive, son_fit
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -87,8 +86,31 @@ def _is_json_kind(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
+def _config_from_json(raw) -> RunConfig:
+    """A RunConfig from a parsed JSON object, each key checked against its field's kind."""
+    if not isinstance(raw, dict):
+        raise UsageError("config must be a flat JSON object")
+    unknown = set(raw) - _CONFIG_KEYS
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     values = {}
+    for key, value in raw.items():
+        if key in _LIST_KEYS:
+            cast = _LIST_KEYS[key]
+            if not isinstance(value, list) or not all(_is_json_kind(v, cast) for v in value):
+                raise UsageError(f"config key {key!r} must be a list of {cast.__name__}, not {value!r}")
+            values[key] = tuple(cast(v) for v in value)
+        else:
+            kind = type(getattr(RunConfig, key))
+            if not _is_json_kind(value, kind):
+                raise UsageError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
+            values[key] = value
+    return RunConfig(**values)
+
+
+def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
+    """The run config from ``path`` and the CLI overrides, checked in full before any file is written."""
+    raw = {}
     if path is not None:
         try:
             raw = eio.read_json(Path(path))
@@ -96,23 +118,7 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
             raise MissingDataError(f"config file not found: {path}") from exc
         except ValueError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise UsageError("config must be a flat JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            if key in _LIST_KEYS:
-                cast = _LIST_KEYS[key]
-                if not isinstance(value, list) or not all(_is_json_kind(v, cast) for v in value):
-                    raise UsageError(f"config key {key!r} must be a list of {cast.__name__}, not {value!r}")
-                values[key] = tuple(cast(v) for v in value)
-            else:
-                kind = type(getattr(RunConfig, key))
-                if not _is_json_kind(value, kind):
-                    raise UsageError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
-                values[key] = value
-    config = RunConfig(**values)
+    config = _config_from_json(raw)
     if seed is not None:
         config = replace(config, seed=int(seed))
     if config.seed < 0:
@@ -124,6 +130,10 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
     for f in config.formats:
         if f not in ("csv", "json"):
             raise UsageError(f"unknown output format {f!r}")
+    try:
+        config.plan()
+    except ValueError as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
     return config
 
 
@@ -169,44 +179,54 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _load_counts(out: Path, manifest: dict) -> dict:
-    grid = manifest["grid"]
-    cell_counts = {}
-    for axis in grid["axes"]:
-        for angle_deg in grid["angles_deg"]:
-            records = []
-            for stage in STAGES:
-                path = out / eio.count_file_name(axis, angle_deg, stage)
-                if not path.exists():
-                    raise MissingDataError(f"missing stage file: {path}")
-                records.append(eio.read_count_csv(path))
-            cell_counts[(axis, float(angle_deg))] = tuple(records)
-    return cell_counts
+def _read_counts(out: Path, axis: str, angle_deg: float, stage: str) -> CountRecord:
+    """One stage's count record; a file that is absent or unusable is missing data."""
+    path = out / eio.count_file_name(axis, angle_deg, stage)
+    if not path.exists():
+        raise MissingDataError(f"missing stage file: {path}")
+    try:
+        record = eio.read_count_csv(path)
+    except ValueError as exc:
+        raise MissingDataError(f"malformed count file {exc}") from exc
+    empty = np.flatnonzero(record.setting_totals() == 0)
+    if empty.size:
+        raise MissingDataError(f"malformed count file {path}: setting {empty[0] + 1} of 9 has no counts")
+    return record
 
 
-def _read_manifest(out: Path) -> dict:
+def _load_counts(out: Path, plan: ExperimentPlan) -> dict:
+    return {
+        (axis, angle_deg): tuple(_read_counts(out, axis, angle_deg, stage) for stage in STAGES)
+        for axis in plan.axes
+        for angle_deg in plan.angles_deg
+    }
+
+
+def _manifest_plan(out: Path) -> ExperimentPlan:
+    """The plan of the simulate run whose manifest is in ``out``."""
     path = out / "manifest.json"
     if not path.exists():
         raise MissingDataError(f"missing manifest: {path} (run simulate first)")
-    return eio.read_json(path)
+    try:
+        manifest = eio.read_json(path)
+        if not isinstance(manifest, dict) or "config" not in manifest:
+            raise UsageError('no "config" object')
+        return _config_from_json(manifest["config"]).plan()
+    except (ValueError, UsageError) as exc:
+        raise MissingDataError(f"malformed manifest {path}: {exc}") from exc
 
 
 def cmd_analyze(config: RunConfig) -> int:
     out = Path(config.out_dir)
-    manifest = _read_manifest(out)
-    run_config = RunConfig(**{
-        k: tuple(v) if isinstance(v, list) else v for k, v in manifest["config"].items()
-    })
-    plan = run_config.plan()
-    cell_counts = _load_counts(out, manifest)
-    report = assemble_report(plan, cell_counts)
+    plan = _manifest_plan(out)
+    report = assemble_report(plan, _load_counts(out, plan))
 
     if "csv" in config.formats:
         eio.write_report_csv(out / "report.csv", report)
         _write_plot_files(out, report)
     if "json" in config.formats:
         eio.write_json(out / "report.json", eio.report_to_dict(report))
-        _write_states_json(out, cell_counts)
+        _write_states_json(out, report.states)
     print(
         f"analyze: overall F(I,III) = {report.overall.f_i_iii_mean:.4f}, "
         f"BC(I,III) = {report.overall.bc_i_iii_mean:.5f}"
@@ -214,14 +234,12 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
-def _write_states_json(out: Path, cell_counts: dict) -> None:
-    projectors = tomography_projectors()
-    states = {}
-    for (axis, angle_deg), records in sorted(cell_counts.items()):
-        for stage, record in zip(STAGES, records):
-            key = f"{axis}_{int(round(angle_deg * 100)):05d}_{stage}"
-            states[key] = eio.density_matrix_to_table(mle_reconstruct(record, projectors).rho)
-    eio.write_json(out / "states.json", states)
+def _write_states_json(out: Path, states: dict) -> None:
+    tables = {}
+    for (axis, angle_deg), rhos in states.items():
+        for stage, rho in zip(STAGES, rhos):
+            tables[f"{axis}_{int(round(angle_deg * 100)):05d}_{stage}"] = eio.density_matrix_to_table(rho)
+    eio.write_json(out / "states.json", tables)
 
 
 def _write_plot_files(out: Path, report) -> None:
@@ -257,30 +275,28 @@ def _write_plot_files(out: Path, report) -> None:
 
 def cmd_son_fit(config: RunConfig) -> int:
     out = Path(config.out_dir)
-    manifest = _read_manifest(out)
-    grid = manifest["grid"]
-    available = [c for c in COMBOS if combo_axis_and_basis(c)[0] in grid["axes"]]
+    plan = _manifest_plan(out)
+    available = [c for c in COMBOS if combo_axis_and_basis(c)[0] in plan.axes]
     if not available:
         raise MissingDataError("no rotation axes in this run support a correlation combo")
     if len(available) < len(COMBOS):
         missing = sorted(set(COMBOS) - set(available))
         print(f"son-fit: warning: fitting {len(available)}/6 combos (missing {missing})", file=sys.stderr)
-    angles = [float(a) for a in grid["angles_deg"]]
-    if len(angles) < 5:
+    if len(plan.angles_deg) < 5:
         raise MissingDataError("son-fit needs at least 5 rotation angles per combo")
 
     samples = []
     for combo in available:
         axis, _ = combo_axis_and_basis(combo)
-        for angle_deg in angles:
-            path = out / eio.count_file_name(axis, angle_deg, "II")
-            if not path.exists():
-                raise MissingDataError(f"missing stage file: {path}")
-            record = eio.read_count_csv(path)
+        for angle_deg in plan.angles_deg:
+            record = _read_counts(out, axis, angle_deg, "II")
             phi = float(np.deg2rad(angle_deg) / 2)
             samples.append(extract_correlation(record, combo, phi))
 
-    result = son_fit(samples)
+    try:
+        result = son_fit(samples)
+    except ValueError as exc:
+        raise MissingDataError(f"son-fit: {exc}") from exc
     if "csv" in config.formats:
         eio.write_correlation_csv(out / "correlations.csv", samples)
         _write_fit_curves(out, result)
@@ -306,11 +322,14 @@ def cmd_report(config: RunConfig) -> int:
     if code:
         return code
     grid_axes = set(config.axes)
-    if any(combo_axis_and_basis(c)[0] in grid_axes for c in COMBOS) and len(config.angles_deg) >= 5:
-        code = cmd_son_fit(config)
+    if not any(combo_axis_and_basis(c)[0] in grid_axes for c in COMBOS) or len(config.angles_deg) < 5:
+        reason = "insufficient axes or angles"
+    elif not n_sensitive(np.deg2rad(config.angles_deg) / 2).any():
+        reason = "every angle is a multiple of 90 degrees, where E does not depend on n"
     else:
-        print("report: skipping son-fit (insufficient axes or angles)", file=sys.stderr)
-    return code
+        return cmd_son_fit(config)
+    print(f"report: skipping son-fit ({reason})", file=sys.stderr)
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -4,15 +4,16 @@ Every grid cell runs the protocol at one (axis, rotation angle): stage I
 measures the source directly, stage II applies the wave-plate rotation to
 the system photon only, stage III applies the same rotation to both
 photons. Each stage independently redraws the drifted source state and its
-own wave-plate setting errors, is measured over the 36 projectors, and is
-reconstructed by maximum likelihood. Per-cell randomness derives from
-(seed, axis, angle, stage) by value, so cells are reproducible in any
-execution order.
+own wave-plate setting errors and is measured over the 36 projectors; only
+``assemble_report`` reconstructs, once per count record. Per-cell randomness
+derives from (seed, axis, angle, stage) by value, so cells are reproducible
+in any execution order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,14 +98,21 @@ class ExperimentPlan:
         for angle in self.angles_deg:
             if not 0.0 <= angle <= 360.0:
                 raise ValueError("angles must lie in [0, 360] degrees")
+        if not (self.flux_hz > 0 and self.duration_s > 0):
+            raise ValueError("flux_hz and duration_s must be positive")
 
 
 @dataclass(frozen=True)
 class StageResult:
+    """A simulated stage; ``rho`` reconstructs ``counts`` on first read and caches it."""
+
     stage: str
     counts: CountRecord
-    rho: np.ndarray
     rho_true: np.ndarray
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        return mle_reconstruct(self.counts, tomography_projectors()).rho
 
 
 def cell_seed_entropy(seed: int, axis: str, angle_deg: float, stage: str) -> list[int]:
@@ -158,26 +166,18 @@ def _perturbed_stack(
 
 
 def run_three_stages(
-    axis: str,
-    theta: float,
-    plan: ExperimentPlan,
-    rng: np.random.Generator | None = None,
+    axis: str, theta: float, plan: ExperimentPlan
 ) -> tuple[StageResult, StageResult, StageResult]:
-    """Simulate and reconstruct stages I, II and III for one grid cell.
+    """Simulate the counts of stages I, II and III for one grid cell.
 
-    With ``rng`` omitted, the three stage streams derive from
-    (plan.seed, axis, angle, stage); a supplied generator is split into
-    three child streams instead.
+    The three stage streams derive from (plan.seed, axis, angle, stage).
+    No state is reconstructed here; see ``StageResult.rho``.
     """
     angle_deg = float(np.rad2deg(theta))
-    if rng is None:
-        streams = [stage_rng(plan.seed, axis, angle_deg, s) for s in STAGES]
-    else:
-        streams = rng.spawn(3)
+    streams = [stage_rng(plan.seed, axis, angle_deg, s) for s in STAGES]
     setting = nominal_setting(axis, theta)
     sigma_wp = plan.noise.waveplate_error_sigma
     base = werner(plan.noise.werner_v)
-    projectors = tomography_projectors()
 
     results = []
     for stage, stream in zip(STAGES, streams):
@@ -194,8 +194,7 @@ def run_three_stages(
             rho_true = u @ source @ u.conj().T
         rho_true = (rho_true + rho_true.conj().T) / 2
         counts = simulate_counts(rho_true, plan.flux_hz, plan.duration_s, plan.noise, stream)
-        rho_hat = mle_reconstruct(counts, projectors).rho
-        results.append(StageResult(stage=stage, counts=counts, rho=rho_hat, rho_true=rho_true))
+        results.append(StageResult(stage=stage, counts=counts, rho_true=rho_true))
     return tuple(results)
 
 
@@ -260,6 +259,7 @@ class EnvarianceReport:
     overall: AxisSummary
     deviation_fidelity: float
     deviation_bc: float
+    states: dict[tuple[str, float], tuple[np.ndarray, ...]] = field(compare=False, repr=False)
 
 
 def _distribution_from_rho(rho: np.ndarray) -> np.ndarray:
@@ -295,13 +295,15 @@ def assemble_report(
     plan: ExperimentPlan,
     cell_counts: dict[tuple[str, float], tuple[CountRecord, CountRecord, CountRecord]],
 ) -> EnvarianceReport:
-    """Reconstruct all stages and compute every comparison metric.
+    """Reconstruct every record once and compute every comparison metric.
 
     ``cell_counts`` maps (axis, angle_deg) to the stage I/II/III count
     records; reconstruction uses only the counts and the nominal rotation
-    settings, mirroring what an analysis of recorded data can know.
+    settings, mirroring what an analysis of recorded data can know. The
+    states are kept on the report as ``states``, keyed like ``cell_counts``.
     """
     projectors = tomography_projectors()
+    states = {}
     cells: list[CellMetrics] = []
     summaries: list[AxisSummary] = []
     stage1_by_axis: dict[str, list[np.ndarray]] = {}
@@ -318,6 +320,7 @@ def assemble_report(
             rho_i = mle_reconstruct(counts_i, projectors).rho
             rho_ii = mle_reconstruct(counts_ii, projectors).rho
             rho_iii = mle_reconstruct(counts_iii, projectors).rho
+            states[(axis, angle_deg)] = (rho_i, rho_ii, rho_iii)
             dist_i = normalize_counts(counts_i)
             dist_ii = normalize_counts(counts_ii)
             dist_iii = normalize_counts(counts_iii)
@@ -372,6 +375,7 @@ def assemble_report(
         overall=overall,
         deviation_fidelity=float(np.std(dev_f, ddof=1)) if len(dev_f) > 1 else 0.0,
         deviation_bc=float(np.std(dev_bc, ddof=1)) if len(dev_bc) > 1 else 0.0,
+        states=states,
     )
 
 

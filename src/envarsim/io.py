@@ -53,26 +53,31 @@ def write_count_csv(path: Path, record: CountRecord) -> None:
 
 
 def read_count_csv(path: Path) -> CountRecord:
+    """Parse one count file; malformed content raises ValueError naming the file."""
     labels = tomography_projectors().flat_labels
     counts = np.zeros(36, dtype=np.int64)
     duration = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        header = tuple(rows.pop(0)) if rows else ()
         if header != COUNT_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header}")
-        rows = list(reader)
-    if len(rows) != 36:
-        raise ValueError(f"{path}: expected 36 rows, found {len(rows)}")
-    for idx, row in enumerate(rows):
-        setting_label, outcome_label, count, duration_s = row
-        if (setting_label, outcome_label) != labels[idx]:
-            raise ValueError(f"{path}: row {idx} labels {row[:2]} out of canonical order")
-        counts[idx] = int(count)
-        duration = float(duration_s)
-    total = counts.sum()
-    flux = total / (9 * duration) if duration and duration > 0 else 0.0
-    return CountRecord(counts=counts, duration_s=duration, flux_hz=flux)
+            raise ValueError(f"unexpected header {header}")
+        if len(rows) != 36:
+            raise ValueError(f"expected 36 rows, found {len(rows)}")
+        for idx, row in enumerate(rows):
+            if len(row) != len(COUNT_CSV_HEADER):
+                raise ValueError(f"row {idx} has {len(row)} fields, expected {len(COUNT_CSV_HEADER)}")
+            setting_label, outcome_label, count, duration_s = row
+            if (setting_label, outcome_label) != labels[idx]:
+                raise ValueError(f"row {idx} labels {row[:2]} out of canonical order")
+            counts[idx] = int(count)
+            duration = float(duration_s)
+        total = counts.sum()
+        flux = total / (9 * duration) if duration and duration > 0 else 0.0
+        return CountRecord(counts=counts, duration_s=duration, flux_hz=flux)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def density_matrix_to_table(rho: np.ndarray) -> list[list[list[float]]]:

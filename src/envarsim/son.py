@@ -52,6 +52,7 @@ __all__ = [
     "phi_to_theta",
     "extract_correlation",
     "correlation_operator",
+    "n_sensitive",
     "son_fit",
     "fitted_correlation",
 ]
@@ -322,6 +323,17 @@ def _n_lattice(center: float, half_width: float, step: float) -> np.ndarray:
     return np.array([k * step for k in range(k_lo, k_hi + 1)])
 
 
+def n_sensitive(phis) -> np.ndarray:
+    """Which rotation angles phi carry information about the exponent n.
+
+    At a multiple of pi/4, phi_to_theta gives theta in {0, pi/4, pi/2},
+    where p = 1, p = q or q = 1 and every E(theta, n) is -1, 0 or +1
+    whatever n; only angles off that lattice can tell exponents apart.
+    """
+    quarter_turns = 4 * np.asarray(phis, dtype=float) / np.pi
+    return np.abs(quarter_turns - np.round(quarter_turns)) > 1e-9
+
+
 def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     """Weighted fit of the Born-rule exponent n to correlation samples.
 
@@ -331,7 +343,9 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     the closed-form disk least squares of ``_state_fit``. The reported n is
     the mean of the per-combo estimates and its uncertainty their sample
     standard deviation. The model linearization holds for states near the
-    singlet and n near 2, so the coarse search spans [1.5, 2.5].
+    singlet and n near 2, so the coarse search spans [1.5, 2.5]. A combo
+    with fewer than 5 samples, or with none that ``n_sensitive`` accepts,
+    raises ValueError.
     """
     groups: dict[str, list[CorrelationSample]] = {}
     for s in samples:
@@ -341,6 +355,11 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     for combo, grp in groups.items():
         if len(grp) < 5:
             raise ValueError(f"combo {combo} has {len(grp)} samples; at least 5 required")
+        if not n_sensitive([s.phi for s in grp]).any():
+            raise ValueError(
+                f"combo {combo} has no sample with phi off a multiple of 45 degrees, "
+                "where every exponent n gives the same correlation"
+            )
 
     per_combo_n: list[float] = []
     per_combo: list[str] = []

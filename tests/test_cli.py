@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from envarsim import tomography
 from envarsim.cli import RunConfig, load_config, main
 from envarsim.io import read_count_csv, read_json
 
@@ -29,6 +31,21 @@ def _write_config(path, **overrides):
     base.update(overrides)
     path.write_text(json.dumps(base))
     return path
+
+
+def _count_mle_calls(monkeypatch) -> list:
+    """Record every count record handed to the MLE, through any module that imported it."""
+    calls = []
+    original = tomography.mle_reconstruct
+
+    def counting(counts, *args, **kwargs):
+        calls.append(counts)
+        return original(counts, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("envarsim") and getattr(module, "mle_reconstruct", None) is original:
+            monkeypatch.setattr(module, "mle_reconstruct", counting)
+    return calls
 
 
 def _tree_hash(root: Path) -> str:
@@ -193,6 +210,19 @@ class TestUsageAndIoErrors:
         assert err.startswith("error: config key") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"axes": ["q"]}, {"angles_deg": [400]}, {"werner_v": 1.5}, {"flux_hz": 0}, {"duration_s": -1}],
+        ids=["unknown-axis", "angle-400", "werner-above-1", "zero-flux", "negative-duration"],
+    )
+    def test_out_of_range_config_value_exits_1(self, tmp_path, capsys, override):
+        cfg = _write_config(tmp_path / "c.json", **override)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_negative_seed_exits_1_before_writing(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json")
         out = tmp_path / "o"
@@ -225,6 +255,95 @@ class TestUsageAndIoErrors:
 
         monkeypatch.setattr(cli, "son_fit", boom)
         assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 4
+
+
+def _edit_count_rows(path: Path, edit) -> None:
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    edit(rows)
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+
+
+def _set_count(rows, idx, value):
+    rows[idx][2] = value
+
+
+COUNT_FILE_DEFECTS = {
+    "short-row": lambda rows: rows[3].pop(),
+    "non-canonical-labels": lambda rows: rows.insert(0, rows.pop(1)),
+    "negative-count": lambda rows: _set_count(rows, 5, "-3"),
+    "all-zero-setting": lambda rows: [_set_count(rows, i, "0") for i in range(4, 8)],
+}
+
+
+class TestMalformedData:
+    @pytest.fixture
+    def run(self, tmp_path):
+        cfg = _write_config(tmp_path / "c.json")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        return cfg, out
+
+    @pytest.mark.parametrize("defect", COUNT_FILE_DEFECTS)
+    def test_malformed_count_file_exits_3(self, run, capsys, defect):
+        cfg, out = run
+        _edit_count_rows(out / "counts_x_09000_II.csv", COUNT_FILE_DEFECTS[defect])
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed count file") and err.count("\n") == 1
+        assert "counts_x_09000_II.csv" in err
+
+    @pytest.mark.parametrize(
+        "content", ['{"config": {', json.dumps({"grid": {"axes": ["x"], "angles_deg": [0.0]}})],
+        ids=["not-json", "no-config"],
+    )
+    def test_malformed_manifest_exits_3(self, run, capsys, content):
+        cfg, out = run
+        (out / "manifest.json").write_text(content)
+        capsys.readouterr()
+        for command in ("analyze", "son-fit"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed manifest") and err.count("\n") == 1
+            assert "manifest.json" in err
+
+
+class TestReconstructOnce:
+    def test_simulate_runs_no_mle(self, tmp_path, monkeypatch):
+        calls = _count_mle_calls(monkeypatch)
+        cfg = _write_config(tmp_path / "c.json")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_one_mle_per_count_record(self, tmp_path, monkeypatch, command):
+        cfg = _write_config(tmp_path / "c.json")
+        out = tmp_path / "run"
+        if command == "analyze":
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        calls = _count_mle_calls(monkeypatch)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        records = {p.name: read_count_csv(p).counts for p in out.glob("counts_*.csv")}
+        assert len(records) == 15 and len(calls) == 15
+        called = sorted(tuple(c.counts) for c in calls)
+        assert called == sorted(tuple(c) for c in records.values())
+        assert len(read_json(out / "states.json")) == 15
+
+
+class TestSonFitLattice:
+    def test_quarter_turn_angles_do_not_identify_n(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json", axes=["z"], angles_deg=[0.0, 90.0, 180.0, 270.0, 360.0])
+        out = tmp_path / "run"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "skipping son-fit" in capsys.readouterr().err
+        assert not (out / "son_fit.json").exists()
+        assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 3
+        # the one error line follows the usual warning about the combos z cannot serve
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: son-fit") and "multiple of 45 degrees" in err[-1]
+        assert sum(line.startswith("error:") for line in err) == 1
+        assert not (out / "son_fit.json").exists()
 
 
 @pytest.mark.parametrize("config_path", BUNDLED, ids=lambda p: p.stem)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from envarsim import linalg
+from envarsim import harness, linalg
 from envarsim.harness import (
     ExperimentPlan,
     run_experiment,
@@ -19,6 +19,18 @@ def _noiseless_plan(**overrides):
     defaults = dict(flux_hz=2e5, duration_s=5.0, noise=NoiseModel.noiseless())
     defaults.update(overrides)
     return ExperimentPlan(**defaults)
+
+
+def _count_mle_calls(monkeypatch) -> list:
+    calls = []
+    original = harness.mle_reconstruct
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "mle_reconstruct", counting)
+    return calls
 
 
 class TestRunThreeStages:
@@ -69,6 +81,15 @@ class TestRunThreeStages:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.counts.counts, sb.counts.counts)
 
+    def test_rho_is_reconstructed_once_on_first_read(self, monkeypatch):
+        calls = _count_mle_calls(monkeypatch)
+        stages = run_three_stages("x", np.pi / 3, _noiseless_plan())
+        assert calls == []
+        rho = stages[1].rho
+        assert len(calls) == 1
+        assert stages[1].rho is rho
+        assert len(calls) == 1
+
 
 class TestTheoreticalStage3:
     def test_identity(self):
@@ -109,6 +130,17 @@ class TestRunExperiment:
         assert report.overall.bc_i_iii_mean >= 0.9999
         for cell in report.cells:
             assert cell.f_i_iii_theory >= 0.9999
+
+    def test_one_mle_per_record_and_states_kept(self, monkeypatch):
+        plan = _noiseless_plan(axes=("x", "z"), angles_deg=(0.0, 90.0, 210.0))
+        calls = _count_mle_calls(monkeypatch)
+        report = run_experiment(plan)
+        assert len(calls) == 2 * 3 * 3
+        assert set(report.states) == {(a, d) for a in plan.axes for d in plan.angles_deg}
+        monkeypatch.undo()
+        stages = run_three_stages("z", np.deg2rad(210.0), plan)
+        for rho, stage in zip(report.states[("z", 210.0)], stages):
+            np.testing.assert_array_equal(rho, stage.rho)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

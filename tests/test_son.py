@@ -234,6 +234,16 @@ class TestSonFit:
         with pytest.raises(ValueError):
             son_fit(samples)
 
+    def test_angles_on_the_quarter_turn_lattice_rejected(self):
+        # rotations of 0/90/180/270/360 degrees put phi on multiples of
+        # pi/4, where E is -1, 0 or +1 for every n: n is not identifiable
+        samples = [
+            CorrelationSample(combo="Z-DA", phi=float(np.deg2rad(a) / 2), value=float(-np.cos(np.deg2rad(a))), sigma=0.01)
+            for a in (0.0, 90.0, 180.0, 270.0, 360.0)
+        ]
+        with pytest.raises(ValueError, match="multiple of 45 degrees"):
+            son_fit(samples)
+
 
 class TestStateFit:
     @pytest.mark.parametrize("combo", COMBOS)
