@@ -33,6 +33,7 @@ from .measurement import (
     CountRecord,
     NoiseModel,
     ProjectorSet,
+    born_probabilities,
     born_probability,
     drift_state,
     simulate_counts,
@@ -58,6 +59,6 @@ from .son import (
     solve_son,
     son_fit,
 )
-from .tomography import TomographyResult, linear_inversion, mle_reconstruct
+from .tomography import TomographyResult, linear_inversion, mle_reconstruct, mle_reconstruct_many
 
 __version__ = "0.1.0"

@@ -127,6 +127,8 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         config = replace(config, out_dir=out)
     if fmt is not None:
         config = replace(config, formats=(fmt,))
+    if not config.formats:
+        raise UsageError("formats must name at least one of csv, json")
     for f in config.formats:
         if f not in ("csv", "json"):
             raise UsageError(f"unknown output format {f!r}")

@@ -5,9 +5,9 @@ measures the source directly, stage II applies the wave-plate rotation to
 the system photon only, stage III applies the same rotation to both
 photons. Each stage independently redraws the drifted source state and its
 own wave-plate setting errors and is measured over the 36 projectors; only
-``assemble_report`` reconstructs, once per count record. Per-cell randomness
-derives from (seed, axis, angle, stage) by value, so cells are reproducible
-in any execution order.
+``assemble_report`` reconstructs, every count record of the grid in one
+batched MLE call. Per-cell randomness derives from (seed, axis, angle,
+stage) by value, so cells are reproducible in any execution order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .measurement import (
     DEFAULT_DRIFT_SIGMA,
     CountRecord,
     NoiseModel,
-    born_probability,
+    born_probabilities,
     drift_state,
     simulate_counts,
     tomography_projectors,
@@ -37,7 +37,7 @@ from .optics import (
     rotation_setting,
     stack,
 )
-from .tomography import mle_reconstruct
+from .tomography import mle_reconstruct, mle_reconstruct_many
 
 __all__ = [
     "DEFAULT_SEED",
@@ -66,6 +66,10 @@ STAGES = ("I", "II", "III")
 _AXIS_CODE = {tag: i for i, tag in enumerate(NAMED_AXES)}
 _STAGE_CODE = {name: i for i, name in enumerate(STAGES)}
 
+# Expected pairs per setting stay below this, so that every Poisson draw and
+# the 9-setting total of a count record fit in int64.
+_MAX_PAIRS_PER_SETTING = 1e18
+
 
 def calibrated_noise(seed: int = 0) -> NoiseModel:
     """Noise model reproducing the reference experiment's imperfections."""
@@ -92,6 +96,11 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.axes or not self.angles_deg:
             raise ValueError("axes and angles_deg must be non-empty")
+        if len(set(self.axes)) < len(self.axes):
+            raise ValueError("axes must not repeat a value")
+        # count files name their angle in centidegrees
+        if len({round(a * 100) for a in self.angles_deg}) < len(self.angles_deg):
+            raise ValueError("angles_deg must be distinct at 0.01-degree resolution")
         for axis in self.axes:
             if axis not in NAMED_AXES:
                 raise ValueError(f"unknown axis {axis!r}")
@@ -100,6 +109,8 @@ class ExperimentPlan:
                 raise ValueError("angles must lie in [0, 360] degrees")
         if not (self.flux_hz > 0 and self.duration_s > 0):
             raise ValueError("flux_hz and duration_s must be positive")
+        if not self.flux_hz * self.duration_s <= _MAX_PAIRS_PER_SETTING:
+            raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
 
 
 @dataclass(frozen=True)
@@ -263,8 +274,7 @@ class EnvarianceReport:
 
 
 def _distribution_from_rho(rho: np.ndarray) -> np.ndarray:
-    flat = tomography_projectors().flat_projectors
-    probs = np.array([born_probability(rho, p) for p in flat])
+    probs = born_probabilities(rho, tomography_projectors().flat_projectors)
     return probs / probs.sum()
 
 
@@ -299,11 +309,14 @@ def assemble_report(
 
     ``cell_counts`` maps (axis, angle_deg) to the stage I/II/III count
     records; reconstruction uses only the counts and the nominal rotation
-    settings, mirroring what an analysis of recorded data can know. The
-    states are kept on the report as ``states``, keyed like ``cell_counts``.
+    settings, mirroring what an analysis of recorded data can know. All
+    records go through one ``mle_reconstruct_many`` call. The states are
+    kept on the report as ``states``, keyed like ``cell_counts``.
     """
-    projectors = tomography_projectors()
-    states = {}
+    keys = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
+    records = [record for key in keys for record in cell_counts[key]]
+    rhos = [result.rho for result in mle_reconstruct_many(records, tomography_projectors())]
+    states = {key: tuple(rhos[3 * k : 3 * k + 3]) for k, key in enumerate(keys)}
     cells: list[CellMetrics] = []
     summaries: list[AxisSummary] = []
     stage1_by_axis: dict[str, list[np.ndarray]] = {}
@@ -317,10 +330,7 @@ def assemble_report(
         dist1_by_axis[axis] = []
         for angle_deg in plan.angles_deg:
             counts_i, counts_ii, counts_iii = cell_counts[(axis, angle_deg)]
-            rho_i = mle_reconstruct(counts_i, projectors).rho
-            rho_ii = mle_reconstruct(counts_ii, projectors).rho
-            rho_iii = mle_reconstruct(counts_iii, projectors).rho
-            states[(axis, angle_deg)] = (rho_i, rho_ii, rho_iii)
+            rho_i, rho_ii, rho_iii = states[(axis, angle_deg)]
             dist_i = normalize_counts(counts_i)
             dist_ii = normalize_counts(counts_ii)
             dist_iii = normalize_counts(counts_iii)

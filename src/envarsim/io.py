@@ -24,14 +24,12 @@ __all__ = [
     "write_count_csv",
     "read_count_csv",
     "density_matrix_to_table",
-    "density_matrix_from_table",
     "write_json",
     "read_json",
     "write_report_csv",
     "report_to_dict",
     "write_plot_series",
     "write_correlation_csv",
-    "read_correlation_csv",
     "son_result_to_dict",
 ]
 
@@ -83,13 +81,6 @@ def read_count_csv(path: Path) -> CountRecord:
 def density_matrix_to_table(rho: np.ndarray) -> list[list[list[float]]]:
     """4x4 complex matrix as nested [re, im] pairs."""
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in np.asarray(rho)]
-
-
-def density_matrix_from_table(table) -> np.ndarray:
-    rho = np.array([[complex(entry[0], entry[1]) for entry in row] for row in table])
-    if rho.shape != (4, 4):
-        raise ValueError("density-matrix table must be 4x4")
-    return rho
 
 
 def _clean(obj):
@@ -194,25 +185,6 @@ def write_correlation_csv(path: Path, samples: list[CorrelationSample]) -> None:
         for s in samples:
             phi_deg = round(float(np.rad2deg(s.phi)), 9)
             writer.writerow([s.combo, repr(phi_deg), repr(s.value), repr(s.sigma)])
-
-
-def read_correlation_csv(path: Path) -> list[CorrelationSample]:
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != ("combo", "phi_deg", "E", "sigma_E"):
-            raise ValueError(f"{path}: unexpected header {header}")
-        for combo, phi_deg, value, sigma in reader:
-            samples.append(
-                CorrelationSample(
-                    combo=combo,
-                    phi=float(np.deg2rad(float(phi_deg))),
-                    value=float(value),
-                    sigma=float(sigma),
-                )
-            )
-    return samples
 
 
 def son_result_to_dict(result: SonFitResult) -> dict:

@@ -190,10 +190,15 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (root + root.conj().T) / 2
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2)*||a - b||_1 between Hermitian matrices."""
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Trace distance (1/2)*||a - b||_1 between Hermitian matrices.
+
+    Broadcasts over leading axes: a float for two matrices, an array of
+    distances for stacks of them.
+    """
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((d + d.conj().T) / 2))))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh((d + np.swapaxes(d, -1, -2).conj()) / 2)), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

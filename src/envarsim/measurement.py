@@ -38,6 +38,7 @@ __all__ = [
     "NoiseModel",
     "tomography_projectors",
     "born_probability",
+    "born_probabilities",
     "simulate_counts",
     "drift_state",
 ]
@@ -127,20 +128,33 @@ def tomography_projectors() -> ProjectorSet:
     return _PROJECTOR_SET
 
 
-def born_probability(rho: np.ndarray, proj: np.ndarray) -> float:
-    """Tr(proj rho) for a rank-1 projector, clamped to [0, 1]."""
-    proj = np.asarray(proj, dtype=complex)
-    if proj.shape != (4, 4):
+def _rank1_projectors(projs: np.ndarray) -> np.ndarray:
+    """A (K, 4, 4) complex stack, checked to hold rank-1 projectors within 1e-10."""
+    projs = np.asarray(projs, dtype=complex)
+    if projs.ndim != 3 or projs.shape[1:] != (4, 4):
         raise ValueError("projector must be 4x4")
     if (
-        np.max(np.abs(proj - proj.conj().T)) > 1e-10
-        or np.max(np.abs(proj @ proj - proj)) > 1e-10
-        or abs(np.trace(proj).real - 1.0) > 1e-10
+        np.max(np.abs(projs - projs.transpose(0, 2, 1).conj())) > 1e-10
+        or np.max(np.abs(projs @ projs - projs)) > 1e-10
+        or np.max(np.abs(np.trace(projs, axis1=1, axis2=2).real - 1.0)) > 1e-10
     ):
         raise ValueError("operator is not a rank-1 projector within 1e-10")
+    return projs
+
+
+def born_probability(rho: np.ndarray, proj: np.ndarray) -> float:
+    """Tr(proj rho) for a rank-1 projector, clamped to [0, 1]."""
+    proj = _rank1_projectors(np.asarray(proj)[None])[0]
     rho = validate_density_matrix(rho)
     p = float(np.real(np.trace(proj @ rho)))
     return min(max(p, 0.0), 1.0)
+
+
+def born_probabilities(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """``born_probability`` for each of a (K, 4, 4) stack of projectors, checked at once."""
+    projs = _rank1_projectors(projs)
+    rho = validate_density_matrix(rho)
+    return np.clip(np.einsum("aij,ji->a", projs, rho).real, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -187,8 +201,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.werner_v <= 1.0:
             raise ValueError("werner_v must lie in [0, 1]")
-        if self.drift_sigma < 0 or self.waveplate_error_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for sigma in (self.drift_sigma, self.waveplate_error_sigma):
+            if not 0 <= sigma < np.inf:
+                raise ValueError("noise sigmas must be finite and non-negative")
 
     @classmethod
     def noiseless(cls, werner_v: float = 1.0) -> "NoiseModel":

@@ -1,16 +1,24 @@
 """Two-qubit state reconstruction from 36-projector coincidence counts.
 
-``mle_reconstruct`` is the iterative maximum-likelihood R-rho-R scheme:
-with per-setting frequencies f_j and R(rho) = sum_j f_j/Tr(P_j rho) P_j,
-the update rho -> N[R rho R] never decreases the log-likelihood for this
-measurement structure and converges to the physical (PSD, unit-trace)
-maximum. ``linear_inversion`` provides the unconstrained least-squares
-estimate for diagnostics; it is not used as the MLE starting point (the
-maximally mixed state guarantees full support).
+``mle_reconstruct_many`` is the iterative maximum-likelihood R-rho-R
+scheme run on a stack of count records at once: with per-setting
+frequencies f_j and R(rho) = sum_j f_j/Tr(P_j rho) P_j, the update
+rho -> N[R rho R] never decreases the log-likelihood for this measurement
+structure and converges to the physical (PSD, unit-trace) maximum. Every
+record starts at I/4 and leaves the stack at the iteration where its own
+trace-distance step drops below ``tol``. Its result does not depend on the
+other records in the batch, bit for bit: every step works on each matrix
+alone (row-wise ``einsum`` contractions, stacked ``@`` and ``eigvalsh``),
+never as one BLAS product across records, whose rounding changes with the
+batch size. ``mle_reconstruct`` is the one-record call.
+``linear_inversion`` provides the unconstrained least-squares estimate for
+diagnostics; it is not used as the MLE starting point (the maximally mixed
+state guarantees full support).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +26,7 @@ import numpy as np
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_distance
 from .measurement import CountRecord, ProjectorSet
 
-__all__ = ["TomographyResult", "linear_inversion", "mle_reconstruct"]
+__all__ = ["TomographyResult", "linear_inversion", "mle_reconstruct", "mle_reconstruct_many"]
 
 _PROB_FLOOR = 1e-12
 
@@ -29,7 +37,7 @@ class TomographyResult:
     log_likelihood: float
     iterations: int
     converged: bool
-    log_likelihood_history: tuple[float, ...]
+    log_likelihood_history: np.ndarray  # read-only: one entry per iteration, then the final state's
 
 
 def _setting_frequencies(counts: CountRecord) -> np.ndarray:
@@ -65,61 +73,103 @@ def linear_inversion(counts: CountRecord, projectors: ProjectorSet) -> np.ndarra
     return (rho + rho.conj().T) / 2
 
 
+def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Floored Tr(P_a rho) for a (B, 4, 4) stack of Hermitian matrices: (B, 36).
+
+    For Hermitian rho, Tr(P rho) = sum_ij Re P_ij Re rho_ij + Im P_ij Im rho_ij,
+    a dot product of the matrices' float views.
+    """
+    probs = np.einsum("ak,bk->ba", flat_re, rho.view(float).reshape(-1, 32))
+    return np.clip(probs, _PROB_FLOOR, None)
+
+
+def mle_reconstruct_many(
+    records: Sequence[CountRecord],
+    projectors: ProjectorSet,
+    max_iter: int = 5000,
+    tol: float = 1e-6,
+) -> list[TomographyResult]:
+    """Iterative maximum-likelihood reconstruction of every record, one result each.
+
+    A record stops when the trace distance between its successive iterates
+    drops below ``tol``; it gets converged=False (with the last iterate) if
+    ``max_iter`` is exhausted first. The default tolerance deliberately
+    stops short of machine convergence: iterating the R-rho-R map to its
+    exact fixed point truncates small eigenvalues to zero and measurably
+    degrades fidelity to the true state at realistic count levels.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not records:
+        return []
+    # the projectors as (36, 32) floats: real and imaginary parts interleaved
+    flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
+    all_raw = np.stack([r.counts for r in records]).astype(float)
+    all_freqs = np.stack([_setting_frequencies(r) for r in records])
+    batch = len(records)
+
+    # row k of raw, freqs and rho belongs to record active[k]; a record's rows leave when it stops
+    active = np.arange(batch)
+    raw, freqs = all_raw, all_freqs
+    rho = np.tile(np.eye(4, dtype=complex) / 4, (batch, 1, 1))
+    final = np.empty((batch, 4, 4), dtype=complex)
+    iterations = np.full(batch, max_iter)
+    converged = np.zeros(batch, dtype=bool)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []  # (active records, their log-likelihoods) per iteration
+    for it in range(1, max_iter + 1):
+        probs = _probabilities(flat_re, rho)
+        steps.append((active, (raw * np.log(probs)).sum(-1)))
+        r_op = np.einsum("ba,ak->bk", freqs / probs, flat_re).view(complex).reshape(-1, 4, 4)
+        nxt = r_op @ rho @ r_op
+        nxt = (nxt + nxt.transpose(0, 2, 1).conj()) / 2
+        nxt = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
+        done = trace_distance(nxt, rho) < tol
+        rho = nxt
+        if done.any():
+            final[active[done]] = rho[done]
+            iterations[active[done]] = it
+            converged[active[done]] = True
+            keep = ~done
+            active, raw, freqs, rho = active[keep], raw[keep], freqs[keep], rho[keep]
+            if not active.size:
+                break
+    final[active] = rho
+
+    final_ll = (all_raw * np.log(_probabilities(flat_re, final))).sum(-1)
+    # row b: record b's log-likelihood at each of its iterations, then at its final state
+    history = np.empty((batch, len(steps) + 1))
+    for t, (rows, ll) in enumerate(steps):
+        history[rows, t] = ll
+    history[np.arange(batch), iterations] = final_ll
+    history.setflags(write=False)
+
+    # Numerical floor: eigenvalues of the iterate can sit a hair below 0.
+    w, v = np.linalg.eigh(final)
+    clip = w.min(axis=1) < 0
+    if clip.any():
+        w, v = np.clip(w[clip], 0.0, None), v[clip]
+        fixed = (v * w[:, None, :]) @ v.transpose(0, 2, 1).conj()
+        fixed = (fixed + fixed.transpose(0, 2, 1).conj()) / 2
+        final[clip] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
+    return [
+        TomographyResult(
+            rho=final[b],
+            log_likelihood=float(final_ll[b]),
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            log_likelihood_history=history[b, : iterations[b] + 1],
+        )
+        for b in range(batch)
+    ]
+
+
 def mle_reconstruct(
     counts: CountRecord,
     projectors: ProjectorSet,
     max_iter: int = 5000,
     tol: float = 1e-6,
 ) -> TomographyResult:
-    """Iterative maximum-likelihood reconstruction.
-
-    Stops when the trace distance between successive iterates drops below
-    ``tol``; returns converged=False (with the last iterate) if ``max_iter``
-    is exhausted first. The default tolerance deliberately stops short of
-    machine convergence: iterating the R-rho-R map to its exact fixed point
-    truncates small eigenvalues to zero and measurably degrades fidelity to
-    the true state at realistic count levels.
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    freqs = _setting_frequencies(counts)
-    raw = counts.counts.astype(float)
-    flat = projectors.flat_projectors
-
-    rho = np.eye(4, dtype=complex) / 4
-    history: list[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        probs = np.einsum("aij,ji->a", flat, rho).real
-        probs = np.clip(probs, _PROB_FLOOR, None)
-        history.append(float(np.dot(raw, np.log(probs))))
-        r_op = np.tensordot(freqs / probs, flat, axes=(0, 0))
-        nxt = r_op @ rho @ r_op
-        nxt = (nxt + nxt.conj().T) / 2
-        nxt = nxt / np.trace(nxt).real
-        if trace_distance(nxt, rho) < tol:
-            rho = nxt
-            converged = True
-            break
-        rho = nxt
-
-    probs = np.clip(np.einsum("aij,ji->a", flat, rho).real, _PROB_FLOOR, None)
-    final_ll = float(np.dot(raw, np.log(probs)))
-    history.append(final_ll)
-    # Numerical floor: eigenvalues of the iterate can sit a hair below 0.
-    w, v = np.linalg.eigh(rho)
-    if w.min() < 0:
-        w = np.clip(w, 0.0, None)
-        rho = (v * w) @ v.conj().T
-        rho = (rho + rho.conj().T) / 2
-        rho = rho / np.trace(rho).real
-    return TomographyResult(
-        rho=rho,
-        log_likelihood=final_ll,
-        iterations=iterations,
-        converged=converged,
-        log_likelihood_history=tuple(history),
-    )
+    """Iterative maximum-likelihood reconstruction of one record; see ``mle_reconstruct_many``."""
+    return mle_reconstruct_many([counts], projectors, max_iter=max_iter, tol=tol)[0]

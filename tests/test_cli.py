@@ -34,17 +34,17 @@ def _write_config(path, **overrides):
 
 
 def _count_mle_calls(monkeypatch) -> list:
-    """Record every count record handed to the MLE, through any module that imported it."""
+    """Record every count record handed to the MLE kernel, through any module that imported it."""
     calls = []
-    original = tomography.mle_reconstruct
+    original = tomography.mle_reconstruct_many
 
-    def counting(counts, *args, **kwargs):
-        calls.append(counts)
-        return original(counts, *args, **kwargs)
+    def counting(records, *args, **kwargs):
+        calls.extend(records)
+        return original(records, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("envarsim") and getattr(module, "mle_reconstruct", None) is original:
-            monkeypatch.setattr(module, "mle_reconstruct", counting)
+        if name.startswith("envarsim") and getattr(module, "mle_reconstruct_many", None) is original:
+            monkeypatch.setattr(module, "mle_reconstruct_many", counting)
     return calls
 
 
@@ -212,8 +212,16 @@ class TestUsageAndIoErrors:
 
     @pytest.mark.parametrize(
         "override",
-        [{"axes": ["q"]}, {"angles_deg": [400]}, {"werner_v": 1.5}, {"flux_hz": 0}, {"duration_s": -1}],
-        ids=["unknown-axis", "angle-400", "werner-above-1", "zero-flux", "negative-duration"],
+        [
+            {"axes": ["q"]}, {"angles_deg": [400]}, {"werner_v": 1.5}, {"flux_hz": 0}, {"duration_s": -1},
+            {"drift_sigma": float("nan")}, {"waveplate_error_sigma": float("inf")}, {"flux_hz": 1e300},
+            {"axes": ["z", "z"]}, {"angles_deg": [30.0, 30.0, 60.0]}, {"angles_deg": [30.0, 30.001]},
+        ],
+        ids=[
+            "unknown-axis", "angle-400", "werner-above-1", "zero-flux", "negative-duration",
+            "drift-nan", "waveplate-infinity", "flux-1e300", "duplicate-axes", "duplicate-angles",
+            "same-file-angles",
+        ],
     )
     def test_out_of_range_config_value_exits_1(self, tmp_path, capsys, override):
         cfg = _write_config(tmp_path / "c.json", **override)
@@ -221,6 +229,14 @@ class TestUsageAndIoErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_empty_formats_exit_1(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json", formats=[])
+        out = tmp_path / "o"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: formats") and err.count("\n") == 1
         assert not out.exists()
 
     def test_negative_seed_exits_1_before_writing(self, tmp_path, capsys):

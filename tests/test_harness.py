@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from envarsim import harness, linalg
+from envarsim import harness, linalg, tomography
 from envarsim.harness import (
     ExperimentPlan,
     run_experiment,
@@ -22,14 +22,16 @@ def _noiseless_plan(**overrides):
 
 
 def _count_mle_calls(monkeypatch) -> list:
+    """Record every count record handed to the MLE kernel, directly or through ``mle_reconstruct``."""
     calls = []
-    original = harness.mle_reconstruct
+    original = tomography.mle_reconstruct_many
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(records, *args, **kwargs):
+        calls.extend(records)
+        return original(records, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "mle_reconstruct", counting)
+    monkeypatch.setattr(tomography, "mle_reconstruct_many", counting)
+    monkeypatch.setattr(harness, "mle_reconstruct_many", counting)
     return calls
 
 

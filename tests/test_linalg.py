@@ -205,3 +205,24 @@ class TestPsdSqrt:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             linalg.psd_sqrt(np.diag([1.0, -0.5, 0.2, 0.3]).astype(complex))
+
+
+class TestTraceDistance:
+    def test_known_values(self):
+        rho = linalg.projector(linalg.singlet())
+        assert linalg.trace_distance(rho, rho) == 0.0
+        assert linalg.trace_distance(rho, np.eye(4) / 4) == pytest.approx(0.75, abs=1e-15)
+        assert isinstance(linalg.trace_distance(rho, rho), float)
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(21)
+        a = np.stack([linalg.random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        b = np.stack([linalg.random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        dist = linalg.trace_distance(a, b)
+        assert dist.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert dist[i, j] == linalg.trace_distance(a[i, j], b[i, j])
+        # a stack against one matrix broadcasts like numpy arithmetic
+        expected = [linalg.trace_distance(m, b[0, 0]) for m in a[0]]
+        np.testing.assert_array_equal(linalg.trace_distance(a[0], b[0, 0]), expected)

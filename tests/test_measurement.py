@@ -8,6 +8,7 @@ from envarsim.measurement import (
     DEFAULT_DRIFT_SIGMA,
     CountRecord,
     NoiseModel,
+    born_probabilities,
     born_probability,
     drift_state,
     simulate_counts,
@@ -67,6 +68,32 @@ class TestBornProbability:
             born_probability(rho, 0.5 * linalg.projector(np.kron(linalg.KET_H, linalg.KET_H)))
 
 
+class TestBornProbabilities:
+    def test_matches_per_projector_loop(self):
+        from envarsim.harness import _distribution_from_rho
+
+        rng = np.random.default_rng(17)
+        flat = tomography_projectors().flat_projectors
+        for _ in range(20):
+            rho = linalg.random_density_matrix(4, rng)
+            loop = np.array([born_probability(rho, p) for p in flat])
+            np.testing.assert_allclose(born_probabilities(rho, flat), loop, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_distribution_from_rho(rho), loop / loop.sum(), rtol=0, atol=1e-15)
+
+    def test_rejects_non_projector_in_stack(self):
+        rho = linalg.werner(1.0)
+        flat = tomography_projectors().flat_projectors
+        for bad in (np.eye(4, dtype=complex), 0.5 * flat[0]):
+            stack = flat.copy()
+            stack[7] = bad
+            with pytest.raises(ValueError, match="rank-1 projector within 1e-10"):
+                born_probabilities(rho, stack)
+
+    def test_rejects_invalid_state(self):
+        with pytest.raises(ValueError):
+            born_probabilities(2 * linalg.werner(1.0), tomography_projectors().flat_projectors)
+
+
 class TestSimulateCounts:
     def test_noiseless_singlet_expectations(self):
         rho = linalg.projector(linalg.singlet())
@@ -124,6 +151,13 @@ class TestNoiseModel:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseModel(drift_sigma=-0.1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, value):
+        with pytest.raises(ValueError):
+            NoiseModel(drift_sigma=value)
+        with pytest.raises(ValueError):
+            NoiseModel(waveplate_error_sigma=value)
 
 
 class TestDriftState:

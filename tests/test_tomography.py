@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from envarsim import linalg
 from envarsim.measurement import (
@@ -11,7 +14,7 @@ from envarsim.measurement import (
     tomography_projectors,
 )
 from envarsim.metrics import fidelity
-from envarsim.tomography import linear_inversion, mle_reconstruct
+from envarsim.tomography import linear_inversion, mle_reconstruct, mle_reconstruct_many
 
 
 def _noiseless_counts(rho, pairs_per_setting=1e6):
@@ -120,3 +123,58 @@ class TestMleReconstruct:
             mle_reconstruct(rec, tomography_projectors(), max_iter=0)
         with pytest.raises(ValueError):
             mle_reconstruct(rec, tomography_projectors(), tol=0.0)
+
+
+def _records(batch: np.ndarray) -> list[CountRecord]:
+    counts = batch.reshape(-1, 9, 4).copy()
+    counts[counts.sum(axis=2) == 0, 0] = 1  # every setting needs a count
+    return [CountRecord(counts=c.reshape(36), duration_s=1.0, flux_hz=float(c.sum())) for c in counts]
+
+
+# B from 1 to 8 records of 36 counts, many outcomes at zero
+count_batches = st.integers(1, 8).flatmap(
+    lambda b: arrays(np.int64, (b, 36), elements=st.one_of(st.just(0), st.integers(1, 20000)))
+)
+# short runs keep the examples fast and reach max_iter as well as convergence
+run_lengths = st.integers(1, 300)
+tolerances = st.sampled_from([1e-2, 1e-4, 1e-6])
+
+
+class TestMleReconstructMany:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=count_batches, max_iter=run_lengths, tol=tolerances)
+    def test_batch_equals_each_record_alone(self, batch, max_iter, tol):
+        records = _records(batch)
+        projs = tomography_projectors()
+        many = mle_reconstruct_many(records, projs, max_iter=max_iter, tol=tol)
+        assert len(many) == len(records)
+        for record, res in zip(records, many):
+            alone = mle_reconstruct(record, projs, max_iter=max_iter, tol=tol)
+            np.testing.assert_array_equal(res.rho, alone.rho)
+            assert res.iterations == alone.iterations
+            assert res.converged == alone.converged
+            np.testing.assert_array_equal(res.log_likelihood_history, alone.log_likelihood_history)
+            assert len(res.log_likelihood_history) == res.iterations + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=count_batches, max_iter=run_lengths, tol=tolerances)
+    def test_every_result_is_physical(self, batch, max_iter, tol):
+        for res in mle_reconstruct_many(_records(batch), tomography_projectors(), max_iter=max_iter, tol=tol):
+            assert np.max(np.abs(res.rho - res.rho.conj().T)) <= 1e-10
+            assert abs(np.trace(res.rho).real - 1.0) <= 1e-10
+            assert np.linalg.eigvalsh(res.rho).min() >= -1e-10
+
+    def test_records_retire_at_their_own_iteration(self):
+        # a near-pure and a strongly mixed state stop many iterations apart
+        rng = np.random.default_rng(6)
+        singlet = _noiseless_counts(linalg.projector(linalg.singlet()))
+        mixed = simulate_counts(linalg.werner(0.5), 5400.0, 5.0, NoiseModel(werner_v=0.5), rng)
+        projs = tomography_projectors()
+        many = mle_reconstruct_many([singlet, mixed, singlet], projs)
+        alone = [mle_reconstruct(r, projs) for r in (singlet, mixed)]
+        assert many[0].iterations != many[1].iterations
+        assert [r.iterations for r in many] == [alone[0].iterations, alone[1].iterations, alone[0].iterations]
+        assert all(r.converged for r in many)
+
+    def test_empty_batch(self):
+        assert mle_reconstruct_many([], tomography_projectors()) == []
