@@ -141,24 +141,15 @@ def stage_rng(seed: int, axis: str, angle_deg: float, stage: str) -> np.random.G
     return np.random.default_rng(np.random.SeedSequence(cell_seed_entropy(seed, axis, angle_deg, stage)))
 
 
-_SETTING_CACHE: dict[tuple[str, int], WavePlateSetting] = {}
-
-
 def nominal_setting(axis: str, theta: float) -> WavePlateSetting:
     """Wave-plate angles for a rotation by ``theta`` about a named axis.
 
-    x, y and z use the closed-form settings; m is decomposed numerically
-    (the target carries the same rotation sense the closed forms realize).
-    Results are cached per (axis, angle).
+    x, y and z use ``rotation_setting``; m decomposes the rotation in closed
+    form (the target carries the same rotation sense the x/y/z settings realize).
     """
-    key = (axis, int(round(theta * 1e12)))
-    if key not in _SETTING_CACHE:
-        if axis in ("x", "y", "z"):
-            _SETTING_CACHE[key] = rotation_setting(axis, theta)
-        else:
-            target = su2_rotation(named_axis_vector(axis), STACK_ROTATION_SIGN * theta)
-            _SETTING_CACHE[key] = decompose_rotation(target)
-    return _SETTING_CACHE[key]
+    if axis in ("x", "y", "z"):
+        return rotation_setting(axis, theta)
+    return decompose_rotation(su2_rotation(named_axis_vector(axis), STACK_ROTATION_SIGN * theta))
 
 
 def _perturbed_stack(

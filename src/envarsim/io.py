@@ -2,14 +2,18 @@
 
 All writers are deterministic: dictionary keys are sorted, floats use
 Python's shortest round-trip repr, and no timestamps or environment data
-are embedded, so identical inputs produce byte-identical files.
+are embedded, so identical inputs produce byte-identical files. Every
+writer fills a sibling temporary file and moves it over the target, so a
+file holds either its previous or its complete new content.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +45,27 @@ def count_file_name(axis: str, angle_deg: float, stage: str) -> str:
     return f"counts_{axis}_{int(round(angle_deg * 100)):05d}_{stage}.csv"
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path: Path, newline: str | None = None):
+    """Open a sibling temporary file; once the block completes it replaces ``path``.
+
+    ``os.replace`` is atomic within one directory. If the block raises, the
+    temporary file is removed and ``path`` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_count_csv(path: Path, record: CountRecord) -> None:
     labels = tomography_projectors().flat_labels
-    with open(path, "w", newline="") as fh:
+    with _replaced_on_success(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COUNT_CSV_HEADER)
         for (setting_label, outcome_label), count in zip(labels, record.counts):
@@ -54,7 +76,7 @@ def read_count_csv(path: Path) -> CountRecord:
     """Parse one count file; malformed content raises ValueError naming the file."""
     labels = tomography_projectors().flat_labels
     counts = np.zeros(36, dtype=np.int64)
-    duration = None
+    durations = []
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -70,9 +92,13 @@ def read_count_csv(path: Path) -> CountRecord:
             if (setting_label, outcome_label) != labels[idx]:
                 raise ValueError(f"row {idx} labels {row[:2]} out of canonical order")
             counts[idx] = int(count)
-            duration = float(duration_s)
-        total = counts.sum()
-        flux = total / (9 * duration) if duration and duration > 0 else 0.0
+            durations.append(float(duration_s))
+        duration = durations[0]
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"duration_s {duration!r} is not finite and positive")
+        if any(d != duration for d in durations):
+            raise ValueError("rows disagree on duration_s")
+        flux = int(counts.sum()) / (9 * duration)
         return CountRecord(counts=counts, duration_s=duration, flux_hz=flux)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -98,7 +124,7 @@ def _clean(obj):
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
+    with _replaced_on_success(path) as fh:
         json.dump(_clean(obj), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -122,7 +148,7 @@ _REPORT_COLUMNS = (
 
 def write_report_csv(path: Path, report: EnvarianceReport) -> None:
     """One row per grid cell with the six comparison metrics."""
-    with open(path, "w", newline="") as fh:
+    with _replaced_on_success(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_REPORT_COLUMNS)
         for cell in report.cells:
@@ -170,7 +196,7 @@ def report_to_dict(report: EnvarianceReport) -> dict:
 
 def write_plot_series(path: Path, rows: list[tuple[float, float, float]]) -> None:
     """Per-panel plot data: angle_deg, value, error."""
-    with open(path, "w", newline="") as fh:
+    with _replaced_on_success(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("angle_deg", "value", "error"))
         for angle, value, error in rows:
@@ -179,7 +205,7 @@ def write_plot_series(path: Path, rows: list[tuple[float, float, float]]) -> Non
 
 
 def write_correlation_csv(path: Path, samples: list[CorrelationSample]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replaced_on_success(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("combo", "phi_deg", "E", "sigma_E"))
         for s in samples:

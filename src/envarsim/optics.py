@@ -5,10 +5,10 @@ R(-t) with R the real 2D rotation by the plate angle t (fast axis measured
 from horizontal). Global phases are ignored throughout; wave-plate angles
 are period pi and stored canonicalized to [0, pi).
 
-A stack of three plates realizes an arbitrary polarization rotation. For
-rotations about the x, y and z Bloch axes the plate angles have closed
-forms (``rotation_setting``); for any other target the angles are found
-numerically (``decompose_rotation``). The closed-form settings realize
+A stack of three plates realizes an arbitrary polarization rotation, and
+its plate angles have closed forms: ``rotation_setting`` for rotations
+about the x, y and z Bloch axes, ``decompose_rotation`` for any 2x2
+unitary (the m axis among them). The settings of ``rotation_setting`` realize
 ``su2_rotation(axis, STACK_ROTATION_SIGN * theta)`` up to global phase,
 with one uniform sign for all axes and angles (asserted by the test suite).
 """
@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ConvergenceError
 from .linalg import axis_vector, validate_unitary
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "rotation_setting",
     "decompose_rotation",
     "phase_distance",
-    "ConvergenceError",
 ]
 
 # Bloch rotation sense realized by stack(rotation_setting(axis, theta))
@@ -108,7 +105,7 @@ def stack(setting: WavePlateSetting) -> np.ndarray:
 def rotation_setting(axis: str, theta: float) -> WavePlateSetting:
     """Closed-form plate angles realizing a rotation by ``theta`` about x, y or z.
 
-    The m axis has no closed form; use ``decompose_rotation`` for it.
+    For the m axis, or any other target, use ``decompose_rotation``.
     """
     if axis == "x":
         return WavePlateSetting(np.pi / 2, -theta / 4, np.pi / 2)
@@ -132,52 +129,33 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(resid / np.sqrt(2 * (1 + min(abs(t), 1.0))))
 
 
-def decompose_rotation(
-    target: np.ndarray,
-    tol: float = 1e-8,
-    restarts: int = 20,
-    max_iter: int = 5000,
-    seed: int = 7,
-) -> WavePlateSetting:
-    """Find plate angles whose stack equals ``target`` up to global phase.
+def _linear_angle(v: np.ndarray) -> float:
+    """Angle s of the real direction (cos s, sin s) of a 2-vector that is real up to phase."""
+    w = v / np.sqrt(v[0] ** 2 + v[1] ** 2)
+    return float(np.arctan2(w[1].real, w[0].real))
 
-    Runs Nelder-Mead on the squared phase-invariant distance from a
-    deterministic sequence of random starts, stopping at the first setting
-    with distance <= ``tol``. Raises ConvergenceError if no restart reaches
-    the tolerance (any 2x2 unitary is reachable, so this indicates a
-    numerically pathological target).
+
+def decompose_rotation(target: np.ndarray) -> WavePlateSetting:
+    """Plate angles whose stack equals ``target`` up to global phase, in closed form.
+
+    With l(t) = (cos t, sin t): qwp(alpha) turns l(alpha + pi/4) circular,
+    the half-wave plate flips the handedness, and qwp(gamma) makes it linear
+    again (Simon & Mukunda, Phys. Lett. A 143, 165, 1990). So the stack
+    needs an input l(t) that ``target`` = [[a, b], [c, d]] keeps linear:
+    B cos 2t + C sin 2t = 0 with B = Im(a* c - b* d)/2, C = Im(a* d + b* c)/2.
+    The branch taken is 2t = arctan2(-B, C); every t works when B = C = 0.
+    Then alpha = t - pi/4, gamma = s - pi/4 with l(s) the direction of
+    target l(t), and beta is read off qwp(gamma)^dag target qwp(alpha)^dag,
+    a half-wave plate up to phase.
     """
     target = validate_unitary(np.asarray(target, dtype=complex), tol=1e-10)
     if target.shape != (2, 2):
         raise ValueError("target must be a 2x2 unitary")
-
-    def objective(angles: np.ndarray) -> float:
-        u = qwp(angles[2]) @ hwp(angles[1]) @ qwp(angles[0])
-        return phase_distance(u, target) ** 2
-
-    rng = np.random.default_rng(seed)
-    best: np.ndarray | None = None
-    best_val = np.inf
-    for trial in range(restarts):
-        x0 = np.zeros(3) if trial == 0 else rng.uniform(0.0, np.pi, size=3)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "xatol": 1e-12,
-                "fatol": 1e-20,
-            },
-        )
-        if res.fun < best_val:
-            best_val = res.fun
-            best = res.x
-        if best_val <= tol**2:
-            break
-    if best is None or best_val > tol**2:
-        raise ConvergenceError(
-            f"wave-plate decomposition stalled at distance {np.sqrt(best_val):.3e} "
-            f"after {restarts} restarts"
-        )
-    return WavePlateSetting(*best)
+    (a, b), (c, d) = target
+    big_b = np.imag(np.conj(a) * c - np.conj(b) * d) / 2
+    big_c = np.imag(np.conj(a) * d + np.conj(b) * c) / 2
+    t = np.arctan2(-big_b, big_c) / 2
+    alpha = t - np.pi / 4
+    gamma = _linear_angle(target @ np.array([np.cos(t), np.sin(t)])) - np.pi / 4
+    half_wave = qwp(gamma).conj().T @ target @ qwp(alpha).conj().T
+    return WavePlateSetting(alpha, _linear_angle(half_wave[:, 0]) / 2, gamma)

@@ -284,11 +284,18 @@ def _set_count(rows, idx, value):
     rows[idx][2] = value
 
 
+def _set_duration(rows, idx, value):
+    rows[idx][3] = value
+
+
 COUNT_FILE_DEFECTS = {
     "short-row": lambda rows: rows[3].pop(),
     "non-canonical-labels": lambda rows: rows.insert(0, rows.pop(1)),
     "negative-count": lambda rows: _set_count(rows, 5, "-3"),
     "all-zero-setting": lambda rows: [_set_count(rows, i, "0") for i in range(4, 8)],
+    "nan-duration": lambda rows: [_set_duration(rows, i, "nan") for i in range(36)],
+    "negative-duration": lambda rows: [_set_duration(rows, i, "-5.0") for i in range(36)],
+    "mixed-durations": lambda rows: _set_duration(rows, 7, "2.5"),
 }
 
 

@@ -147,11 +147,26 @@ class TestDecomposeRotation:
     def test_identity(self):
         setting = optics.decompose_rotation(np.eye(2, dtype=complex))
         assert optics.phase_distance(optics.stack(setting), np.eye(2)) <= 1e-8
+        # degenerate targets, which keep every linear input linear
+        y_axis = linalg.axis_vector(0, 1, 0)
+        targets = [np.eye(2), -np.eye(2)]
+        targets += [linalg.su2_rotation(y_axis, theta) for theta in np.linspace(-2 * np.pi, 2 * np.pi, 9)]
+        targets += [optics.hwp(beta) for beta in np.linspace(0.0, np.pi, 7)]
+        for target in targets:
+            setting = optics.decompose_rotation(np.asarray(target, dtype=complex))
+            assert optics.phase_distance(optics.stack(setting), target) <= 1e-12
 
     def test_diagonal_axis_rotation(self):
         target = linalg.su2_rotation(linalg.axis_vector(1, 1, 1), np.pi / 3)
         setting = optics.decompose_rotation(target)
         assert optics.phase_distance(optics.stack(setting), target) <= 1e-8
+        # the m-axis targets of the default grid; no state carries between calls
+        m_axis = optics.named_axis_vector("m")
+        for angle_deg in range(0, 361, 30):
+            target = linalg.su2_rotation(m_axis, optics.STACK_ROTATION_SIGN * np.deg2rad(angle_deg))
+            setting = optics.decompose_rotation(target)
+            assert optics.phase_distance(optics.stack(setting), target) <= 1e-12
+            assert optics.decompose_rotation(target) == setting
 
     def test_x_rotation_recomposes(self):
         target = linalg.su2_rotation(linalg.axis_vector(1, 0, 0), np.pi / 2)
