@@ -17,6 +17,7 @@ from .harness import (
     calibrated_noise,
     run_experiment,
     run_three_stages,
+    simulate_grid,
     source_stability,
     theoretical_stage3,
 )
@@ -37,6 +38,7 @@ from .measurement import (
     born_probability,
     drift_state,
     simulate_counts,
+    simulate_counts_many,
     tomography_projectors,
 )
 from .metrics import bhattacharyya, fidelity, normalize_counts

@@ -30,7 +30,7 @@ from .harness import (
     ExperimentPlan,
     assemble_report,
     cell_seed_entropy,
-    run_three_stages,
+    simulate_grid,
 )
 from .measurement import DEFAULT_DRIFT_SIGMA, CountRecord, NoiseModel
 from .optics import NAMED_AXES
@@ -155,22 +155,20 @@ def cmd_simulate(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     plan = config.plan()
     cells = []
-    for axis in plan.axes:
-        for angle_deg in plan.angles_deg:
-            stages = run_three_stages(axis, float(np.deg2rad(angle_deg)), plan)
-            for result in stages:
-                name = eio.count_file_name(axis, angle_deg, result.stage)
-                eio.write_count_csv(out / name, result.counts)
-                cells.append(
-                    {
-                        "axis": axis,
-                        "angle_deg": float(angle_deg),
-                        "stage": result.stage,
-                        "file": name,
-                        "seed_entropy": cell_seed_entropy(plan.seed, axis, angle_deg, result.stage),
-                        "true_state": eio.density_matrix_to_table(result.rho_true),
-                    }
-                )
+    for (axis, angle_deg), stages in simulate_grid(plan).items():
+        for result in stages:
+            name = eio.count_file_name(axis, angle_deg, result.stage)
+            eio.write_count_csv(out / name, result.counts)
+            cells.append(
+                {
+                    "axis": axis,
+                    "angle_deg": float(angle_deg),
+                    "stage": result.stage,
+                    "file": name,
+                    "seed_entropy": cell_seed_entropy(plan.seed, axis, angle_deg, result.stage),
+                    "true_state": eio.density_matrix_to_table(result.rho_true),
+                }
+            )
     manifest = {
         "config": _config_echo(config),
         "grid": {"axes": list(plan.axes), "angles_deg": [float(a) for a in plan.angles_deg]},
@@ -190,6 +188,10 @@ def _read_counts(out: Path, axis: str, angle_deg: float, stage: str) -> CountRec
         record = eio.read_count_csv(path)
     except ValueError as exc:
         raise MissingDataError(f"malformed count file {exc}") from exc
+    # totals are summed in int64 downstream; the plan's pair cap keeps simulated ones below this
+    total = sum(int(c) for c in record.counts)
+    if total > eio.INT64_MAX:
+        raise MissingDataError(f"malformed count file {path}: counts total {total} exceeds 2**63 - 1")
     empty = np.flatnonzero(record.setting_totals() == 0)
     if empty.size:
         raise MissingDataError(f"malformed count file {path}: setting {empty[0] + 1} of 9 has no counts")

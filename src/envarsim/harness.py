@@ -4,8 +4,10 @@ Every grid cell runs the protocol at one (axis, rotation angle): stage I
 measures the source directly, stage II applies the wave-plate rotation to
 the system photon only, stage III applies the same rotation to both
 photons. Each stage independently redraws the drifted source state and its
-own wave-plate setting errors and is measured over the 36 projectors; only
-``assemble_report`` reconstructs, every count record of the grid in one
+own wave-plate setting errors and is measured over the 36 projectors.
+``simulate_grid`` simulates every cell's records in one batched
+``simulate_counts_many`` call (``run_three_stages`` is its one-cell call);
+only ``assemble_report`` reconstructs, every count record of the grid in one
 batched MLE call. Per-cell randomness derives from (seed, axis, angle,
 stage) by value, so cells are reproducible in any execution order.
 """
@@ -24,7 +26,7 @@ from .measurement import (
     NoiseModel,
     born_probabilities,
     drift_state,
-    simulate_counts,
+    simulate_counts_many,
     tomography_projectors,
 )
 from .metrics import bhattacharyya, fidelity, normalize_counts
@@ -53,6 +55,7 @@ __all__ = [
     "stage_rng",
     "nominal_setting",
     "run_three_stages",
+    "simulate_grid",
     "theoretical_stage3",
     "source_stability",
     "assemble_report",
@@ -167,6 +170,44 @@ def _perturbed_stack(
     )
 
 
+def _simulate_cells(
+    cells: list[tuple[str, float]], plan: ExperimentPlan
+) -> list[tuple[StageResult, StageResult, StageResult]]:
+    """Simulate the stage I/II/III counts of each (axis, theta) cell.
+
+    Each stage stream derives from (plan.seed, axis, angle, stage) and draws,
+    in order, the drifted source, the stack's plate-angle errors and then the
+    acquisition noise; all records share one ``simulate_counts_many`` call.
+    """
+    base = werner(plan.noise.werner_v)
+    sigma_wp = plan.noise.waveplate_error_sigma
+    streams, states = [], []
+    for axis, theta in cells:
+        angle_deg = float(np.rad2deg(theta))
+        setting = nominal_setting(axis, theta)
+        for stage in STAGES:
+            stream = stage_rng(plan.seed, axis, angle_deg, stage)
+            source = drift_state(base, plan.noise, stream)
+            if stage == "I":
+                rho_true = source
+            elif stage == "II":
+                u_s = _perturbed_stack(setting, sigma_wp, stream)
+                rho_true = np.kron(u_s, np.eye(2)) @ source @ np.kron(u_s, np.eye(2)).conj().T
+            else:
+                u_s = _perturbed_stack(setting, sigma_wp, stream)
+                u_e = _perturbed_stack(setting, sigma_wp, stream)
+                u = np.kron(u_s, u_e)
+                rho_true = u @ source @ u.conj().T
+            streams.append(stream)
+            states.append((rho_true + rho_true.conj().T) / 2)
+    records = simulate_counts_many(states, plan.flux_hz, plan.duration_s, plan.noise, streams)
+    results = [
+        StageResult(stage=stage, counts=counts, rho_true=rho_true)
+        for stage, counts, rho_true in zip(STAGES * len(cells), records, states)
+    ]
+    return [tuple(results[3 * c : 3 * c + 3]) for c in range(len(cells))]
+
+
 def run_three_stages(
     axis: str, theta: float, plan: ExperimentPlan
 ) -> tuple[StageResult, StageResult, StageResult]:
@@ -175,29 +216,17 @@ def run_three_stages(
     The three stage streams derive from (plan.seed, axis, angle, stage).
     No state is reconstructed here; see ``StageResult.rho``.
     """
-    angle_deg = float(np.rad2deg(theta))
-    streams = [stage_rng(plan.seed, axis, angle_deg, s) for s in STAGES]
-    setting = nominal_setting(axis, theta)
-    sigma_wp = plan.noise.waveplate_error_sigma
-    base = werner(plan.noise.werner_v)
+    return _simulate_cells([(axis, theta)], plan)[0]
 
-    results = []
-    for stage, stream in zip(STAGES, streams):
-        source = drift_state(base, plan.noise, stream)
-        if stage == "I":
-            rho_true = source
-        elif stage == "II":
-            u_s = _perturbed_stack(setting, sigma_wp, stream)
-            rho_true = np.kron(u_s, np.eye(2)) @ source @ np.kron(u_s, np.eye(2)).conj().T
-        else:
-            u_s = _perturbed_stack(setting, sigma_wp, stream)
-            u_e = _perturbed_stack(setting, sigma_wp, stream)
-            u = np.kron(u_s, u_e)
-            rho_true = u @ source @ u.conj().T
-        rho_true = (rho_true + rho_true.conj().T) / 2
-        counts = simulate_counts(rho_true, plan.flux_hz, plan.duration_s, plan.noise, stream)
-        results.append(StageResult(stage=stage, counts=counts, rho_true=rho_true))
-    return tuple(results)
+
+def simulate_grid(plan: ExperimentPlan) -> dict[tuple[str, float], tuple[StageResult, StageResult, StageResult]]:
+    """Simulate every grid cell, keyed (axis, angle_deg) in plan order.
+
+    Each cell equals ``run_three_stages(axis, np.deg2rad(angle_deg), plan)``
+    bit for bit; the records of the whole grid are drawn in one batch.
+    """
+    keys = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
+    return dict(zip(keys, _simulate_cells([(axis, np.deg2rad(a)) for axis, a in keys], plan)))
 
 
 def theoretical_stage3(rho_i: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -382,9 +411,5 @@ def assemble_report(
 
 def run_experiment(plan: ExperimentPlan) -> EnvarianceReport:
     """Execute the full grid and summarize it, all in memory."""
-    cell_counts = {}
-    for axis in plan.axes:
-        for angle_deg in plan.angles_deg:
-            stages = run_three_stages(axis, np.deg2rad(angle_deg), plan)
-            cell_counts[(axis, angle_deg)] = tuple(s.counts for s in stages)
+    cell_counts = {key: tuple(s.counts for s in stages) for key, stages in simulate_grid(plan).items()}
     return assemble_report(plan, cell_counts)

@@ -24,6 +24,7 @@ from .son import CorrelationSample, SonFitResult
 
 __all__ = [
     "COUNT_CSV_HEADER",
+    "INT64_MAX",
     "count_file_name",
     "write_count_csv",
     "read_count_csv",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 COUNT_CSV_HEADER = ("setting_label", "outcome_label", "counts", "duration_s")
+
+INT64_MAX = 2**63 - 1
 
 
 def count_file_name(axis: str, angle_deg: float, stage: str) -> str:
@@ -75,7 +78,7 @@ def write_count_csv(path: Path, record: CountRecord) -> None:
 def read_count_csv(path: Path) -> CountRecord:
     """Parse one count file; malformed content raises ValueError naming the file."""
     labels = tomography_projectors().flat_labels
-    counts = np.zeros(36, dtype=np.int64)
+    counts = []
     durations = []
     try:
         with open(path, newline="") as fh:
@@ -91,14 +94,17 @@ def read_count_csv(path: Path) -> CountRecord:
             setting_label, outcome_label, count, duration_s = row
             if (setting_label, outcome_label) != labels[idx]:
                 raise ValueError(f"row {idx} labels {row[:2]} out of canonical order")
-            counts[idx] = int(count)
+            value = int(count)
+            if not 0 <= value <= INT64_MAX:
+                raise ValueError(f"row {idx} count {value} is not in [0, 2**63 - 1]")
+            counts.append(value)
             durations.append(float(duration_s))
         duration = durations[0]
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration_s {duration!r} is not finite and positive")
         if any(d != duration for d in durations):
             raise ValueError("rows disagree on duration_s")
-        flux = int(counts.sum()) / (9 * duration)
+        flux = sum(counts) / (9 * duration)  # exact: an int64 sum could wrap
         return CountRecord(counts=counts, duration_s=duration, flux_hz=flux)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

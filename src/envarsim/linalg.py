@@ -31,6 +31,7 @@ __all__ = [
     "eig_hermitian",
     "psd_sqrt",
     "trace_distance",
+    "trace_distance_below",
     "validate_unitary",
     "validate_density_matrix",
     "validate_pure_state",
@@ -199,6 +200,25 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh((d + np.swapaxes(d, -1, -2).conj()) / 2)), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
+
+
+def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """``trace_distance(a, b) < tol`` for (B, n, n) stacks of Hermitian matrices.
+
+    For Hermitian d = a - b of dimension n, ||d||_F <= ||d||_1 <= sqrt(n) ||d||_F,
+    so the trace distance lies in [||d||_F / 2, sqrt(n) ||d||_F / 2]. Rows
+    that bound decides, with a 1e-9 relative margin for rounding, skip the
+    eigenvalues; only the rest go through ``trace_distance``.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    d = (a - b).reshape(len(a), -1).view(float)
+    frob_sq = np.einsum("bk,bk->b", d, d)
+    below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(a.shape[-1])) ** 2
+    undecided = ~below & (frob_sq <= (2 * tol * (1 + 1e-9)) ** 2)
+    if undecided.any():
+        below[undecided] = trace_distance(a[undecided], b[undecided]) < tol
+    return below
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

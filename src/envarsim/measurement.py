@@ -7,10 +7,15 @@ overcomplete tomographic set. Counts are drawn per setting as independent
 Poisson variables with mean flux*duration*p; optional imperfections are
 Werner admixture of the source (handled upstream), slow source drift
 (``drift_state``) and wave-plate setting errors on the analyzers.
+``simulate_counts_many`` synthesizes a stack of records at once, setting by
+setting, with the perturbed analyzers in closed form; each record draws
+from its own stream, so it does not depend on the rest of the stack.
+``simulate_counts`` is the one-record call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +31,6 @@ from .linalg import (
     su2_rotation,
     validate_density_matrix,
 )
-from .optics import hwp, qwp
 
 __all__ = [
     "BASES",
@@ -40,6 +44,7 @@ __all__ = [
     "born_probability",
     "born_probabilities",
     "simulate_counts",
+    "simulate_counts_many",
     "drift_state",
 ]
 
@@ -210,23 +215,72 @@ class NoiseModel:
         return cls(werner_v=werner_v, drift_sigma=0.0, waveplate_error_sigma=0.0, poisson=False)
 
 
-def _perturbed_setting_projectors(
-    setting: MeasurementSetting, sigma: float, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Outcome projectors with plate-angle errors folded into each analyzer."""
-    kets = {}
-    for arm, basis in (("s", setting.basis_s), ("e", setting.basis_e)):
-        q_nom, h_nom = ANALYZER_PLATES[basis]
-        dq, dh = rng.normal(0.0, sigma, size=2)
-        analyzer = hwp(h_nom + dh) @ qwp(q_nom + dq)
-        # PBS ports H and V, pulled back through the analyzer.
-        kets[arm] = (analyzer.conj().T @ KET_H, analyzer.conj().T @ KET_V)
-    projs = []
-    for ket_s in kets["s"]:
-        for ket_e in kets["e"]:
-            joint = np.kron(ket_s, ket_e)
-            projs.append(np.outer(joint, joint.conj()))
-    return projs
+def _analyzers(basis: tuple[str, str], errors: np.ndarray) -> np.ndarray:
+    """(B, 2, 2) Jones matrices hwp(h) @ qwp(q) of the analyzer for ``basis``.
+
+    Row b puts the plate-angle errors ``errors[b] = (dq, dh)`` on the nominal
+    angles. Closed form: qwp(q) = ((1+i) I + (1-i) hwp(q)) / 2 and
+    hwp(h) hwp(q) is the real rotation by 2(h - q), so
+    hwp(h) qwp(q) = ((1+i) hwp(h) + (1-i) R(2(h - q))) / 2.
+    """
+    q_nom, h_nom = ANALYZER_PLATES[basis]
+    q, h = q_nom + errors[:, 0], h_nom + errors[:, 1]
+    c, s = np.cos(2 * h), np.sin(2 * h)
+    cd, sd = np.cos(2 * (h - q)), np.sin(2 * (h - q))
+    jones = (1 + 1j) / 2 * np.array([[c, s], [s, -c]]) + (1 - 1j) / 2 * np.array([[cd, -sd], [sd, cd]])
+    return np.moveaxis(jones, -1, 0)
+
+
+def simulate_counts_many(
+    rhos: Sequence[np.ndarray],
+    flux_hz: float,
+    duration_s: float,
+    noise: NoiseModel,
+    rngs: Sequence[np.random.Generator],
+) -> list[CountRecord]:
+    """Synthesize one 36-projector acquisition per density matrix, all at once.
+
+    Record b draws from its own stream ``rngs[b]``, per setting in order: the
+    4 analyzer plate-angle errors (dq, dh for the system arm, then for the
+    environment arm) when ``noise.waveplate_error_sigma`` > 0, then its 4
+    Poisson counts. With plate errors the outcome probabilities are
+    diag(M rho M^dag), M = A_s (x) A_e the two perturbed analyzers, whose
+    rows pull the PBS ports back to the measured kets; without them they are
+    Tr(P rho) on the ideal projectors. Record b depends on no other record,
+    bit for bit.
+    """
+    if flux_hz <= 0 or duration_s <= 0:
+        raise ValueError("flux and duration must be positive")
+    if len(rngs) != len(rhos):
+        raise ValueError("need one random stream per density matrix")
+    if not len(rhos):
+        return []
+    rhos = np.stack([validate_density_matrix(rho) for rho in rhos])
+    batch = len(rhos)
+    sigma = noise.waveplate_error_sigma
+    pairs = flux_hz * duration_s
+    counts = np.empty((batch, 36), dtype=np.int64)
+    for k, setting in enumerate(tomography_projectors().settings):
+        if sigma > 0:
+            errors = np.stack([rng.normal(0.0, sigma, size=4) for rng in rngs])
+            m = np.einsum(
+                "bik,bjl->bijkl",
+                _analyzers(setting.basis_s, errors[:, :2]),
+                _analyzers(setting.basis_e, errors[:, 2:]),
+            ).reshape(batch, 4, 4)
+            probs = np.einsum("bra,bac,brc->br", m, rhos, m.conj()).real
+        else:
+            # Tr(P rho) on the ideal projectors keeps exact zeros exact: a
+            # Poisson draw of mean 0 takes nothing from the stream
+            probs = np.trace(np.stack(setting.projectors) @ rhos[:, None], axis1=2, axis2=3).real
+        if probs.min() < -1e-12:
+            raise ValueError("negative outcome probability beyond tolerance")
+        expected = pairs * np.clip(probs, 0.0, None)
+        if noise.poisson:
+            counts[:, 4 * k : 4 * k + 4] = [rng.poisson(row) for rng, row in zip(rngs, expected)]
+        else:
+            counts[:, 4 * k : 4 * k + 4] = np.rint(expected).astype(np.int64)
+    return [CountRecord(counts=row, duration_s=float(duration_s), flux_hz=float(flux_hz)) for row in counts]
 
 
 def simulate_counts(
@@ -240,30 +294,13 @@ def simulate_counts(
 
     Each of the 9 settings is an independent acquisition of
     flux_hz*duration_s expected pairs split over its 4 outcomes. With
-    ``noise.poisson`` off, counts are rounded expectations.
+    ``noise.poisson`` off, counts are rounded expectations. Without ``rng``
+    the draws come from ``default_rng(noise.seed)``. The one-record call of
+    ``simulate_counts_many``.
     """
-    if flux_hz <= 0 or duration_s <= 0:
-        raise ValueError("flux and duration must be positive")
-    rho = validate_density_matrix(rho)
     if rng is None:
         rng = np.random.default_rng(noise.seed)
-    pairs = flux_hz * duration_s
-    counts = np.empty(36, dtype=np.int64)
-    for k, setting in enumerate(tomography_projectors().settings):
-        if noise.waveplate_error_sigma > 0:
-            projs = _perturbed_setting_projectors(setting, noise.waveplate_error_sigma, rng)
-        else:
-            projs = list(setting.projectors)
-        probs = np.array([np.real(np.trace(p @ rho)) for p in projs])
-        if probs.min() < -1e-12:
-            raise ValueError("negative outcome probability beyond tolerance")
-        probs = np.clip(probs, 0.0, None)
-        expected = pairs * probs
-        if noise.poisson:
-            counts[4 * k : 4 * k + 4] = rng.poisson(expected)
-        else:
-            counts[4 * k : 4 * k + 4] = np.rint(expected).astype(np.int64)
-    return CountRecord(counts=counts, duration_s=float(duration_s), flux_hz=float(flux_hz))
+    return simulate_counts_many([rho], flux_hz, duration_s, noise, [rng])[0]
 
 
 def drift_state(

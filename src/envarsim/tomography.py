@@ -6,11 +6,13 @@ frequencies f_j and R(rho) = sum_j f_j/Tr(P_j rho) P_j, the update
 rho -> N[R rho R] never decreases the log-likelihood for this measurement
 structure and converges to the physical (PSD, unit-trace) maximum. Every
 record starts at I/4 and leaves the stack at the iteration where its own
-trace-distance step drops below ``tol``. Its result does not depend on the
-other records in the batch, bit for bit: every step works on each matrix
-alone (row-wise ``einsum`` contractions, stacked ``@`` and ``eigvalsh``),
-never as one BLAS product across records, whose rounding changes with the
-batch size. ``mle_reconstruct`` is the one-record call.
+trace-distance step drops below ``tol``; ``trace_distance_below`` decides
+most steps from their Frobenius norm and takes eigenvalues only of the rest.
+Its result does not depend on the other records in the batch, bit for bit:
+every step works on each matrix alone (row-wise ``einsum`` contractions,
+stacked ``@`` and ``eigvalsh``), never as one BLAS product across records,
+whose rounding changes with the batch size. ``mle_reconstruct`` is the
+one-record call.
 ``linear_inversion`` provides the unconstrained least-squares estimate for
 diagnostics; it is not used as the MLE starting point (the maximally mixed
 state guarantees full support).
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_distance
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_distance_below
 from .measurement import CountRecord, ProjectorSet
 
 __all__ = ["TomographyResult", "linear_inversion", "mle_reconstruct", "mle_reconstruct_many"]
@@ -125,7 +127,7 @@ def mle_reconstruct_many(
         nxt = r_op @ rho @ r_op
         nxt = (nxt + nxt.transpose(0, 2, 1).conj()) / 2
         nxt = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
-        done = trace_distance(nxt, rho) < tol
+        done = trace_distance_below(nxt, rho, tol)
         rho = nxt
         if done.any():
             final[active[done]] = rho[done]

@@ -296,6 +296,8 @@ COUNT_FILE_DEFECTS = {
     "nan-duration": lambda rows: [_set_duration(rows, i, "nan") for i in range(36)],
     "negative-duration": lambda rows: [_set_duration(rows, i, "-5.0") for i in range(36)],
     "mixed-durations": lambda rows: _set_duration(rows, 7, "2.5"),
+    "count-overflow": lambda rows: _set_count(rows, 5, "99999999999999999999"),
+    "count-total-wraps": lambda rows: [_set_count(rows, i, str(2**62)) for i in (5, 6)],
 }
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envarsim import linalg
 
@@ -226,3 +228,50 @@ class TestTraceDistance:
         # a stack against one matrix broadcasts like numpy arithmetic
         expected = [linalg.trace_distance(m, b[0, 0]) for m in a[0]]
         np.testing.assert_array_equal(linalg.trace_distance(a[0], b[0, 0]), expected)
+
+
+def _unit_step(rng: np.random.Generator, shape: str) -> np.ndarray:
+    """A 4x4 Hermitian step of unit Frobenius norm whose trace norm is 1, 2 or in between."""
+    u = linalg.random_unitary(4, rng)
+    spectrum = {"rank1": [1.0, 0, 0, 0], "flat": [0.5, -0.5, 0.5, -0.5], "random": rng.normal(size=4)}[shape]
+    d = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return d / np.linalg.norm(d)
+
+
+# trace distance ||d||_1 / 2 equals ||d||_F / 2 for rank 1 and ||d||_F for the flat spectrum,
+# so these scales put rows on both sides of tol, at it and next to it
+step_scales = st.one_of(
+    st.sampled_from([1 + e for e in (0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8)]),
+    st.sampled_from([2 + e for e in (0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8)]),
+    st.floats(0.4, 2.5),
+)
+step_rows = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(["rank1", "flat", "random"]), step_scales),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestTraceDistanceBelow:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=step_rows, tol=st.sampled_from([1e-3, 1e-6]))
+    def test_equals_trace_distance_below_tol(self, rows, tol):
+        a, b = [], []
+        for seed, shape, scale in rows:
+            rng = np.random.default_rng(seed)
+            base = linalg.random_density_matrix(4, rng)
+            b.append(base)
+            a.append(base + scale * tol * _unit_step(rng, shape))
+        a, b = np.stack(a), np.stack(b)
+        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, tol), linalg.trace_distance(a, b) < tol)
+
+    def test_decides_far_rows_without_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        b = np.stack([linalg.random_density_matrix(4, rng) for _ in range(3)])
+        steps = np.stack([_unit_step(rng, "random") for _ in range(3)])
+        a = b + np.array([0.5, 1.5, 3.0])[:, None, None] * 1e-6 * steps
+        seen = []
+        original = linalg.trace_distance
+        monkeypatch.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
+        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, 1e-6), original(a, b) < 1e-6)
+        assert seen == [1]

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from envarsim import linalg
+from envarsim import linalg, measurement
 from envarsim.measurement import (
+    ANALYZER_PLATES,
     DEFAULT_DRIFT_SIGMA,
     CountRecord,
     NoiseModel,
@@ -12,8 +15,10 @@ from envarsim.measurement import (
     born_probability,
     drift_state,
     simulate_counts,
+    simulate_counts_many,
     tomography_projectors,
 )
+from envarsim.optics import hwp, qwp
 from envarsim.metrics import fidelity
 
 
@@ -131,6 +136,46 @@ class TestSimulateCounts:
     def test_rejects_nonpositive_flux(self):
         with pytest.raises(ValueError):
             simulate_counts(linalg.werner(1.0), 0.0, 5.0, NoiseModel.noiseless())
+
+
+def _state(seed: int, pure: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if pure:
+        return linalg.projector(linalg.random_unitary(4, rng)[:, 0])
+    return linalg.random_density_matrix(4, rng)
+
+
+class TestSimulateCountsMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        states=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.booleans()), min_size=1, max_size=6),
+        plate_errors=st.booleans(),
+        poisson=st.booleans(),
+    )
+    def test_batch_equals_each_record_alone(self, states, plate_errors, poisson):
+        noise = NoiseModel(waveplate_error_sigma=np.deg2rad(0.2) if plate_errors else 0.0, poisson=poisson)
+        rhos = [_state(seed, pure) for seed, pure in states]
+        streams = [np.random.default_rng(seed) for seed, _ in states]
+        many = simulate_counts_many(rhos, 5400.0, 5.0, noise, streams)
+        assert len(many) == len(rhos)
+        for (seed, _), rho, record in zip(states, rhos, many):
+            alone = simulate_counts(rho, 5400.0, 5.0, noise, np.random.default_rng(seed))
+            np.testing.assert_array_equal(record.counts, alone.counts)
+            assert (record.duration_s, record.flux_hz) == (5.0, 5400.0)
+
+    def test_analyzers_match_plate_products(self):
+        errors = np.random.default_rng(3).normal(0.0, 0.05, size=(7, 2))
+        for basis, (q, h) in ANALYZER_PLATES.items():
+            expected = np.stack([hwp(h + dh) @ qwp(q + dq) for dq, dh in errors])
+            np.testing.assert_allclose(measurement._analyzers(basis, errors), expected, rtol=0, atol=1e-15)
+
+    def test_argument_checks_and_empty_batch(self):
+        rho = linalg.werner(1.0)
+        with pytest.raises(ValueError):
+            simulate_counts_many([rho, rho], 5400.0, 5.0, NoiseModel(), [np.random.default_rng(0)])
+        with pytest.raises(ValueError):
+            simulate_counts_many([2 * rho], 5400.0, 5.0, NoiseModel(), [np.random.default_rng(0)])
+        assert simulate_counts_many([], 5400.0, 5.0, NoiseModel(), []) == []
 
 
 class TestCountRecord:
