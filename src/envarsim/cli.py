@@ -15,6 +15,7 @@ given config always produces byte-identical outputs. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  argparse's gettext loads it on first use; load it on import
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path

@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 loads it lazily; load it on import, not in the first run
 
 from .linalg import su2_rotation, validate_density_matrix, validate_unitary, werner
 from .measurement import (

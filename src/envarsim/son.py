@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.optimize import minimize  # noqa: F401  unused; bench/tracing.py wraps son.minimize by name
 
 from .errors import ConvergenceError
 from .linalg import su2_rotation
@@ -62,6 +60,17 @@ __all__ = [
 COMBOS = ("Z-DA", "Z-RL", "Y-DA", "Y-HV", "X-RL", "X-HV")
 
 _BASIS_BY_NAME = {f"{b[0]}{b[1]}": b for b in BASES}
+
+
+def __getattr__(name: str):
+    # bench/tracing.py still looks up son.minimize by name; scipy is imported
+    # only when asked for. Delete this with ROADMAP item 1, when the tracer
+    # stops that lookup.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def e_qm(theta: float) -> float:
@@ -291,6 +300,36 @@ def _n_shift(n: float, phis: np.ndarray) -> np.ndarray:
     return _lattice_curve(int(round(n / _N_QUANTUM))).value_at(theta) + np.cos(2 * theta)
 
 
+def _secular_root(g: np.ndarray, mu: np.ndarray) -> float:
+    """The t in (0, |g|] with |g / (mu + t)| = 1, for mu >= 0 and |g / mu| > 1.
+
+    |g / (mu + t)| falls from above 1 at t = 0 to at most 1 at t = |g|. The
+    root comes from Newton steps on 1 - 1/|g / (mu + t)|, which is convex and
+    decreasing in t (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553,
+    1983), so from t = 0 they climb onto the root without overshooting; a
+    step that rounding pushes out of the bracket bisects it instead. An
+    entry mu = inf contributes nothing.
+    """
+    lo, hi = 0.0, float(np.linalg.norm(g))
+    t = lo
+    for _ in range(100):
+        p = g / (mu + t)
+        norm = math.sqrt(p @ p)
+        if norm == 1:
+            break
+        if norm > 1:
+            lo = t
+        else:
+            hi = t
+        t_next = t + (norm - 1) * norm**2 / (p @ (p / (mu + t)))
+        if not lo < t_next < hi:
+            t_next = (lo + hi) / 2
+        if t_next == t:
+            break
+        t = t_next
+    return t
+
+
 def _state_fit(
     n: float, phis: np.ndarray, values: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -300,7 +339,9 @@ def _state_fit(
     with O0, O1 anticommuting and squaring to 1, so the physical (A, B) =
     (<O0>, <O1>) fill exactly the unit disk. The fit is a weighted 2x2 least
     squares; a solution outside the disk moves onto the circle, where
-    (M + lam I) ab = g with the secular root lam > 0 giving |ab| = 1.
+    (M + lam I) ab = g with lam > 0 the root of the secular equation
+    |g / (mu + lam)| = 1 in M's eigenbasis (M = V diag(mu) V^T, g = V^T
+    x^T W target). ``_secular_root`` finds it by bracketed Newton steps.
     """
     target = values - _n_shift(n, phis)
     x = np.stack([np.cos(2 * phis), np.sin(2 * phis)], axis=1)
@@ -310,7 +351,7 @@ def _state_fit(
     mu = np.where(mu > 1e-12 * mu[-1], mu, np.inf)
     lam = 0.0
     if np.sum((g / mu) ** 2) > 1:
-        lam = brentq(lambda t: np.sum((g / (mu + t)) ** 2) - 1, 0.0, np.linalg.norm(g))
+        lam = _secular_root(g, mu)
     ab = v @ (g / (mu + lam))
     return float(weights @ (x @ ab - target) ** 2), ab
 

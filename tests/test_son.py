@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from envarsim import linalg
 from envarsim.measurement import CountRecord, NoiseModel, simulate_counts
@@ -11,6 +14,7 @@ from envarsim.optics import STACK_ROTATION_SIGN, named_axis_vector
 from envarsim.son import (
     COMBOS,
     CorrelationSample,
+    _secular_root,
     _state_fit,
     correlation_operator,
     e_qm,
@@ -284,3 +288,32 @@ class TestStateFit:
             rho = mix * base + (1 - mix) * linalg.random_density_matrix(4, rng)
             e_state = np.einsum("aij,ji->a", ops, rho).real
             assert fitted <= float(weights @ (shift + e_state - values) ** 2) + 1e-9
+
+
+def _magnitudes(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _secular_problems(draw):
+    """(g, mu) with |g / mu| > 1: mu_1 finite, mu_2 finite or an unprobed inf,
+    and each |g_i / mu_i| from 1e-3 to 1e4."""
+    mu = np.array([draw(_magnitudes(-2, 2)), draw(st.one_of(st.just(math.inf), _magnitudes(-2, 2)))])
+    ratios = np.array([draw(st.sampled_from((-1.0, 1.0))) * draw(_magnitudes(-3, 4)) for _ in range(2)])
+    # an unprobed direction's g is any finite number; it has no ratio
+    g = ratios * np.where(np.isinf(mu), mu[0], mu)
+    assume(np.sum((g / mu) ** 2) > 1)
+    return g, mu
+
+
+class TestSecularRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_secular_problems())
+    def test_root_lands_on_the_circle_and_matches_brentq(self, problem):
+        g, mu = problem
+        t = _secular_root(g, mu)
+        assert 0 < t <= np.linalg.norm(g)
+        assert abs(np.sum((g / (mu + t)) ** 2) - 1) <= 1e-14
+        # oracle at brentq's default tolerances, xtol = 2e-12 and rtol = 4 eps
+        expected = brentq(lambda s: np.sum((g / (mu + s)) ** 2) - 1, 0.0, np.linalg.norm(g))
+        assert abs(t - expected) <= 2e-12 + 4 * np.finfo(float).eps * abs(expected)
