@@ -251,30 +251,13 @@ def _write_plot_files(out: Path, report) -> None:
     by_axis = {}
     for cell in report.cells:
         by_axis.setdefault(cell.axis, []).append(cell)
-    stability = {s.axis: (s.stability_fidelity, s.stability_bc) for s in report.per_axis}
-    series = {
-        "fidelity": (
-            ("i_iii", "f_i_iii", True),
-            ("i_ii", "f_i_ii", True),
-            ("i_iii_theory", "f_i_iii_theory", False),
-            ("i_ii_theory", "f_i_ii_theory", False),
-        ),
-        "bc": (
-            ("i_iii", "bc_i_iii", True),
-            ("i_ii", "bc_i_ii", True),
-            ("i_iii_theory", "bc_i_iii_theory", False),
-            ("i_ii_theory", "bc_i_ii_theory", False),
-        ),
-    }
+    summaries = {s.axis: s for s in report.per_axis}
     for axis, cells in by_axis.items():
-        stab_f, stab_bc = stability[axis]
-        for metric, defs in series.items():
-            err = stab_f if metric == "fidelity" else stab_bc
-            for tag, attr, measured in defs:
-                rows = [
-                    (c.angle_deg, getattr(c, attr), err if measured else 0.0)
-                    for c in cells
-                ]
+        for prefix, metric in (("f", "fidelity"), ("bc", "bc")):
+            stability = getattr(summaries[axis], f"stability_{metric}")
+            for tag in ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory"):
+                err = 0.0 if tag.endswith("_theory") else stability
+                rows = [(c.angle_deg, getattr(c, f"{prefix}_{tag}"), err) for c in cells]
                 eio.write_plot_series(out / f"plot_{metric}_{axis}_{tag}.csv", rows)
 
 
@@ -290,13 +273,16 @@ def cmd_son_fit(config: RunConfig) -> int:
     if len(plan.angles_deg) < 5:
         raise MissingDataError("son-fit needs at least 5 rotation angles per combo")
 
+    # two combos share each axis; each stage-II file is read once, in first-use order
+    records = {}
     samples = []
     for combo in available:
         axis, _ = combo_axis_and_basis(combo)
         for angle_deg in plan.angles_deg:
-            record = _read_counts(out, axis, angle_deg, "II")
+            if (axis, angle_deg) not in records:
+                records[axis, angle_deg] = _read_counts(out, axis, angle_deg, "II")
             phi = float(np.deg2rad(angle_deg) / 2)
-            samples.append(extract_correlation(record, combo, phi))
+            samples.append(extract_correlation(records[axis, angle_deg], combo, phi))
 
     try:
         result = son_fit(samples)

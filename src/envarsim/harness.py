@@ -8,19 +8,22 @@ own wave-plate setting errors and is measured over the 36 projectors.
 ``simulate_grid`` simulates every cell's records in one batched
 ``simulate_counts_many`` call (``run_three_stages`` is its one-cell call);
 only ``assemble_report`` reconstructs, every count record of the grid in one
-batched MLE call. Per-cell randomness derives from (seed, axis, angle,
-stage) by value, so cells are reproducible in any execution order.
+batched MLE call. It scores each cell with one function and summarizes each
+axis and the whole grid with one other; every two-qubit rotation goes
+through ``linalg.apply_local``. Per-cell randomness derives from (seed,
+axis, angle, stage) by value, so cells are reproducible in any execution
+order.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily; load it on import, not in the first run
 
-from .linalg import su2_rotation, validate_density_matrix, validate_unitary, werner
+from .linalg import apply_local, su2_rotation, validate_density_matrix, werner
 from .measurement import (
     DEFAULT_DRIFT_SIGMA,
     CountRecord,
@@ -73,6 +76,8 @@ _STAGE_CODE = {name: i for i, name in enumerate(STAGES)}
 # Expected pairs per setting stay below this, so that every Poisson draw and
 # the 9-setting total of a count record fit in int64.
 _MAX_PAIRS_PER_SETTING = 1e18
+
+_I2 = np.eye(2, dtype=complex)
 
 
 def calibrated_noise(seed: int = 0) -> NoiseModel:
@@ -190,17 +195,13 @@ def _simulate_cells(
             stream = stage_rng(plan.seed, axis, angle_deg, stage)
             source = drift_state(base, plan.noise, stream)
             if stage == "I":
-                rho_true = source
-            elif stage == "II":
-                u_s = _perturbed_stack(setting, sigma_wp, stream)
-                rho_true = np.kron(u_s, np.eye(2)) @ source @ np.kron(u_s, np.eye(2)).conj().T
+                rho_true = (source + source.conj().T) / 2
             else:
                 u_s = _perturbed_stack(setting, sigma_wp, stream)
-                u_e = _perturbed_stack(setting, sigma_wp, stream)
-                u = np.kron(u_s, u_e)
-                rho_true = u @ source @ u.conj().T
+                u_e = _perturbed_stack(setting, sigma_wp, stream) if stage == "III" else _I2
+                rho_true = apply_local(u_s, u_e, source)
             streams.append(stream)
-            states.append((rho_true + rho_true.conj().T) / 2)
+            states.append(rho_true)
     records = simulate_counts_many(states, plan.flux_hz, plan.duration_s, plan.noise, streams)
     results = [
         StageResult(stage=stage, counts=counts, rho_true=rho_true)
@@ -232,22 +233,19 @@ def simulate_grid(plan: ExperimentPlan) -> dict[tuple[str, float], tuple[StageRe
 
 def theoretical_stage3(rho_i: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Expected final-stage state: the ideal rotation applied to both qubits."""
-    u = validate_unitary(u)
-    rho_i = validate_density_matrix(rho_i)
-    full = np.kron(u, u)
-    out = full @ rho_i @ full.conj().T
-    return (out + out.conj().T) / 2
+    return apply_local(u, u, validate_density_matrix(rho_i))
+
+
+def _pair_std(metric, items: list) -> float:
+    """ddof=1 std of ``metric`` over consecutive pairs of ``items``."""
+    return float(np.std([metric(a, b) for a, b in zip(items, items[1:])], ddof=1))
 
 
 def source_stability(stage1_states: list[np.ndarray]) -> float:
     """Std of fidelities between consecutive source characterizations."""
     if len(stage1_states) < 3:
         raise ValueError("need at least 3 source states for a stability estimate")
-    fids = [
-        fidelity(stage1_states[i], stage1_states[i + 1])
-        for i in range(len(stage1_states) - 1)
-    ]
-    return float(np.std(fids, ddof=1))
+    return _pair_std(fidelity, stage1_states)
 
 
 @dataclass(frozen=True)
@@ -264,13 +262,10 @@ class CellMetrics:
     bc_i_ii_theory: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "f_i_iii", "f_i_ii", "bc_i_iii", "bc_i_ii",
-            "f_i_iii_theory", "bc_i_iii_theory", "f_i_ii_theory", "bc_i_ii_theory",
-        ):
-            value = getattr(self, name)
+        for f in fields(self)[2:]:  # the eight metrics after axis and angle_deg
+            value = getattr(self, f.name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
+                raise ValueError(f"{f.name}={value} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -299,27 +294,50 @@ def _distribution_from_rho(rho: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _summary(axis: str, cells: list[CellMetrics], stab_f: float, stab_bc: float) -> AxisSummary:
-    f_vals = np.array([c.f_i_iii for c in cells])
-    bc_vals = np.array([c.bc_i_iii for c in cells])
-    n = len(cells)
-    f_err = float(f_vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    bc_err = float(bc_vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return AxisSummary(
+def _sample_std(values) -> float:
+    """ddof=1 std of ``values``; 0.0 below two values."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
+def _cell(
+    axis: str, angle_deg: float, dists: tuple[np.ndarray, ...], states: tuple[np.ndarray, ...]
+) -> CellMetrics:
+    """Score one cell from its stage I/II/III count distributions and states."""
+    dist_i, dist_ii, dist_iii = dists
+    rho_i, rho_ii, rho_iii = states
+    u = stack(nominal_setting(axis, np.deg2rad(angle_deg)))
+    rho_iii_th = theoretical_stage3(rho_i, u)
+    rho_ii_th = apply_local(u, _I2, rho_i)
+    return CellMetrics(
         axis=axis,
-        f_i_iii_mean=float(f_vals.mean()),
-        f_i_iii_err=f_err,
-        bc_i_iii_mean=float(bc_vals.mean()),
-        bc_i_iii_err=bc_err,
-        stability_fidelity=stab_f,
-        stability_bc=stab_bc,
+        angle_deg=float(angle_deg),
+        f_i_iii=fidelity(rho_i, rho_iii),
+        f_i_ii=fidelity(rho_i, rho_ii),
+        bc_i_iii=bhattacharyya(dist_i, dist_iii),
+        bc_i_ii=bhattacharyya(dist_i, dist_ii),
+        f_i_iii_theory=fidelity(rho_i, rho_iii_th),
+        bc_i_iii_theory=bhattacharyya(dist_i, _distribution_from_rho(rho_iii_th)),
+        f_i_ii_theory=fidelity(rho_i, rho_ii_th),
+        bc_i_ii_theory=bhattacharyya(dist_i, _distribution_from_rho(rho_ii_th)),
     )
 
 
-def _consecutive_std(values: list[float]) -> float:
-    if len(values) < 2:
-        return float("nan")
-    return float(np.std(values, ddof=1))
+def _summary(
+    label: str, cells: list[CellMetrics], stage1_states: list[np.ndarray], stage1_dists: list[np.ndarray]
+) -> AxisSummary:
+    """Means and standard errors of the I-III metrics, and the stability of consecutive stage-I states (NaN below 3)."""
+    f_vals = [c.f_i_iii for c in cells]
+    bc_vals = [c.bc_i_iii for c in cells]
+    stable = len(stage1_states) >= 3
+    return AxisSummary(
+        axis=label,
+        f_i_iii_mean=float(np.mean(f_vals)),
+        f_i_iii_err=float(_sample_std(f_vals) / np.sqrt(len(cells))),
+        bc_i_iii_mean=float(np.mean(bc_vals)),
+        bc_i_iii_err=float(_sample_std(bc_vals) / np.sqrt(len(cells))),
+        stability_fidelity=source_stability(stage1_states) if stable else float("nan"),
+        stability_bc=_pair_std(bhattacharyya, stage1_dists) if stable else float("nan"),
+    )
 
 
 def assemble_report(
@@ -338,74 +356,20 @@ def assemble_report(
     records = [record for key in keys for record in cell_counts[key]]
     rhos = [result.rho for result in mle_reconstruct_many(records, tomography_projectors())]
     states = {key: tuple(rhos[3 * k : 3 * k + 3]) for k, key in enumerate(keys)}
-    cells: list[CellMetrics] = []
-    summaries: list[AxisSummary] = []
-    stage1_by_axis: dict[str, list[np.ndarray]] = {}
-    dist1_by_axis: dict[str, list[np.ndarray]] = {}
-    dev_f: list[float] = []
-    dev_bc: list[float] = []
+    dists = {key: tuple(normalize_counts(record) for record in cell_counts[key]) for key in keys}
+    cells = {key: _cell(*key, dists[key], states[key]) for key in keys}
 
-    for axis in plan.axes:
-        axis_cells: list[CellMetrics] = []
-        stage1_by_axis[axis] = []
-        dist1_by_axis[axis] = []
-        for angle_deg in plan.angles_deg:
-            counts_i, counts_ii, counts_iii = cell_counts[(axis, angle_deg)]
-            rho_i, rho_ii, rho_iii = states[(axis, angle_deg)]
-            dist_i = normalize_counts(counts_i)
-            dist_ii = normalize_counts(counts_ii)
-            dist_iii = normalize_counts(counts_iii)
+    def summary(label: str, group: list[tuple[str, float]]) -> AxisSummary:
+        return _summary(
+            label, [cells[k] for k in group], [states[k][0] for k in group], [dists[k][0] for k in group]
+        )
 
-            u = stack(nominal_setting(axis, np.deg2rad(angle_deg)))
-            rho_iii_th = theoretical_stage3(rho_i, u)
-            u_sys = np.kron(u, np.eye(2, dtype=complex))
-            rho_ii_th = u_sys @ rho_i @ u_sys.conj().T
-            rho_ii_th = (rho_ii_th + rho_ii_th.conj().T) / 2
-
-            cell = CellMetrics(
-                axis=axis,
-                angle_deg=float(angle_deg),
-                f_i_iii=fidelity(rho_i, rho_iii),
-                f_i_ii=fidelity(rho_i, rho_ii),
-                bc_i_iii=bhattacharyya(dist_i, dist_iii),
-                bc_i_ii=bhattacharyya(dist_i, dist_ii),
-                f_i_iii_theory=fidelity(rho_i, rho_iii_th),
-                bc_i_iii_theory=bhattacharyya(dist_i, _distribution_from_rho(rho_iii_th)),
-                f_i_ii_theory=fidelity(rho_i, rho_ii_th),
-                bc_i_ii_theory=bhattacharyya(dist_i, _distribution_from_rho(rho_ii_th)),
-            )
-            axis_cells.append(cell)
-            stage1_by_axis[axis].append(rho_i)
-            dist1_by_axis[axis].append(dist_i)
-            dev_f.append(cell.f_i_iii - cell.f_i_iii_theory)
-            dev_bc.append(cell.bc_i_iii - cell.bc_i_iii_theory)
-        cells.extend(axis_cells)
-        if len(stage1_by_axis[axis]) >= 3:
-            stab_f = source_stability(stage1_by_axis[axis])
-            bcs = [
-                bhattacharyya(dist1_by_axis[axis][i], dist1_by_axis[axis][i + 1])
-                for i in range(len(dist1_by_axis[axis]) - 1)
-            ]
-            stab_bc = _consecutive_std(bcs)
-        else:
-            stab_f = float("nan")
-            stab_bc = float("nan")
-        summaries.append(_summary(axis, axis_cells, stab_f, stab_bc))
-
-    all_stage1 = [rho for axis in plan.axes for rho in stage1_by_axis[axis]]
-    all_dist1 = [d for axis in plan.axes for d in dist1_by_axis[axis]]
-    overall_stab_f = source_stability(all_stage1) if len(all_stage1) >= 3 else float("nan")
-    overall_bc_pairs = [
-        bhattacharyya(all_dist1[i], all_dist1[i + 1]) for i in range(len(all_dist1) - 1)
-    ]
-    overall_stab_bc = _consecutive_std(overall_bc_pairs)
-    overall = _summary("overall", cells, overall_stab_f, overall_stab_bc)
     return EnvarianceReport(
-        cells=tuple(cells),
-        per_axis=tuple(summaries),
-        overall=overall,
-        deviation_fidelity=float(np.std(dev_f, ddof=1)) if len(dev_f) > 1 else 0.0,
-        deviation_bc=float(np.std(dev_bc, ddof=1)) if len(dev_bc) > 1 else 0.0,
+        cells=tuple(cells.values()),
+        per_axis=tuple(summary(axis, [k for k in keys if k[0] == axis]) for axis in plan.axes),
+        overall=summary("overall", keys),
+        deviation_fidelity=_sample_std([c.f_i_iii - c.f_i_iii_theory for c in cells.values()]),
+        deviation_bc=_sample_std([c.bc_i_iii - c.bc_i_iii_theory for c in cells.values()]),
         states=states,
     )
 

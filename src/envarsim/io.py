@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +95,11 @@ def read_count_csv(path: Path) -> CountRecord:
             setting_label, outcome_label, count, duration_s = row
             if (setting_label, outcome_label) != labels[idx]:
                 raise ValueError(f"row {idx} labels {row[:2]} out of canonical order")
+            # int() would also take "2_84", " +728 " and non-ASCII digits
+            if not (count.isascii() and count.isdigit()):
+                raise ValueError(f"row {idx} count {count!r} is not a decimal integer")
             value = int(count)
-            if not 0 <= value <= INT64_MAX:
+            if value > INT64_MAX:
                 raise ValueError(f"row {idx} count {value} is not in [0, 2**63 - 1]")
             counts.append(value)
             durations.append(float(duration_s))
@@ -165,15 +169,10 @@ def write_report_csv(path: Path, report: EnvarianceReport) -> None:
 
 
 def report_to_dict(report: EnvarianceReport) -> dict:
-    def summary_dict(s):
-        return {
-            "f_i_iii_mean": s.f_i_iii_mean,
-            "f_i_iii_err": s.f_i_iii_err,
-            "bc_i_iii_mean": s.bc_i_iii_mean,
-            "bc_i_iii_err": s.bc_i_iii_err,
-            "stability_fidelity": s.stability_fidelity,
-            "stability_bc": s.stability_bc,
-        }
+    def summary_dict(summary) -> dict:
+        row = asdict(summary)
+        del row["axis"]
+        return row
 
     return {
         "per_axis": {s.axis: summary_dict(s) for s in report.per_axis},
@@ -182,21 +181,7 @@ def report_to_dict(report: EnvarianceReport) -> dict:
             "fidelity": report.deviation_fidelity,
             "bc": report.deviation_bc,
         },
-        "cells": [
-            {
-                "axis": c.axis,
-                "angle_deg": c.angle_deg,
-                "f_i_iii": c.f_i_iii,
-                "f_i_ii": c.f_i_ii,
-                "bc_i_iii": c.bc_i_iii,
-                "bc_i_ii": c.bc_i_ii,
-                "f_i_iii_theory": c.f_i_iii_theory,
-                "bc_i_iii_theory": c.bc_i_iii_theory,
-                "f_i_ii_theory": c.f_i_ii_theory,
-                "bc_i_ii_theory": c.bc_i_ii_theory,
-            }
-            for c in report.cells
-        ],
+        "cells": [asdict(c) for c in report.cells],
     }
 
 

@@ -15,6 +15,7 @@ from its own stream, so it does not depend on the rest of the stack.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -84,10 +85,12 @@ class ProjectorSet:
 
     settings: tuple[MeasurementSetting, ...]
 
-    @property
+    @functools.cached_property
     def flat_projectors(self) -> np.ndarray:
-        """All 36 projectors stacked as a (36, 4, 4) array in index order."""
-        return np.stack([p for s in self.settings for p in s.projectors])
+        """All 36 projectors stacked as a read-only (36, 4, 4) array in index order."""
+        flat = np.stack([p for s in self.settings for p in s.projectors])
+        flat.setflags(write=False)
+        return flat
 
     @property
     def flat_labels(self) -> tuple[tuple[str, str], ...]:
@@ -101,14 +104,9 @@ def _single_projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-_PROJECTOR_SET: ProjectorSet | None = None
-
-
+@functools.cache
 def tomography_projectors() -> ProjectorSet:
     """The canonical 36-projector set |a><a| (x) |b><b|, a,b in {H,V,D,A,R,L}."""
-    global _PROJECTOR_SET
-    if _PROJECTOR_SET is not None:
-        return _PROJECTOR_SET
     settings = []
     for basis_s in BASES:
         for basis_e in BASES:
@@ -129,8 +127,7 @@ def tomography_projectors() -> ProjectorSet:
                     projectors=tuple(projs),
                 )
             )
-    _PROJECTOR_SET = ProjectorSet(settings=tuple(settings))
-    return _PROJECTOR_SET
+    return ProjectorSet(settings=tuple(settings))
 
 
 def _rank1_projectors(projs: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from envarsim import io as eio
 from envarsim import tomography
 from envarsim.cli import RunConfig, load_config, main
 from envarsim.io import read_count_csv, read_json
@@ -150,6 +151,39 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
         assert (out / "report.csv").exists()
         assert not (out / "report.json").exists()
+
+
+class TestSmallGrids:
+    """The branches a grid too small for a statistic takes."""
+
+    NOISY = dict(werner_v=0.98267, drift_sigma=0.025, waveplate_error_sigma=0.00349, poisson=True)
+
+    def _analyze(self, tmp_path, **overrides):
+        cfg = _write_config(tmp_path / "c.json", **self.NOISY, **overrides)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        return out, read_json(out / "report.json")
+
+    def test_two_angles_per_axis_have_no_axis_stability(self, tmp_path):
+        out, report = self._analyze(tmp_path, axes=["x", "z"], angles_deg=[0.0, 90.0])
+        for axis in ("x", "z"):
+            assert report["per_axis"][axis]["stability_fidelity"] is None
+            assert report["per_axis"][axis]["stability_bc"] is None
+            for metric in ("fidelity", "bc"):
+                for tag in ("i_iii", "i_ii"):
+                    rows = (out / f"plot_{metric}_{axis}_{tag}.csv").read_text().splitlines()[1:]
+                    assert len(rows) == 2 and all(row.endswith(",0.0") for row in rows)
+        # four stage-I states across both axes are enough for the overall row
+        assert np.isfinite(report["overall"]["stability_fidelity"])
+        assert np.isfinite(report["overall"]["stability_bc"])
+
+    def test_one_cell_grid_has_zero_spread(self, tmp_path):
+        _, report = self._analyze(tmp_path, angles_deg=[45.0])
+        for row in (report["per_axis"]["x"], report["overall"]):
+            assert row["f_i_iii_err"] == 0.0 and row["bc_i_iii_err"] == 0.0
+            assert row["stability_fidelity"] is None and row["stability_bc"] is None
+        assert report["deviation"] == {"fidelity": 0.0, "bc": 0.0}
 
 
 class TestSonFitCommand:
@@ -298,6 +332,9 @@ COUNT_FILE_DEFECTS = {
     "mixed-durations": lambda rows: _set_duration(rows, 7, "2.5"),
     "count-overflow": lambda rows: _set_count(rows, 5, "99999999999999999999"),
     "count-total-wraps": lambda rows: [_set_count(rows, i, str(2**62)) for i in (5, 6)],
+    "underscore-count": lambda rows: _set_count(rows, 5, "2_84"),
+    "signed-count": lambda rows: _set_count(rows, 5, "+728"),
+    "padded-count": lambda rows: _set_count(rows, 5, " 728 "),
 }
 
 
@@ -354,6 +391,24 @@ class TestReconstructOnce:
         called = sorted(tuple(c.counts) for c in calls)
         assert called == sorted(tuple(c) for c in records.values())
         assert len(read_json(out / "states.json")) == 15
+
+
+def test_son_fit_reads_each_count_file_once(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    config = str(CONFIG_DIR / "son_quick.json")
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    reads = []
+    original = eio.read_count_csv
+
+    def counting(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(eio, "read_count_csv", counting)
+    assert main(["son-fit", "--config", config, "--out", str(out)]) == 0
+    # two combos use the z axis; its 13 stage-II files are read once each
+    assert sorted(p.name for p in reads) == sorted(p.name for p in out.glob("counts_z_*_II.csv"))
+    assert len(reads) == 13
 
 
 class TestSonFitLattice:

@@ -28,6 +28,13 @@ class TestProjectorSet:
         assert len(ps.settings) == 9
         assert ps.flat_projectors.shape == (36, 4, 4)
 
+    def test_set_and_stack_are_built_once_and_read_only(self):
+        ps = tomography_projectors()
+        assert tomography_projectors() is ps
+        assert ps.flat_projectors is ps.flat_projectors
+        with pytest.raises(ValueError):
+            ps.flat_projectors[0, 0, 0] = 1.0
+
     def test_each_setting_completes_to_identity(self):
         for setting in tomography_projectors().settings:
             total = sum(setting.projectors)
