@@ -261,17 +261,26 @@ def _write_plot_files(out: Path, report) -> None:
                 eio.write_plot_series(out / f"plot_{metric}_{axis}_{tag}.csv", rows)
 
 
+def _son_fit_obstacle(axes, angles_deg) -> str | None:
+    """Why a grid of these axes and angles cannot fix the exponent n, or None when it can."""
+    if not any(combo_axis_and_basis(c)[0] in axes for c in COMBOS):
+        return "no rotation axes in this run support a correlation combo"
+    if len(angles_deg) < 5:
+        return "at least 5 rotation angles per combo are needed"
+    if not n_sensitive(np.deg2rad(angles_deg) / 2).any():
+        return "every angle is a multiple of 90 degrees (phi a multiple of 45 degrees), where E does not depend on n"
+
+
 def cmd_son_fit(config: RunConfig) -> int:
     out = Path(config.out_dir)
     plan = _manifest_plan(out)
     available = [c for c in COMBOS if combo_axis_and_basis(c)[0] in plan.axes]
-    if not available:
-        raise MissingDataError("no rotation axes in this run support a correlation combo")
-    if len(available) < len(COMBOS):
+    if 0 < len(available) < len(COMBOS):
         missing = sorted(set(COMBOS) - set(available))
         print(f"son-fit: warning: fitting {len(available)}/6 combos (missing {missing})", file=sys.stderr)
-    if len(plan.angles_deg) < 5:
-        raise MissingDataError("son-fit needs at least 5 rotation angles per combo")
+    obstacle = _son_fit_obstacle(plan.axes, plan.angles_deg)
+    if obstacle is not None:
+        raise MissingDataError(f"son-fit: {obstacle}")
 
     # two combos share each axis; each stage-II file is read once, in first-use order
     records = {}
@@ -306,20 +315,12 @@ def _write_fit_curves(out: Path, result) -> None:
 
 
 def cmd_report(config: RunConfig) -> int:
-    code = cmd_simulate(config)
-    if code:
-        return code
-    code = cmd_analyze(config)
-    if code:
-        return code
-    grid_axes = set(config.axes)
-    if not any(combo_axis_and_basis(c)[0] in grid_axes for c in COMBOS) or len(config.angles_deg) < 5:
-        reason = "insufficient axes or angles"
-    elif not n_sensitive(np.deg2rad(config.angles_deg) / 2).any():
-        reason = "every angle is a multiple of 90 degrees, where E does not depend on n"
-    else:
+    cmd_simulate(config)
+    cmd_analyze(config)
+    obstacle = _son_fit_obstacle(config.axes, config.angles_deg)
+    if obstacle is None:
         return cmd_son_fit(config)
-    print(f"report: skipping son-fit ({reason})", file=sys.stderr)
+    print(f"report: skipping son-fit ({obstacle})", file=sys.stderr)
     return 0
 
 

@@ -107,15 +107,15 @@ class ExperimentPlan:
             raise ValueError("axes and angles_deg must be non-empty")
         if len(set(self.axes)) < len(self.axes):
             raise ValueError("axes must not repeat a value")
+        for angle in self.angles_deg:
+            if not 0.0 <= angle <= 360.0:
+                raise ValueError("angles must lie in [0, 360] degrees")
         # count files name their angle in centidegrees
         if len({round(a * 100) for a in self.angles_deg}) < len(self.angles_deg):
             raise ValueError("angles_deg must be distinct at 0.01-degree resolution")
         for axis in self.axes:
             if axis not in NAMED_AXES:
                 raise ValueError(f"unknown axis {axis!r}")
-        for angle in self.angles_deg:
-            if not 0.0 <= angle <= 360.0:
-                raise ValueError("angles must lie in [0, 360] degrees")
         if not (self.flux_hz > 0 and self.duration_s > 0):
             raise ValueError("flux_hz and duration_s must be positive")
         if not self.flux_hz * self.duration_s <= _MAX_PAIRS_PER_SETTING:

@@ -140,8 +140,12 @@ def write_json(path: Path, obj) -> None:
 
 
 def read_json(path: Path):
+    """Parse one JSON file; nesting too deep for the decoder raises ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests arrays or objects too deeply to decode") from None
 
 
 _REPORT_COLUMNS = (

@@ -11,9 +11,9 @@ assigns probabilities |psi|^n instead of |psi|^2, constrained by
 
 with E(theta, n) = p^n - q^n. The first two lines say that (p, q) runs
 along the superellipse p^n + q^n = 1 at constant speed sqrt(c), so theta is
-its arc length over sqrt(c); ``solve_son`` evaluates that arc length by
-quadrature and inverts it on the theta grid. Ordinary quantum mechanics is
-the n=2 case, where the solution is p = sin(theta) and E = -cos(2*theta).
+its arc length over sqrt(c); ``solve_son`` and the exponent fit read E
+through one quadrature inversion of that arc length at any theta. Ordinary
+quantum mechanics is the n=2 case, where p = sin(theta), E = -cos(2*theta).
 
 During the experiment's middle stage, rotating one qubit by phi (with the
 same analyzer basis on both arms, basis orthogonal to the rotation axis)
@@ -29,7 +29,6 @@ so each candidate n costs one weighted 2x2 least-squares solve on a disk.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -144,31 +143,24 @@ def _arc_speed(d: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _arc_length(d: np.ndarray, n: float) -> np.ndarray:
-    return d * (_arc_speed(d[:, None] * _ARC_X, n)[0] @ _ARC_W)
+    return d * (_arc_speed(d[..., None] * _ARC_X, n)[0] @ _ARC_W)
 
 
-def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
-    """Solve the constrained boundary problem for E(theta, n).
+def _son_moduli(theta, n: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The amplitude moduli (p, q) at angles theta in [0, pi/2], and the constant c.
 
-    The amplitude moduli run along the superellipse p^n + q^n = 1 at the
-    constant speed sqrt(c), so theta is arc length over sqrt(c). The
-    midpoint p = q = 2^(-1/n) lies at theta = pi/4, which fixes c. Nodes in
-    [0, pi/4] invert the arc length by Newton steps over Gauss-Legendre
-    quadrature; the others follow from the mirror q(theta) = p(pi/2 - theta).
-    Raises ConvergenceError if the inversion misses a node by more than 1e-13
-    in arc length.
+    theta is arc length over sqrt(c), and the midpoint p = q = 2^(-1/n) lies
+    at theta = pi/4, which fixes c. Angles up to pi/4 invert the arc length by
+    Newton steps over Gauss-Legendre quadrature; larger ones fold through the
+    mirror q(theta) = p(pi/2 - theta). Raises ConvergenceError if the
+    inversion misses an angle by more than 1e-13 in arc length.
     """
-    if n <= 0:
-        raise ValueError("the exponent n must be positive")
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
-
     d_mid = 2 ** (-1 / n) if n >= 1 else 1 - 2 ** (-1 / n)
     s_mid = float(_arc_length(np.array([d_mid]), n)[0])
-    theta = np.linspace(0.0, np.pi / 2, grid_size)
-    target = s_mid * theta[: (grid_size + 1) // 2] / (np.pi / 4)
-    # the arc length is >= d, so d = target starts at or above each node, and
-    # it is convex in d, so Newton steps descend monotonically onto the node
+    mirrored = theta > np.pi / 4
+    target = s_mid * np.where(mirrored, np.pi / 2 - theta, theta) / (np.pi / 4)
+    # the arc length is >= d, so d = target starts at or above each angle, and
+    # it is convex in d, so Newton steps descend monotonically onto the angle
     d = np.minimum(target, d_mid)
     for _ in range(50):
         miss = _arc_length(d, n) - target
@@ -177,16 +169,25 @@ def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
         d = d - miss / _arc_speed(d, n)[0]
     else:
         raise ConvergenceError(
-            f"arc-length inversion misses a node by {np.max(np.abs(miss)):.3e} for n={n}"
+            f"arc-length inversion misses an angle by {np.max(np.abs(miss)):.3e} for n={n}"
         )
     _, tracked, other = _arc_speed(d, n)
-    p_half, q_half = (tracked, other) if n >= 1 else (other, tracked)
-    mirror = slice(grid_size - 1 - target.size, None, -1)
-    p = np.concatenate([p_half, q_half[mirror]])
-    q = np.concatenate([q_half, p_half[mirror]])
-    return CorrelationCurve(
-        theta_grid=theta, values=p**n - q**n, n=float(n), p=p, q=q, c=(s_mid / (np.pi / 4)) ** 2
-    )
+    p, q = (tracked, other) if n >= 1 else (other, tracked)
+    return np.where(mirrored, q, p), np.where(mirrored, p, q), (s_mid / (np.pi / 4)) ** 2
+
+
+def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
+    """E(theta, n) = p^n - q^n at ``grid_size`` uniform nodes over [0, pi/2].
+
+    p and q come from ``_son_moduli``, the arc-length inversion the exponent fit reads.
+    """
+    if n <= 0:
+        raise ValueError("the exponent n must be positive")
+    if grid_size < 16:
+        raise ValueError("grid_size must be at least 16")
+    theta = np.linspace(0.0, np.pi / 2, grid_size)
+    p, q, c = _son_moduli(theta, n)
+    return CorrelationCurve(theta_grid=theta, values=p**n - q**n, n=float(n), p=p, q=q, c=c)
 
 
 @dataclass(frozen=True)
@@ -282,22 +283,15 @@ class SonFitResult:
             raise ValueError("objective must be non-negative")
 
 
-# Exponent lattice of the fit, (half width, step) per refinement stage; the
-# last step quantizes the curves, which are solved once per lattice point
+# Exponent lattice of the fit, (half width, step) per refinement stage
 _N_STAGES = ((0.5, 0.05), (0.05, 0.005), (0.005, 5e-4))
-_N_QUANTUM = _N_STAGES[-1][1]
-_FIT_GRID_SIZE = 721  # 720 intervals: nodes hit every multiple of pi/12
-
-
-@functools.lru_cache(maxsize=None)
-def _lattice_curve(k: int) -> CorrelationCurve:
-    return solve_son(k * _N_QUANTUM, _FIT_GRID_SIZE)
 
 
 def _n_shift(n: float, phis: np.ndarray) -> np.ndarray:
-    """E(theta, n, singlet) - E(theta, 2, singlet) at the lattice exponent nearest n."""
+    """E(theta, n, singlet) - E(theta, 2, singlet) at the angles phis."""
     theta = phi_to_theta(phis)
-    return _lattice_curve(int(round(n / _N_QUANTUM))).value_at(theta) + np.cos(2 * theta)
+    p, q, _ = _son_moduli(theta, n)
+    return p**n - q**n + np.cos(2 * theta)
 
 
 def _secular_root(g: np.ndarray, mu: np.ndarray) -> float:

@@ -34,6 +34,10 @@ def _write_config(path, **overrides):
     return path
 
 
+# deeper than the JSON decoder's recursion limit
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+
+
 def _count_mle_calls(monkeypatch) -> list:
     """Record every count record handed to the MLE kernel, through any module that imported it."""
     calls = []
@@ -250,11 +254,12 @@ class TestUsageAndIoErrors:
             {"axes": ["q"]}, {"angles_deg": [400]}, {"werner_v": 1.5}, {"flux_hz": 0}, {"duration_s": -1},
             {"drift_sigma": float("nan")}, {"waveplate_error_sigma": float("inf")}, {"flux_hz": 1e300},
             {"axes": ["z", "z"]}, {"angles_deg": [30.0, 30.0, 60.0]}, {"angles_deg": [30.0, 30.001]},
+            {"angles_deg": [0, 30, 60, 90, float("inf")]}, {"angles_deg": [0, 30, 60, 90, float("nan")]},
         ],
         ids=[
             "unknown-axis", "angle-400", "werner-above-1", "zero-flux", "negative-duration",
             "drift-nan", "waveplate-infinity", "flux-1e300", "duplicate-axes", "duplicate-angles",
-            "same-file-angles",
+            "same-file-angles", "angle-infinity", "angle-nan",
         ],
     )
     def test_out_of_range_config_value_exits_1(self, tmp_path, capsys, override):
@@ -263,6 +268,16 @@ class TestUsageAndIoErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ['{"seed": ', DEEPLY_NESTED], ids=["not-json", "deeply-nested"])
+    def test_unparsable_config_exits_1(self, tmp_path, capsys, content):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(content)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} is not valid JSON") and err.count("\n") == 1
         assert not out.exists()
 
     def test_empty_formats_exit_1(self, tmp_path, capsys):
@@ -357,8 +372,8 @@ class TestMalformedData:
         assert "counts_x_09000_II.csv" in err
 
     @pytest.mark.parametrize(
-        "content", ['{"config": {', json.dumps({"grid": {"axes": ["x"], "angles_deg": [0.0]}})],
-        ids=["not-json", "no-config"],
+        "content", ['{"config": {', json.dumps({"grid": {"axes": ["x"], "angles_deg": [0.0]}}), DEEPLY_NESTED],
+        ids=["not-json", "no-config", "deeply-nested"],
     )
     def test_malformed_manifest_exits_3(self, run, capsys, content):
         cfg, out = run
@@ -424,6 +439,24 @@ class TestSonFitLattice:
         assert err[-1].startswith("error: son-fit") and "multiple of 45 degrees" in err[-1]
         assert sum(line.startswith("error:") for line in err) == 1
         assert not (out / "son_fit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "angles_deg", [[0.0, 30.0, 60.0], [0.0, 90.0, 180.0, 270.0, 360.0]], ids=["three-angles", "quarter-turns"]
+)
+def test_son_fit_feasibility_is_decided_once_before_any_count_file_is_read(
+    tmp_path, monkeypatch, capsys, angles_deg
+):
+    cfg = _write_config(tmp_path / "c.json", axes=["z"], angles_deg=angles_deg)
+    out = tmp_path / "run"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    skipped = capsys.readouterr().err.splitlines()[-1]
+    reads = []
+    monkeypatch.setattr(eio, "read_count_csv", reads.append)
+    assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 3
+    reason = capsys.readouterr().err.splitlines()[-1].removeprefix("error: son-fit: ")
+    assert skipped == f"report: skipping son-fit ({reason})"
+    assert reads == []
 
 
 @pytest.mark.parametrize("config_path", BUNDLED, ids=lambda p: p.stem)

@@ -14,6 +14,7 @@ from envarsim.optics import STACK_ROTATION_SIGN, named_axis_vector
 from envarsim.son import (
     COMBOS,
     CorrelationSample,
+    _n_shift,
     _secular_root,
     _state_fit,
     correlation_operator,
@@ -108,6 +109,14 @@ class TestSolveSon:
         delta = 0.02
         slope10 = (curve10.value_at(np.pi / 4 + delta) - curve10.value_at(np.pi / 4 - delta)) / (2 * delta)
         assert slope10 > 2.0  # quantum-mechanics slope at the crossing is 2
+
+    def test_fit_reads_the_curve_nodes_exactly(self):
+        # theta = pi/7 is node 6 of 22; node 15 lies past pi/4, where the moduli come from the mirror
+        curve = solve_son(1.8, 22)
+        nodes = [6, 15]
+        theta = curve.theta_grid[nodes]
+        assert theta[0] == pytest.approx(np.pi / 7, abs=1e-15)
+        assert np.max(np.abs(_n_shift(1.8, theta) - np.cos(2 * theta) - curve.values[nodes])) <= 1e-14
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
