@@ -24,17 +24,8 @@ import numpy as np
 
 from . import io as eio
 from .errors import ConvergenceError, MissingDataError
-from .harness import (
-    DEFAULT_ANGLES_DEG,
-    DEFAULT_SEED,
-    STAGES,
-    ExperimentPlan,
-    assemble_report,
-    cell_seed_entropy,
-    simulate_grid,
-)
-from .measurement import DEFAULT_DRIFT_SIGMA, CountRecord, NoiseModel
-from .optics import NAMED_AXES
+from .harness import STAGES, ExperimentPlan, assemble_report, calibrated_noise, cell_seed_entropy, simulate_grid
+from .measurement import CountRecord, NoiseModel
 from .son import COMBOS, combo_axis_and_basis, extract_correlation, fitted_correlation, n_sensitive, son_fit
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -44,17 +35,22 @@ class UsageError(Exception):
     pass
 
 
+# the calibrated reference experiment; every default below is a Python
+# scalar, since _config_from_json reads a key's JSON kind from its default
+_DEFAULT = ExperimentPlan(noise=calibrated_noise())
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    axes: tuple[str, ...] = NAMED_AXES
-    angles_deg: tuple[float, ...] = DEFAULT_ANGLES_DEG
-    flux_hz: float = 5400.0
-    duration_s: float = 5.0
-    werner_v: float = 0.98267
-    drift_sigma: float = DEFAULT_DRIFT_SIGMA
-    waveplate_error_sigma: float = float(np.deg2rad(0.2))
-    poisson: bool = True
-    seed: int = DEFAULT_SEED
+    axes: tuple[str, ...] = _DEFAULT.axes
+    angles_deg: tuple[float, ...] = _DEFAULT.angles_deg
+    flux_hz: float = _DEFAULT.flux_hz
+    duration_s: float = _DEFAULT.duration_s
+    werner_v: float = _DEFAULT.noise.werner_v
+    drift_sigma: float = _DEFAULT.noise.drift_sigma
+    waveplate_error_sigma: float = float(_DEFAULT.noise.waveplate_error_sigma)
+    poisson: bool = _DEFAULT.noise.poisson
+    seed: int = _DEFAULT.seed
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 

@@ -8,9 +8,10 @@ own wave-plate setting errors and is measured over the 36 projectors.
 ``simulate_grid`` simulates every cell's records in one batched
 ``simulate_counts_many`` call (``run_three_stages`` is its one-cell call);
 only ``assemble_report`` reconstructs, every count record of the grid in one
-batched MLE call. It scores each cell with one function and summarizes each
-axis and the whole grid with one other; every two-qubit rotation goes
-through ``linalg.apply_local``. Per-cell randomness derives from (seed,
+batched MLE call. It scores the grid as stacks, every cell in one
+``fidelity`` and one ``bhattacharyya`` call, and summarizes each axis and
+the whole grid with one function; every two-qubit rotation goes through
+``linalg.apply_local``. Per-cell randomness derives from (seed,
 axis, angle, stage) by value, so cells are reproducible in any execution
 order.
 """
@@ -236,16 +237,11 @@ def theoretical_stage3(rho_i: np.ndarray, u: np.ndarray) -> np.ndarray:
     return apply_local(u, u, validate_density_matrix(rho_i))
 
 
-def _pair_std(metric, items: list) -> float:
-    """ddof=1 std of ``metric`` over consecutive pairs of ``items``."""
-    return float(np.std([metric(a, b) for a, b in zip(items, items[1:])], ddof=1))
-
-
 def source_stability(stage1_states: list[np.ndarray]) -> float:
     """Std of fidelities between consecutive source characterizations."""
     if len(stage1_states) < 3:
         raise ValueError("need at least 3 source states for a stability estimate")
-    return _pair_std(fidelity, stage1_states)
+    return float(np.std(fidelity(stage1_states[:-1], stage1_states[1:]), ddof=1))
 
 
 @dataclass(frozen=True)
@@ -291,7 +287,7 @@ class EnvarianceReport:
 
 def _distribution_from_rho(rho: np.ndarray) -> np.ndarray:
     probs = born_probabilities(rho, tomography_projectors().flat_projectors)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _sample_std(values) -> float:
@@ -299,32 +295,7 @@ def _sample_std(values) -> float:
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
-def _cell(
-    axis: str, angle_deg: float, dists: tuple[np.ndarray, ...], states: tuple[np.ndarray, ...]
-) -> CellMetrics:
-    """Score one cell from its stage I/II/III count distributions and states."""
-    dist_i, dist_ii, dist_iii = dists
-    rho_i, rho_ii, rho_iii = states
-    u = stack(nominal_setting(axis, np.deg2rad(angle_deg)))
-    rho_iii_th = theoretical_stage3(rho_i, u)
-    rho_ii_th = apply_local(u, _I2, rho_i)
-    return CellMetrics(
-        axis=axis,
-        angle_deg=float(angle_deg),
-        f_i_iii=fidelity(rho_i, rho_iii),
-        f_i_ii=fidelity(rho_i, rho_ii),
-        bc_i_iii=bhattacharyya(dist_i, dist_iii),
-        bc_i_ii=bhattacharyya(dist_i, dist_ii),
-        f_i_iii_theory=fidelity(rho_i, rho_iii_th),
-        bc_i_iii_theory=bhattacharyya(dist_i, _distribution_from_rho(rho_iii_th)),
-        f_i_ii_theory=fidelity(rho_i, rho_ii_th),
-        bc_i_ii_theory=bhattacharyya(dist_i, _distribution_from_rho(rho_ii_th)),
-    )
-
-
-def _summary(
-    label: str, cells: list[CellMetrics], stage1_states: list[np.ndarray], stage1_dists: list[np.ndarray]
-) -> AxisSummary:
+def _summary(label: str, cells: list[CellMetrics], stage1_states: np.ndarray, stage1_dists: np.ndarray) -> AxisSummary:
     """Means and standard errors of the I-III metrics, and the stability of consecutive stage-I states (NaN below 3)."""
     f_vals = [c.f_i_iii for c in cells]
     bc_vals = [c.bc_i_iii for c in cells]
@@ -336,7 +307,7 @@ def _summary(
         bc_i_iii_mean=float(np.mean(bc_vals)),
         bc_i_iii_err=float(_sample_std(bc_vals) / np.sqrt(len(cells))),
         stability_fidelity=source_stability(stage1_states) if stable else float("nan"),
-        stability_bc=_pair_std(bhattacharyya, stage1_dists) if stable else float("nan"),
+        stability_bc=_sample_std(bhattacharyya(stage1_dists[:-1], stage1_dists[1:])) if stable else float("nan"),
     )
 
 
@@ -349,28 +320,38 @@ def assemble_report(
     ``cell_counts`` maps (axis, angle_deg) to the stage I/II/III count
     records; reconstruction uses only the counts and the nominal rotation
     settings, mirroring what an analysis of recorded data can know. All
-    records go through one ``mle_reconstruct_many`` call. The states are
-    kept on the report as ``states``, keyed like ``cell_counts``.
+    records go through one ``mle_reconstruct_many`` call, and the cells are
+    scored as stacks: stage I against (III, II, ideal III, ideal II) in one
+    ``fidelity`` and one ``bhattacharyya`` call. The states are kept on the
+    report as ``states``, keyed like ``cell_counts``.
     """
     keys = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
     records = [record for key in keys for record in cell_counts[key]]
-    rhos = [result.rho for result in mle_reconstruct_many(records, tomography_projectors())]
-    states = {key: tuple(rhos[3 * k : 3 * k + 3]) for k, key in enumerate(keys)}
-    dists = {key: tuple(normalize_counts(record) for record in cell_counts[key]) for key in keys}
-    cells = {key: _cell(*key, dists[key], states[key]) for key in keys}
+    results = mle_reconstruct_many(records, tomography_projectors())
+    rhos = np.stack([result.rho for result in results]).reshape(len(keys), 3, 4, 4)
+    dists = np.stack([normalize_counts(record) for record in records]).reshape(len(keys), 3, 36)
+    u = np.stack([stack(nominal_setting(axis, np.deg2rad(angle_deg))) for axis, angle_deg in keys])
+    theory = np.stack([theoretical_stage3(rhos[:, 0], u), apply_local(u, _I2, rhos[:, 0])], axis=1)
+    # stage I against III, II, ideal III and ideal II, one column each
+    f = fidelity(rhos[:, :1], np.concatenate([rhos[:, [2, 1]], theory], axis=1))
+    bc = bhattacharyya(dists[:, :1], np.concatenate([dists[:, [2, 1]], _distribution_from_rho(theory)], axis=1))
+    tags = ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory")
+    scores = {f"{m}_{tag}": col.tolist() for m, metric in (("f", f), ("bc", bc)) for tag, col in zip(tags, metric.T)}
+    cells = [
+        CellMetrics(axis, float(angle_deg), **{name: col[k] for name, col in scores.items()})
+        for k, (axis, angle_deg) in enumerate(keys)
+    ]
 
-    def summary(label: str, group: list[tuple[str, float]]) -> AxisSummary:
-        return _summary(
-            label, [cells[k] for k in group], [states[k][0] for k in group], [dists[k][0] for k in group]
-        )
+    def summary(label: str, group: list[int]) -> AxisSummary:
+        return _summary(label, [cells[k] for k in group], rhos[group, 0], dists[group, 0])
 
     return EnvarianceReport(
-        cells=tuple(cells.values()),
-        per_axis=tuple(summary(axis, [k for k in keys if k[0] == axis]) for axis in plan.axes),
-        overall=summary("overall", keys),
-        deviation_fidelity=_sample_std([c.f_i_iii - c.f_i_iii_theory for c in cells.values()]),
-        deviation_bc=_sample_std([c.bc_i_iii - c.bc_i_iii_theory for c in cells.values()]),
-        states=states,
+        cells=tuple(cells),
+        per_axis=tuple(summary(axis, [k for k, key in enumerate(keys) if key[0] == axis]) for axis in plan.axes),
+        overall=summary("overall", list(range(len(keys)))),
+        deviation_fidelity=_sample_std([c.f_i_iii - c.f_i_iii_theory for c in cells]),
+        deviation_bc=_sample_std([c.bc_i_iii - c.bc_i_iii_theory for c in cells]),
+        states={key: tuple(rhos[k]) for k, key in enumerate(keys)},
     )
 
 

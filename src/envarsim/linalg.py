@@ -80,6 +80,10 @@ def axis_vector(x: float, y: float, z: float) -> np.ndarray:
     return v / n
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def _check_axis(axis: np.ndarray) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
@@ -100,11 +104,11 @@ def su2_rotation(axis: np.ndarray, theta: float) -> np.ndarray:
 
 
 def validate_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Return ``u`` as a complex array, or raise if it is not unitary."""
+    """Return ``u`` as a complex array, or raise if it (or any matrix of a stack) is not unitary."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("unitary must be a square matrix")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    dev = np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])))
     if dev > tol:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol:.0e})")
     return u
@@ -126,32 +130,36 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check the two-qubit density matrix invariants.
 
     Hermitian within 1e-10 entrywise, unit trace within 1e-10, and minimum
-    eigenvalue >= -1e-10.
+    eigenvalue >= -1e-10; a stack of 4x4 matrices is checked at once.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("density matrix must be 4x4")
     if not np.all(np.isfinite(rho.view(float))):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    if np.max(np.abs(rho - _dagger(rho))) > 1e-10:
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
+    if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > 1e-10:
         raise ValueError("density matrix trace differs from 1 by more than 1e-10")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-10:
+    if np.linalg.eigvalsh((rho + _dagger(rho)) / 2).min() < -1e-10:
         raise ValueError("density matrix has eigenvalue below -1e-10")
     return rho
 
 
 def apply_local(u_s: np.ndarray, u_e: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Conjugate a two-qubit state by local unitaries: (u_s (x) u_e) rho (.)^dag."""
+    """Conjugate two-qubit states by local unitaries: (u_s (x) u_e) rho (.)^dag.
+
+    Broadcasts over leading axes; the entrywise Kronecker product equals ``np.kron`` bit for bit.
+    """
     u_s = validate_unitary(u_s)
     u_e = validate_unitary(u_e)
-    if u_s.shape != (2, 2) or u_e.shape != (2, 2):
+    if u_s.shape[-2:] != (2, 2) or u_e.shape[-2:] != (2, 2):
         raise ValueError("local unitaries must be 2x2")
     rho = np.asarray(rho, dtype=complex)
-    u = np.kron(u_s, u_e)
-    out = u @ rho @ u.conj().T
-    return (out + out.conj().T) / 2
+    u = u_s[..., :, None, :, None] * u_e[..., None, :, None, :]
+    u = u.reshape(*u.shape[:-4], 4, 4)
+    out = u @ rho @ _dagger(u)
+    return (out + _dagger(out)) / 2
 
 
 def werner(v: float) -> np.ndarray:
@@ -165,20 +173,20 @@ def werner(v: float) -> np.ndarray:
 
 
 def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     Returns (eigenvalues ascending, eigenvectors as columns). Raises if the
     input deviates from Hermiticity by more than ``tol`` entrywise.
     """
     m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - _dagger(m))) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
     return w, v
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of a stack of them.
 
     Eigenvalues in [-1e-8, 0] are clamped to 0 (MLE outputs are PSD only
     numerically); anything below -1e-8 raises.
@@ -187,8 +195,8 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     if w.min() < -1e-8:
         raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
+    root = (v * np.sqrt(w)[..., None, :]) @ _dagger(v)
+    return (root + _dagger(root)) / 2
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -198,7 +206,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     distances for stacks of them.
     """
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh((d + np.swapaxes(d, -1, -2).conj()) / 2)), axis=-1)
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh((d + _dagger(d)) / 2)), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
 

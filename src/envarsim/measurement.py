@@ -28,6 +28,7 @@ from .linalg import (
     KET_L,
     KET_R,
     KET_V,
+    apply_local,
     axis_vector,
     su2_rotation,
     validate_density_matrix,
@@ -153,10 +154,15 @@ def born_probability(rho: np.ndarray, proj: np.ndarray) -> float:
 
 
 def born_probabilities(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
-    """``born_probability`` for each of a (K, 4, 4) stack of projectors, checked at once."""
+    """``born_probability`` for each of a (K, 4, 4) stack of projectors, checked at once.
+
+    Broadcasts over the leading axes of ``rho`` (projectors last); one contraction
+    per projector keeps each state's one-state result bit for bit.
+    """
     projs = _rank1_projectors(projs)
     rho = validate_density_matrix(rho)
-    return np.clip(np.einsum("aij,ji->a", projs, rho).real, 0.0, 1.0)
+    probs = np.stack([np.einsum("ij,...ji->...", proj, rho) for proj in projs], axis=-1)
+    return np.clip(probs.real, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -252,7 +258,7 @@ def simulate_counts_many(
         raise ValueError("need one random stream per density matrix")
     if not len(rhos):
         return []
-    rhos = np.stack([validate_density_matrix(rho) for rho in rhos])
+    rhos = validate_density_matrix(np.stack(rhos))
     batch = len(rhos)
     sigma = noise.waveplate_error_sigma
     pairs = flux_hz * duration_s
@@ -322,6 +328,4 @@ def drift_state(
         axis = axis_vector(*raw)
         angle = rng.normal(0.0, noise.drift_sigma)
         unitaries.append(su2_rotation(axis, angle))
-    u = np.kron(unitaries[0], unitaries[1])
-    out = u @ rho @ u.conj().T
-    return (out + out.conj().T) / 2
+    return apply_local(unitaries[0], unitaries[1], rho)

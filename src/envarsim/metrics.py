@@ -1,50 +1,59 @@
 """State and distribution overlap measures.
 
-Fidelity is the Uhlmann-Jozsa overlap {Tr[(sqrt(rho) sigma sqrt(rho))^(1/2)]}^2;
-the Bhattacharyya coefficient sum_i sqrt(p_i q_i) compares the normalized
-36-outcome count distributions directly, with no quantum assumptions.
-Count distributions are normalized by the grand total over all 36 entries,
-so each of the 9 settings carries weight 1/9.
+Fidelity is the Uhlmann-Jozsa overlap {Tr[(sqrt(rho) sigma sqrt(rho))^(1/2)]}^2
+(Jozsa, J. Mod. Opt. 41, 2315, 1994), computed as the squared nuclear norm
+||sqrt(rho) sqrt(sigma)||_1^2, the squared sum of the singular values of the
+product of the two square roots, which takes no square root of an eigenvalue
+at the rounding level. The Bhattacharyya coefficient sum_i sqrt(p_i q_i)
+compares the normalized 36-outcome count distributions directly, with no
+quantum assumptions. Count distributions are normalized by the grand total
+over all 36 entries, so each of the 9 settings carries weight 1/9. Both
+measures broadcast over leading axes, and a stack gives each pair's one-pair
+result bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import eig_hermitian, psd_sqrt, validate_density_matrix
+from .linalg import psd_sqrt, validate_density_matrix
 from .measurement import CountRecord
 
 __all__ = ["fidelity", "bhattacharyya", "normalize_counts", "validate_distribution"]
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann-Jozsa fidelity between two density matrices, in [0, 1]."""
-    rho = validate_density_matrix(rho)
-    sigma = validate_density_matrix(sigma)
-    root = psd_sqrt(rho)
-    inner = root @ sigma @ root
-    w, _ = eig_hermitian((inner + inner.conj().T) / 2)
-    value = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(max(value, 0.0), 1.0)
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
+    """Uhlmann-Jozsa fidelity ||sqrt(rho) sqrt(sigma)||_1^2, clipped to [0, 1].
+
+    Broadcasts over leading axes: a float for two density matrices, an array
+    of fidelities for stacks of them. Each stack is validated once.
+    """
+    product = psd_sqrt(validate_density_matrix(rho)) @ psd_sqrt(validate_density_matrix(sigma))
+    # np.square multiplies; a scalar's ** 2 would go through pow and may differ in the last bit
+    value = np.clip(np.square(np.linalg.svd(product, compute_uv=False).sum(axis=-1)), 0.0, 1.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def validate_distribution(p: np.ndarray) -> np.ndarray:
-    """Check a 36-entry probability distribution (non-negative, sums to 1)."""
+    """Check a 36-entry probability distribution, or a stack of them (non-negative, sums to 1)."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (36,):
+    if p.shape[-1:] != (36,):
         raise ValueError("distribution must have exactly 36 entries")
     if np.any(p < 0):
         raise ValueError("distribution entries must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if np.max(np.abs(p.sum(axis=-1) - 1.0)) > 1e-9:
         raise ValueError("distribution must sum to 1 within 1e-9")
     return p
 
 
-def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:
-    """Bhattacharyya coefficient sum_i sqrt(p_i q_i) of two distributions."""
-    p = validate_distribution(p)
-    q = validate_distribution(q)
-    return float(np.sum(np.sqrt(p * q)))
+def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """Bhattacharyya coefficient sum_i sqrt(p_i q_i) of two distributions.
+
+    Broadcasts over leading axes: a float for two distributions, an array
+    of coefficients for stacks of them.
+    """
+    value = np.sum(np.sqrt(validate_distribution(p) * validate_distribution(q)), axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def normalize_counts(record: CountRecord) -> np.ndarray:

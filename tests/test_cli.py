@@ -85,6 +85,14 @@ class TestConfig:
         assert config.out_dir == "elsewhere"
         assert config.formats == ("csv",)
 
+    def test_defaults_are_the_calibrated_plan(self):
+        from envarsim.harness import DEFAULT_SEED, ExperimentPlan, calibrated_noise
+
+        assert RunConfig().plan() == ExperimentPlan(noise=calibrated_noise(DEFAULT_SEED))
+        # a key's JSON kind is read from the type of its default
+        for name, value in vars(RunConfig()).items():
+            assert type(value) in (tuple, str, bool, int, float), name
+
 
 class TestSimulate:
     def test_default_grid_writes_156_files(self, tmp_path):
