@@ -26,7 +26,7 @@ from . import io as eio
 from .errors import ConvergenceError, MissingDataError
 from .harness import STAGES, ExperimentPlan, assemble_report, calibrated_noise, cell_seed_entropy, simulate_grid
 from .measurement import CountRecord, NoiseModel
-from .son import COMBOS, combo_axis_and_basis, extract_correlation, fitted_correlation, n_sensitive, son_fit
+from .son import COMBOS, combo_axis_and_basis, extract_correlation, fit_obstacle, fitted_correlation, son_fit
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -142,8 +142,6 @@ def _config_echo(config: RunConfig) -> dict:
     echo = asdict(config)
     del echo["out_dir"]
     del echo["formats"]
-    echo["axes"] = list(config.axes)
-    echo["angles_deg"] = [float(a) for a in config.angles_deg]
     return echo
 
 
@@ -259,12 +257,8 @@ def _write_plot_files(out: Path, report) -> None:
 
 def _son_fit_obstacle(axes, angles_deg) -> str | None:
     """Why a grid of these axes and angles cannot fix the exponent n, or None when it can."""
-    if not any(combo_axis_and_basis(c)[0] in axes for c in COMBOS):
-        return "no rotation axes in this run support a correlation combo"
-    if len(angles_deg) < 5:
-        return "at least 5 rotation angles per combo are needed"
-    if not n_sensitive(np.deg2rad(angles_deg) / 2).any():
-        return "every angle is a multiple of 90 degrees (phi a multiple of 45 degrees), where E does not depend on n"
+    phis = np.deg2rad(angles_deg) / 2
+    return fit_obstacle({combo: phis for combo in COMBOS if combo_axis_and_basis(combo)[0] in axes})
 
 
 def cmd_son_fit(config: RunConfig) -> int:

@@ -9,8 +9,9 @@ own wave-plate setting errors and is measured over the 36 projectors.
 ``simulate_counts_many`` call (``run_three_stages`` is its one-cell call);
 only ``assemble_report`` reconstructs, every count record of the grid in one
 batched MLE call. It scores the grid as stacks, every cell in one
-``fidelity`` and one ``bhattacharyya`` call, and summarizes each axis and
-the whole grid with one function; every two-qubit rotation goes through
+``fidelity`` and one ``bhattacharyya`` call and the consecutive stage-I
+pairs in one series of each, which every axis and the whole grid slice
+for their source stability; every two-qubit rotation goes through
 ``linalg.apply_local``. Per-cell randomness derives from (seed,
 axis, angle, stage) by value, so cells are reproducible in any execution
 order.
@@ -195,9 +196,8 @@ def _simulate_cells(
         for stage in STAGES:
             stream = stage_rng(plan.seed, axis, angle_deg, stage)
             source = drift_state(base, plan.noise, stream)
-            if stage == "I":
-                rho_true = (source + source.conj().T) / 2
-            else:
+            rho_true = source
+            if stage != "I":
                 u_s = _perturbed_stack(setting, sigma_wp, stream)
                 u_e = _perturbed_stack(setting, sigma_wp, stream) if stage == "III" else _I2
                 rho_true = apply_local(u_s, u_e, source)
@@ -295,19 +295,19 @@ def _sample_std(values) -> float:
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
-def _summary(label: str, cells: list[CellMetrics], stage1_states: np.ndarray, stage1_dists: np.ndarray) -> AxisSummary:
-    """Means and standard errors of the I-III metrics, and the stability of consecutive stage-I states (NaN below 3)."""
+def _summary(label: str, cells: list[CellMetrics], pair_f: np.ndarray, pair_bc: np.ndarray) -> AxisSummary:
+    """Means and standard errors of the I-III metrics, and the spread of the stage-I pair scores (NaN below 3 cells)."""
     f_vals = [c.f_i_iii for c in cells]
     bc_vals = [c.bc_i_iii for c in cells]
-    stable = len(stage1_states) >= 3
+    stable = len(cells) >= 3
     return AxisSummary(
         axis=label,
         f_i_iii_mean=float(np.mean(f_vals)),
         f_i_iii_err=float(_sample_std(f_vals) / np.sqrt(len(cells))),
         bc_i_iii_mean=float(np.mean(bc_vals)),
         bc_i_iii_err=float(_sample_std(bc_vals) / np.sqrt(len(cells))),
-        stability_fidelity=source_stability(stage1_states) if stable else float("nan"),
-        stability_bc=_sample_std(bhattacharyya(stage1_dists[:-1], stage1_dists[1:])) if stable else float("nan"),
+        stability_fidelity=_sample_std(pair_f) if stable else float("nan"),
+        stability_bc=_sample_std(pair_bc) if stable else float("nan"),
     )
 
 
@@ -341,14 +341,20 @@ def assemble_report(
         CellMetrics(axis, float(angle_deg), **{name: col[k] for name, col in scores.items()})
         for k, (axis, angle_deg) in enumerate(keys)
     ]
+    # the grid's consecutive stage-I pairs, scored once; the cells lo:hi own pairs lo:hi - 1,
+    # and the grid is axis-major, so each axis is one such run of cells
+    pair_f = pair_bc = np.empty(0)
+    if len(keys) >= 3:
+        pair_f, pair_bc = fidelity(rhos[:-1, 0], rhos[1:, 0]), bhattacharyya(dists[:-1, 0], dists[1:, 0])
 
-    def summary(label: str, group: list[int]) -> AxisSummary:
-        return _summary(label, [cells[k] for k in group], rhos[group, 0], dists[group, 0])
+    def summary(label: str, lo: int, hi: int) -> AxisSummary:
+        return _summary(label, cells[lo:hi], pair_f[lo : hi - 1], pair_bc[lo : hi - 1])
 
+    run = len(plan.angles_deg)
     return EnvarianceReport(
         cells=tuple(cells),
-        per_axis=tuple(summary(axis, [k for k, key in enumerate(keys) if key[0] == axis]) for axis in plan.axes),
-        overall=summary("overall", list(range(len(keys)))),
+        per_axis=tuple(summary(axis, a * run, (a + 1) * run) for a, axis in enumerate(plan.axes)),
+        overall=summary("overall", 0, len(keys)),
         deviation_fidelity=_sample_std([c.f_i_iii - c.f_i_iii_theory for c in cells]),
         deviation_bc=_sample_std([c.bc_i_iii - c.bc_i_iii_theory for c in cells]),
         states={key: tuple(rhos[k]) for k, key in enumerate(keys)},

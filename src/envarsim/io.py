@@ -2,9 +2,11 @@
 
 All writers are deterministic: dictionary keys are sorted, floats use
 Python's shortest round-trip repr, and no timestamps or environment data
-are embedded, so identical inputs produce byte-identical files. Every
-writer fills a sibling temporary file and moves it over the target, so a
-file holds either its previous or its complete new content.
+are embedded, so identical inputs produce byte-identical files. JSON
+takes plain Python values as they are: ``report_to_dict`` maps the one
+NaN the program makes to null, and ``write_json`` refuses any NaN or
++-inf. Every writer fills a sibling temporary file and moves it over the
+target, so a file holds either its previous or its complete new content.
 """
 
 from __future__ import annotations
@@ -119,23 +121,10 @@ def density_matrix_to_table(rho: np.ndarray) -> list[list[list[float]]]:
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in np.asarray(rho)]
 
 
-def _clean(obj):
-    """Make a structure JSON-safe: numpy scalars to Python, NaN to None."""
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return None if math.isnan(value) else value
-    return obj
-
-
 def write_json(path: Path, obj) -> None:
+    """Write ``obj`` as sorted, indented JSON; a NaN or +-inf anywhere raises ValueError."""
     with _replaced_on_success(path) as fh:
-        json.dump(_clean(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -176,6 +165,8 @@ def report_to_dict(report: EnvarianceReport) -> dict:
     def summary_dict(summary) -> dict:
         row = asdict(summary)
         del row["axis"]
+        # a stability over fewer than 3 cells is NaN, written as null
+        row.update({key: None for key in ("stability_fidelity", "stability_bc") if math.isnan(row[key])})
         return row
 
     return {

@@ -147,10 +147,7 @@ def _rank1_projectors(projs: np.ndarray) -> np.ndarray:
 
 def born_probability(rho: np.ndarray, proj: np.ndarray) -> float:
     """Tr(proj rho) for a rank-1 projector, clamped to [0, 1]."""
-    proj = _rank1_projectors(np.asarray(proj)[None])[0]
-    rho = validate_density_matrix(rho)
-    p = float(np.real(np.trace(proj @ rho)))
-    return min(max(p, 0.0), 1.0)
+    return float(born_probabilities(rho, np.asarray(proj)[None])[0])
 
 
 def born_probabilities(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:

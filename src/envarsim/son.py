@@ -50,6 +50,7 @@ __all__ = [
     "extract_correlation",
     "correlation_operator",
     "n_sensitive",
+    "fit_obstacle",
     "son_fit",
     "fitted_correlation",
 ]
@@ -369,6 +370,18 @@ def n_sensitive(phis) -> np.ndarray:
     return np.abs(quarter_turns - np.round(quarter_turns)) > 1e-9
 
 
+def fit_obstacle(phis_by_combo) -> str | None:
+    """Why these angles phi per combo cannot fix the exponent n, or None when they can."""
+    if not phis_by_combo:
+        return "no correlation combo to fit (only the x, y and z rotation axes support one)"
+    for combo, phis in phis_by_combo.items():
+        if len(phis) < 5:
+            return f"combo {combo} needs at least 5 rotation angles, not {len(phis)}"
+        if not n_sensitive(phis).any():
+            return f"combo {combo} has no angle phi off a multiple of 45 degrees, where E is the same for every n"
+    return None
+
+
 def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     """Weighted fit of the Born-rule exponent n to correlation samples.
 
@@ -378,31 +391,21 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     the closed-form disk least squares of ``_state_fit``. The reported n is
     the mean of the per-combo estimates and its uncertainty their sample
     standard deviation. The model linearization holds for states near the
-    singlet and n near 2, so the coarse search spans [1.5, 2.5]. A combo
-    with fewer than 5 samples, or with none that ``n_sensitive`` accepts,
-    raises ValueError.
+    singlet and n near 2, so the coarse search spans [1.5, 2.5]. Samples
+    that ``fit_obstacle`` rejects raise ValueError.
     """
-    groups: dict[str, list[CorrelationSample]] = {}
-    for s in samples:
-        groups.setdefault(s.combo, []).append(s)
-    if not groups:
-        raise ValueError("no samples supplied")
-    for combo, grp in groups.items():
-        if len(grp) < 5:
-            raise ValueError(f"combo {combo} has {len(grp)} samples; at least 5 required")
-        if not n_sensitive([s.phi for s in grp]).any():
-            raise ValueError(
-                f"combo {combo} has no sample with phi off a multiple of 45 degrees, "
-                "where every exponent n gives the same correlation"
-            )
+    by_combo = {combo: sorted((s for s in samples if s.combo == combo), key=lambda s: s.phi) for combo in COMBOS}
+    groups = {combo: grp for combo, grp in by_combo.items() if grp}
+    obstacle = fit_obstacle({combo: [s.phi for s in grp] for combo, grp in groups.items()})
+    if obstacle is not None:
+        raise ValueError(obstacle)
 
     per_combo_n: list[float] = []
     per_combo: list[str] = []
     state_ab: dict[str, tuple[float, float]] = {}
     total_objective = 0.0
 
-    for combo in sorted(groups, key=COMBOS.index):
-        grp = sorted(groups[combo], key=lambda s: s.phi)
+    for combo, grp in groups.items():
         phis = np.array([s.phi for s in grp])
         values = np.array([s.value for s in grp])
         weights = np.array([1.0 / s.sigma**2 for s in grp])

@@ -12,6 +12,7 @@ from envarsim import io as eio
 from envarsim import tomography
 from envarsim.cli import RunConfig, load_config, main
 from envarsim.io import read_count_csv, read_json
+from envarsim.son import COMBOS, combo_axis_and_basis, extract_correlation, son_fit
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BUNDLED = sorted(CONFIG_DIR.glob("*.json"))
@@ -465,6 +466,31 @@ def test_son_fit_feasibility_is_decided_once_before_any_count_file_is_read(
     reason = capsys.readouterr().err.splitlines()[-1].removeprefix("error: son-fit: ")
     assert skipped == f"report: skipping son-fit ({reason})"
     assert reads == []
+
+
+@pytest.mark.parametrize(
+    "axes, angles_deg",
+    [(["z"], [0.0, 30.0, 60.0]), (["z"], [0.0, 90.0, 180.0, 270.0, 360.0]), (["m"], [0.0, 30.0, 60.0, 90.0, 120.0])],
+    ids=["three-angles", "quarter-turns", "no-combo"],
+)
+def test_report_son_fit_and_library_give_one_infeasibility_reason(tmp_path, capsys, axes, angles_deg):
+    cfg = _write_config(tmp_path / "c.json", axes=axes, angles_deg=angles_deg)
+    out = tmp_path / "run"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    skipped = capsys.readouterr().err.splitlines()[-1]
+    assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 3
+    failed = capsys.readouterr().err.splitlines()[-1]
+    samples = [
+        extract_correlation(read_count_csv(out / eio.count_file_name(axis, a, "II")), combo, float(np.deg2rad(a) / 2))
+        for combo in COMBOS
+        for axis in [combo_axis_and_basis(combo)[0]]
+        if axis in axes
+        for a in angles_deg
+    ]
+    with pytest.raises(ValueError) as exc:
+        son_fit(samples)
+    assert skipped == f"report: skipping son-fit ({exc.value})"
+    assert failed == f"error: son-fit: {exc.value}"
 
 
 @pytest.mark.parametrize("config_path", BUNDLED, ids=lambda p: p.stem)

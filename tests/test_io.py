@@ -34,6 +34,7 @@ FAILING_WRITES = {
         p, SimpleNamespace(counts=[1, 2, "x"] + [0] * 33, duration_s=5.0)
     ),
     "write_json": lambda p: eio.write_json(p, {"a": 1, "b": object()}),
+    "write_json-inf": lambda p: eio.write_json(p, {"a": float("inf")}),
     "write_report_csv": lambda p: eio.write_report_csv(p, SimpleNamespace(cells=[None])),
     "write_plot_series": lambda p: eio.write_plot_series(p, [(0.0, 1.0, 0.0), ("x", 1.0, 0.0)]),
     "write_correlation_csv": lambda p: eio.write_correlation_csv(p, [None]),
@@ -48,3 +49,9 @@ def test_failed_write_keeps_previous_file(tmp_path, writer):
         FAILING_WRITES[writer](path)
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_json_refuses_nan_rather_than_write_null(tmp_path):
+    with pytest.raises(ValueError):
+        eio.write_json(tmp_path / "out.json", {"a": {"b": [1.0, float("nan")]}})
+    assert list(tmp_path.iterdir()) == []

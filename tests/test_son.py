@@ -20,6 +20,7 @@ from envarsim.son import (
     correlation_operator,
     e_qm,
     extract_correlation,
+    fit_obstacle,
     phi_to_theta,
     solve_son,
     son_fit,
@@ -256,6 +257,16 @@ class TestSonFit:
         ]
         with pytest.raises(ValueError, match="multiple of 45 degrees"):
             son_fit(samples)
+
+
+class TestFitObstacle:
+    def test_first_failing_combo_is_named(self):
+        assert fit_obstacle({"Z-DA": PHI_GRID, "Z-RL": PHI_GRID[:1]}) == (
+            "combo Z-RL needs at least 5 rotation angles, not 1"
+        )
+        assert "multiple of 45 degrees" in fit_obstacle({"Y-HV": np.deg2rad([0, 45, 90, 135, 180])})
+        assert fit_obstacle({}).startswith("no correlation combo")
+        assert fit_obstacle({combo: PHI_GRID for combo in COMBOS}) is None
 
 
 class TestStateFit:

@@ -11,9 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envarsim import harness, linalg
-from envarsim.harness import ExperimentPlan, _distribution_from_rho, calibrated_noise, run_experiment
+from envarsim.harness import (
+    ExperimentPlan,
+    _distribution_from_rho,
+    assemble_report,
+    calibrated_noise,
+    run_experiment,
+    simulate_grid,
+    source_stability,
+)
 from envarsim.measurement import born_probabilities, tomography_projectors
-from envarsim.metrics import bhattacharyya, fidelity
+from envarsim.metrics import bhattacharyya, fidelity, normalize_counts
 
 
 def _random_state(rng: np.random.Generator, rank: int) -> np.ndarray:
@@ -118,5 +126,26 @@ def test_report_scores_every_cell_in_one_call(monkeypatch):
     monkeypatch.setattr(harness, "bhattacharyya", counted("bhattacharyya", bhattacharyya))
     report = _small_calibrated_report()
     assert len(report.cells) == 4
-    # the cells, then the stability of the one axis and of the whole grid
-    assert calls == {"fidelity": 3, "bhattacharyya": 3}
+    # the cells, then the grid's consecutive stage-I pairs, which every summary slices
+    assert calls == {"fidelity": 2, "bhattacharyya": 2}
+
+
+def test_axis_stability_is_its_slice_of_the_grid_pair_series():
+    plan = ExperimentPlan(axes=("x", "m"), angles_deg=(0.0, 60.0, 120.0, 180.0), noise=calibrated_noise())
+    counts = {key: tuple(s.counts for s in stages) for key, stages in simulate_grid(plan).items()}
+    report = assemble_report(plan, counts)
+
+    def stability(keys):
+        """The stage-I stability of one group of cells, scored on its own."""
+        dists = np.stack([normalize_counts(counts[key][0]) for key in keys])
+        bc = float(np.std(bhattacharyya(dists[:-1], dists[1:]), ddof=1))
+        return source_stability([report.states[key][0] for key in keys]), bc
+
+    for summary in report.per_axis:
+        keys = [(summary.axis, a) for a in plan.angles_deg]
+        assert (summary.stability_fidelity, summary.stability_bc) == stability(keys)
+    assert (report.overall.stability_fidelity, report.overall.stability_bc) == stability(list(counts))
+    # the overall series holds the pair from x at 180 degrees to m at 0 degrees as well
+    x_run, m_run = np.split(np.stack([rhos[0] for rhos in report.states.values()]), 2)
+    within = np.concatenate([fidelity(run[:-1], run[1:]) for run in (x_run, m_run)])
+    assert report.overall.stability_fidelity != float(np.std(within, ddof=1))
