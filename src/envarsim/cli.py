@@ -219,6 +219,13 @@ def cmd_analyze(config: RunConfig) -> int:
     out = Path(config.out_dir)
     plan = _manifest_plan(out)
     report = assemble_report(plan, _load_counts(out, plan))
+    missed = [n for n, ok in zip(report.mle_iterations, report.mle_converged) if not ok]
+    if missed:
+        print(
+            f"analyze: warning: {len(missed)} of {len(report.mle_converged)} count records "
+            f"did not reach the MLE tolerance in {max(missed)} iterations",
+            file=sys.stderr,
+        )
 
     if "csv" in config.formats:
         eio.write_report_csv(out / "report.csv", report)

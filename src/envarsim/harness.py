@@ -283,6 +283,9 @@ class EnvarianceReport:
     deviation_fidelity: float
     deviation_bc: float
     states: dict[tuple[str, float], tuple[np.ndarray, ...]] = field(compare=False, repr=False)
+    # per count record, in the order of ``states``: MLE iterations and whether it reached ``tol``
+    mle_iterations: tuple[int, ...] = field(compare=False, repr=False)
+    mle_converged: tuple[bool, ...] = field(compare=False, repr=False)
 
 
 def _distribution_from_rho(rho: np.ndarray) -> np.ndarray:
@@ -323,7 +326,8 @@ def assemble_report(
     records go through one ``mle_reconstruct_many`` call, and the cells are
     scored as stacks: stage I against (III, II, ideal III, ideal II) in one
     ``fidelity`` and one ``bhattacharyya`` call. The states are kept on the
-    report as ``states``, keyed like ``cell_counts``.
+    report as ``states``, keyed like ``cell_counts``, and each record's MLE
+    iterations and convergence as ``mle_iterations`` and ``mle_converged``.
     """
     keys = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
     records = [record for key in keys for record in cell_counts[key]]
@@ -358,6 +362,8 @@ def assemble_report(
         deviation_fidelity=_sample_std([c.f_i_iii - c.f_i_iii_theory for c in cells]),
         deviation_bc=_sample_std([c.bc_i_iii - c.bc_i_iii_theory for c in cells]),
         states={key: tuple(rhos[k]) for k, key in enumerate(keys)},
+        mle_iterations=tuple(result.iterations for result in results),
+        mle_converged=tuple(result.converged for result in results),
     )
 
 

@@ -215,18 +215,31 @@ def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray
 
     For Hermitian d = a - b of dimension n, ||d||_F <= ||d||_1 <= sqrt(n) ||d||_F,
     so the trace distance lies in [||d||_F / 2, sqrt(n) ||d||_F / 2]. Rows
-    that bound decides, with a 1e-9 relative margin for rounding, skip the
-    eigenvalues; only the rest go through ``trace_distance``.
+    that bound leaves open get a second lower bound from Hölder's inequality,
+    ||d||_1 >= ||d||_F^3 / ||d^2||_F (tight when the nonzero eigenvalues of d
+    share one modulus), taken on d / tol so that no power under- or
+    overflows. Every bound is applied with a 1e-9 relative margin for
+    rounding; only the rows still open go through ``trace_distance``.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    d = (a - b).reshape(len(a), -1).view(float)
-    frob_sq = np.einsum("bk,bk->b", d, d)
+    d = a - b
+    frob_sq = _row_sq_norms(d)
     below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(a.shape[-1])) ** 2
-    undecided = ~below & (frob_sq <= (2 * tol * (1 + 1e-9)) ** 2)
-    if undecided.any():
-        below[undecided] = trace_distance(a[undecided], b[undecided]) < tol
+    undecided = np.flatnonzero(~below & (frob_sq <= (2 * tol * (1 + 1e-9)) ** 2))
+    if undecided.size:
+        e = d[undecided] / tol
+        open_rows = _row_sq_norms(e) ** 3 < (2 * (1 + 1e-9)) ** 2 * _row_sq_norms(e @ e)
+        rows = undecided[open_rows]
+        if rows.size:
+            below[rows] = trace_distance(a[rows], b[rows]) < tol
     return below
+
+
+def _row_sq_norms(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a (B, n, n) complex stack."""
+    flat = m.reshape(len(m), -1).view(float)
+    return np.einsum("bk,bk->b", flat, flat)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

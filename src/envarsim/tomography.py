@@ -7,12 +7,13 @@ rho -> N[R rho R] never decreases the log-likelihood for this measurement
 structure and converges to the physical (PSD, unit-trace) maximum. Every
 record starts at I/4 and leaves the stack at the iteration where its own
 trace-distance step drops below ``tol``; ``trace_distance_below`` decides
-most steps from their Frobenius norm and takes eigenvalues only of the rest.
+most steps from norm bounds (Frobenius, then Hölder) and takes eigenvalues
+only of the rest.
 Its result does not depend on the other records in the batch, bit for bit:
-every step works on each matrix alone (row-wise ``einsum`` contractions,
-stacked ``@`` and ``eigvalsh``), never as one BLAS product across records,
-whose rounding changes with the batch size. ``mle_reconstruct`` is the
-one-record call.
+every step works on each matrix alone (a per-record BLAS product on a
+``(B, 1, k)`` stack, stacked ``@`` and ``eigvalsh``), never as one 2-D BLAS
+product across records, whose rounding of a row can change with its place
+in the batch. ``mle_reconstruct`` is the one-record call.
 ``linear_inversion`` provides the unconstrained least-squares estimate for
 diagnostics; it is not used as the MLE starting point (the maximally mixed
 state guarantees full support).
@@ -79,10 +80,10 @@ def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Floored Tr(P_a rho) for a (B, 4, 4) stack of Hermitian matrices: (B, 36).
 
     For Hermitian rho, Tr(P rho) = sum_ij Re P_ij Re rho_ij + Im P_ij Im rho_ij,
-    a dot product of the matrices' float views.
+    a dot product of the matrices' float views: one (1, 32) x (32, 36) product per record.
     """
-    probs = np.einsum("ak,bk->ba", flat_re, rho.view(float).reshape(-1, 32))
-    return np.clip(probs, _PROB_FLOOR, None)
+    probs = (rho.view(float).reshape(-1, 1, 32) @ flat_re.T).reshape(-1, 36)
+    return np.maximum(probs, _PROB_FLOOR, out=probs)
 
 
 def mle_reconstruct_many(
@@ -123,10 +124,12 @@ def mle_reconstruct_many(
     for it in range(1, max_iter + 1):
         probs = _probabilities(flat_re, rho)
         steps.append((active, (raw * np.log(probs)).sum(-1)))
-        r_op = np.einsum("ba,ak->bk", freqs / probs, flat_re).view(complex).reshape(-1, 4, 4)
+        r_op = ((freqs / probs).reshape(-1, 1, 36) @ flat_re).view(complex).reshape(-1, 4, 4)
         nxt = r_op @ rho @ r_op
-        nxt = (nxt + nxt.transpose(0, 2, 1).conj()) / 2
-        nxt = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
+        # Hermitize and normalize in one pass: the real diagonal, so the trace, is already Hermitian
+        scale = 0.5 / nxt.real.trace(axis1=1, axis2=2)
+        nxt = nxt + nxt.transpose(0, 2, 1).conj()
+        nxt *= scale[:, None, None]
         done = trace_distance_below(nxt, rho, tol)
         rho = nxt
         if done.any():

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front-end."""
 
+import functools
 import hashlib
 import json
 import sys
@@ -504,3 +505,23 @@ def test_bundled_config_round_trip(config_path, tmp_path):
         # one plot row per grid angle
         plot = (out / "plot_fidelity_z_i_iii.csv").read_text().splitlines()
         assert len(plot) == 1 + 13
+
+
+def test_mle_non_convergence_is_reported_not_dropped(tmp_path, monkeypatch, capsys):
+    from envarsim import harness
+
+    config = str(CONFIG_DIR / "son_quick.json")
+    assert main(["report", "--config", config, "--out", str(tmp_path / "converged")]) == 0
+    assert "analyze: warning" not in capsys.readouterr().err
+
+    one_step = functools.partial(tomography.mle_reconstruct_many, max_iter=1)
+    monkeypatch.setattr(harness, "mle_reconstruct_many", one_step)
+    hashes = []
+    for run in ("a", "b"):
+        assert main(["report", "--config", config, "--out", str(tmp_path / run)]) == 0
+        captured = capsys.readouterr()
+        warning = "analyze: warning: 39 of 39 count records did not reach the MLE tolerance in 1 iterations"
+        assert captured.err.splitlines().count(warning) == 1
+        assert "warning" not in captured.out
+        hashes.append(_tree_hash(tmp_path / run))
+    assert hashes[0] == hashes[1]

@@ -275,3 +275,61 @@ class TestTraceDistanceBelow:
         monkeypatch.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
         np.testing.assert_array_equal(linalg.trace_distance_below(a, b, 1e-6), original(a, b) < 1e-6)
         assert seen == [1]
+
+
+def _rank2_step(rng: np.random.Generator, eps: float) -> np.ndarray:
+    """A 4x4 Hermitian step of unit Frobenius norm with spectrum proportional to (1, -1, eps, -eps)."""
+    u = linalg.random_unitary(4, rng)
+    d = (u * np.array([1.0, -1.0, eps, -eps])) @ u.conj().T
+    return d / np.linalg.norm(d)
+
+
+def _rank2_trace_norm(eps: float) -> float:
+    """||d||_1 of the unit-Frobenius ``_rank2_step``."""
+    return (2 + 2 * eps) / np.sqrt(2 + 2 * eps**2)
+
+
+# near-flat spectra, where the Hölder bound ||d||_1 >= ||d||_F^3 / ||d^2||_F is tight or nearly so;
+# each row's Frobenius norm is scale * tol with scale in [1, 2], on both sides of the trace-distance
+# threshold 2 / _rank2_trace_norm(eps), at it and next to it
+rank2_rows = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-9, 1e-4, 0.05, 0.3]),
+        st.one_of(
+            st.sampled_from([1 + e for e in (0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 1e-3, -1e-3)]),
+            st.floats(0.7, 1.4),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestTraceDistanceBelowHolder:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=rank2_rows, tol=st.sampled_from([1e-3, 1e-6]))
+    def test_rank2_steps_equal_trace_distance_below_tol(self, rows, tol):
+        a, b = [], []
+        for seed, eps, offset in rows:
+            rng = np.random.default_rng(seed)
+            base = linalg.random_density_matrix(4, rng)
+            scale = np.clip(offset * 2 / _rank2_trace_norm(eps), 1.0, 2.0)
+            b.append(base)
+            a.append(base + scale * tol * _rank2_step(rng, eps))
+        a, b = np.stack(a), np.stack(b)
+        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, tol), linalg.trace_distance(a, b) < tol)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-80])
+    def test_rank2_step_is_decided_without_eigenvalues(self, monkeypatch, tol):
+        # F = 1.9 tol lies inside the Frobenius bound's open interval [tol / 2, 2 tol] of ||d||_F / 2 ...
+        rng = np.random.default_rng(8)
+        a = 1.9 * tol * np.stack([_rank2_step(rng, 0.0), _rank2_step(rng, 1e-3)])
+        b = np.zeros_like(a)
+        seen = []
+        original = linalg.trace_distance
+        monkeypatch.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
+        # ... and its trace distance, 1.9 tol / sqrt(2) or more, is above tol by the Hölder bound
+        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, tol), [False, False])
+        assert seen == []
+        assert np.all(original(a, b) >= tol)

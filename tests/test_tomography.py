@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from envarsim import linalg
+from envarsim.harness import ExperimentPlan, calibrated_noise, simulate_grid
 from envarsim.measurement import (
     CountRecord,
     NoiseModel,
@@ -178,3 +179,59 @@ class TestMleReconstructMany:
 
     def test_empty_batch(self):
         assert mle_reconstruct_many([], tomography_projectors()) == []
+
+
+def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
+    """Oracle: the R-rho-R loop with ``einsum`` contractions, a Hermitize-then-divide
+    normalization and the eigenvalue trace distance at every step.
+
+    Returns the final states (eigenvalues clipped at 0), iterations, convergence
+    flags and log-likelihood histories (one entry per iteration, then the final state's).
+    """
+    flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
+    raw = np.stack([r.counts for r in records]).astype(float)
+    freqs = (raw.reshape(-1, 9, 4) / raw.reshape(-1, 9, 4).sum(-1, keepdims=True)).reshape(-1, 36)
+
+    def log_likelihood(rows, rho):
+        probs = np.clip(np.einsum("ak,bk->ba", flat_re, rho.view(float).reshape(-1, 32)), 1e-12, None)
+        return probs, (raw[rows] * np.log(probs)).sum(-1)
+
+    rho = np.tile(np.eye(4, dtype=complex) / 4, (len(records), 1, 1))
+    iterations = np.full(len(records), max_iter)
+    histories = [[] for _ in records]
+    active = np.arange(len(records))
+    for it in range(1, max_iter + 1):
+        probs, ll = log_likelihood(active, rho[active])
+        for b, value in zip(active, ll):
+            histories[b].append(value)
+        r_op = np.einsum("ba,ak->bk", freqs[active] / probs, flat_re).view(complex).reshape(-1, 4, 4)
+        nxt = r_op @ rho[active] @ r_op
+        nxt = (nxt + nxt.transpose(0, 2, 1).conj()) / 2
+        nxt = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
+        done = linalg.trace_distance(nxt, rho[active]) < tol
+        rho[active] = nxt
+        iterations[active[done]] = it
+        active = active[~done]
+        if not active.size:
+            break
+    for b, value in enumerate(log_likelihood(np.arange(len(records)), rho)[1]):
+        histories[b].append(value)
+    w, v = np.linalg.eigh(rho)
+    rho = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return rho, iterations, ~np.isin(np.arange(len(records)), active), histories
+
+
+def test_kernel_matches_einsum_oracle_on_the_calibrated_grid():
+    plan = ExperimentPlan(noise=calibrated_noise())
+    records = [stage.counts for stages in simulate_grid(plan).values() for stage in stages]
+    assert len(records) == 156
+    projs = tomography_projectors()
+    rho, iterations, converged, histories = _einsum_mle(records, projs)
+    results = mle_reconstruct_many(records, projs)
+    assert [r.iterations for r in results] == iterations.tolist()
+    assert [r.converged for r in results] == converged.tolist()
+    assert np.max(np.abs(np.stack([r.rho for r in results]) - rho)) <= 1e-14
+    for res, history in zip(results, histories):
+        np.testing.assert_allclose(res.log_likelihood_history, history, rtol=1e-12, atol=0)
