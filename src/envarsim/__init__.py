@@ -18,7 +18,6 @@ from .harness import (
     run_experiment,
     run_three_stages,
     simulate_grid,
-    source_stability,
     theoretical_stage3,
 )
 from .linalg import (
@@ -55,12 +54,11 @@ from .son import (
     CorrelationCurve,
     CorrelationSample,
     SonFitResult,
-    e_qm,
     extract_correlation,
     phi_to_theta,
     solve_son,
     son_fit,
 )
-from .tomography import TomographyResult, linear_inversion, mle_reconstruct, mle_reconstruct_many
+from .tomography import TomographyResult, mle_reconstruct, mle_reconstruct_many
 
 __version__ = "0.1.0"

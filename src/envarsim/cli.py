@@ -294,6 +294,9 @@ def cmd_son_fit(config: RunConfig) -> int:
         result = son_fit(samples)
     except ValueError as exc:
         raise MissingDataError(f"son-fit: {exc}") from exc
+    at_edge = [combo for combo, edge in zip(result.per_combo, result.per_combo_at_edge) if edge]
+    if at_edge:
+        print(f"son-fit: warning: best n at an end of the searched lattice for {at_edge}", file=sys.stderr)
     if "csv" in config.formats:
         eio.write_correlation_csv(out / "correlations.csv", samples)
         _write_fit_curves(out, result)

@@ -63,7 +63,6 @@ __all__ = [
     "run_three_stages",
     "simulate_grid",
     "theoretical_stage3",
-    "source_stability",
     "assemble_report",
     "run_experiment",
 ]
@@ -235,13 +234,6 @@ def simulate_grid(plan: ExperimentPlan) -> dict[tuple[str, float], tuple[StageRe
 def theoretical_stage3(rho_i: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Expected final-stage state: the ideal rotation applied to both qubits."""
     return apply_local(u, u, validate_density_matrix(rho_i))
-
-
-def source_stability(stage1_states: list[np.ndarray]) -> float:
-    """Std of fidelities between consecutive source characterizations."""
-    if len(stage1_states) < 3:
-        raise ValueError("need at least 3 source states for a stability estimate")
-    return float(np.std(fidelity(stage1_states[:-1], stage1_states[1:]), ddof=1))
 
 
 @dataclass(frozen=True)

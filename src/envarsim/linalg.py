@@ -34,9 +34,6 @@ __all__ = [
     "trace_distance_below",
     "validate_unitary",
     "validate_density_matrix",
-    "validate_pure_state",
-    "random_unitary",
-    "random_density_matrix",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,18 +109,6 @@ def validate_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if dev > tol:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol:.0e})")
     return u
-
-
-def validate_pure_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Check squared norm 1 within ``tol`` and dim 2 or 4."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape not in ((2,), (4,)):
-        raise ValueError("pure state must have dimension 2 or 4")
-    if not np.all(np.isfinite(psi.view(float))):
-        raise ValueError("pure state has non-finite entries")
-    if abs(np.vdot(psi, psi).real - 1.0) > tol:
-        raise ValueError("pure state is not normalized")
-    return psi
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -240,17 +225,3 @@ def _row_sq_norms(m: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix of a (B, n, n) complex stack."""
     flat = m.reshape(len(m), -1).view(float)
     return np.einsum("bk,bk->b", flat, flat)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix A A^dag / Tr(A A^dag)."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / np.trace(m).real

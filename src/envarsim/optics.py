@@ -76,9 +76,6 @@ class WavePlateSetting:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, float(value) % np.pi)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.alpha, self.beta, self.gamma)
-
 
 def _rot2(t: float) -> np.ndarray:
     c, s = np.cos(t), np.sin(t)

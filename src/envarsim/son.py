@@ -12,8 +12,9 @@ assigns probabilities |psi|^n instead of |psi|^2, constrained by
 with E(theta, n) = p^n - q^n. The first two lines say that (p, q) runs
 along the superellipse p^n + q^n = 1 at constant speed sqrt(c), so theta is
 its arc length over sqrt(c); ``solve_son`` and the exponent fit read E
-through one quadrature inversion of that arc length at any theta. Ordinary
-quantum mechanics is the n=2 case, where p = sin(theta), E = -cos(2*theta).
+through one quadrature inversion of that arc length, made once per distinct
+arc-length target. Ordinary quantum mechanics is the n=2 case, where
+p = sin(theta), E = -cos(2*theta).
 
 During the experiment's middle stage, rotating one qubit by phi (with the
 same analyzer basis on both arms, basis orthogonal to the rotation axis)
@@ -24,7 +25,8 @@ turns one analyzer setting's four counts into a correlation sample and
 model E(phi,n,rho) ~ E(phi,n,singlet) + E(phi,2,rho) - E(phi,2,singlet),
 valid for states close to the singlet and n close to 2. The state enters
 only through E(phi,2,rho) = A cos(2*phi) + B sin(2*phi) with A^2 + B^2 <= 1,
-so each candidate n costs one weighted 2x2 least-squares solve on a disk.
+so each candidate n costs one weighted 2x2 least-squares solve on a disk,
+and one inversion per lattice stage serves every combo that profiles it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "CorrelationCurve",
     "CorrelationSample",
     "SonFitResult",
-    "e_qm",
     "solve_son",
     "phi_to_theta",
     "extract_correlation",
@@ -71,11 +72,6 @@ def __getattr__(name: str):
 
         return minimize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def e_qm(theta: float) -> float:
-    """Singlet correlation -cos(2*theta) of standard quantum mechanics."""
-    return -float(np.cos(2 * np.asarray(theta, dtype=float)))
 
 
 def phi_to_theta(phi):
@@ -116,10 +112,6 @@ class CorrelationCurve:
             arr = getattr(self, name)
             arr.setflags(write=False)
 
-    def value_at(self, theta) -> np.ndarray:
-        """E at arbitrary theta in [0, pi/2] (exact on grid nodes)."""
-        return np.interp(np.asarray(theta, dtype=float), self.theta_grid, self.values)
-
 
 # 96-point Gauss-Legendre rule on [0, 1] for the substitution x = d*u**6
 # (dx = 6*d*u**5 du), which smooths the (x/other)**(2n-2) endpoint term of the
@@ -144,7 +136,9 @@ def _arc_speed(d: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _arc_length(d: np.ndarray, n: float) -> np.ndarray:
-    return d * (_arc_speed(d[..., None] * _ARC_X, n)[0] @ _ARC_W)
+    # summed per row: a BLAS gemv's row sums depend on how many rows share
+    # the call, so one angle's arc length would move with the other angles
+    return d * np.sum(_arc_speed(d[..., None] * _ARC_X, n)[0] * _ARC_W, axis=-1)
 
 
 def _son_moduli(theta, n: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -153,13 +147,16 @@ def _son_moduli(theta, n: float) -> tuple[np.ndarray, np.ndarray, float]:
     theta is arc length over sqrt(c), and the midpoint p = q = 2^(-1/n) lies
     at theta = pi/4, which fixes c. Angles up to pi/4 invert the arc length by
     Newton steps over Gauss-Legendre quadrature; larger ones fold through the
-    mirror q(theta) = p(pi/2 - theta). Raises ConvergenceError if the
-    inversion misses an angle by more than 1e-13 in arc length.
+    mirror q(theta) = p(pi/2 - theta). Each distinct arc-length target is
+    inverted once, so theta and pi/2 - theta share one inversion. Raises
+    ConvergenceError if it misses an angle by more than 1e-13 in arc length.
     """
     d_mid = 2 ** (-1 / n) if n >= 1 else 1 - 2 ** (-1 / n)
     s_mid = float(_arc_length(np.array([d_mid]), n)[0])
     mirrored = theta > np.pi / 4
-    target = s_mid * np.where(mirrored, np.pi / 2 - theta, theta) / (np.pi / 4)
+    target, inverse = np.unique(
+        s_mid * np.where(mirrored, np.pi / 2 - theta, theta) / (np.pi / 4), return_inverse=True
+    )
     # the arc length is >= d, so d = target starts at or above each angle, and
     # it is convex in d, so Newton steps descend monotonically onto the angle
     d = np.minimum(target, d_mid)
@@ -173,7 +170,9 @@ def _son_moduli(theta, n: float) -> tuple[np.ndarray, np.ndarray, float]:
             f"arc-length inversion misses an angle by {np.max(np.abs(miss)):.3e} for n={n}"
         )
     _, tracked, other = _arc_speed(d, n)
-    p, q = (tracked, other) if n >= 1 else (other, tracked)
+    # numpy 1.24 gives a 0-d theta a (1,) inverse
+    inverse = inverse.reshape(np.shape(theta))
+    p, q = (tracked[inverse], other[inverse]) if n >= 1 else (other[inverse], tracked[inverse])
     return np.where(mirrored, q, p), np.where(mirrored, p, q), (s_mid / (np.pi / 4)) ** 2
 
 
@@ -270,7 +269,9 @@ def correlation_operator(combo: str, phi: float) -> np.ndarray:
 @dataclass(frozen=True)
 class SonFitResult:
     """Fitted exponent; ``state_ab`` holds each combo's fitted (A, B) with
-    E(phi, 2, rho) = A cos(2 phi) + B sin(2 phi)."""
+    E(phi, 2, rho) = A cos(2 phi) + B sin(2 phi). ``per_combo_at_edge`` says
+    whether a combo's best n was an end point of some stage's lattice, where
+    the profile may still fall beyond the searched range."""
 
     n: float
     n_uncertainty: float
@@ -278,6 +279,7 @@ class SonFitResult:
     per_combo: tuple[str, ...]
     state_ab: dict[str, tuple[float, float]]
     objective: float
+    per_combo_at_edge: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         if self.objective < 0:
@@ -326,9 +328,9 @@ def _secular_root(g: np.ndarray, mu: np.ndarray) -> float:
 
 
 def _state_fit(
-    n: float, phis: np.ndarray, values: np.ndarray, weights: np.ndarray
+    shift: np.ndarray, phis: np.ndarray, values: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Best state for one combo at fixed n: (weighted objective, (A, B)).
+    """Best state for one combo at fixed n, given ``_n_shift(n, phis)``: (weighted objective, (A, B)).
 
     Every combo's correlation_operator(phi) is cos(2 phi) O0 + sin(2 phi) O1
     with O0, O1 anticommuting and squaring to 1, so the physical (A, B) =
@@ -338,7 +340,7 @@ def _state_fit(
     |g / (mu + lam)| = 1 in M's eigenbasis (M = V diag(mu) V^T, g = V^T
     x^T W target). ``_secular_root`` finds it by bracketed Newton steps.
     """
-    target = values - _n_shift(n, phis)
+    target = values - shift
     x = np.stack([np.cos(2 * phis), np.sin(2 * phis)], axis=1)
     mu, v = np.linalg.eigh(x.T @ (weights[:, None] * x))
     g = v.T @ (x.T @ (weights * target))
@@ -387,12 +389,14 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
 
     Samples are grouped by combo and each combo is fitted independently:
     the exponent is profiled over a lattice refined down to 5e-4 around the
-    best coarse value, and for every candidate n the state enters through
-    the closed-form disk least squares of ``_state_fit``. The reported n is
-    the mean of the per-combo estimates and its uncertainty their sample
-    standard deviation. The model linearization holds for states near the
-    singlet and n near 2, so the coarse search spans [1.5, 2.5]. Samples
-    that ``fit_obstacle`` rejects raise ValueError.
+    best coarse value, and for every candidate n the state enters through the
+    closed-form disk least squares of ``_state_fit``. The combos are evaluated
+    together, one lattice stage at a time, with one ``_n_shift`` call per
+    distinct n; combos that share their angles get what each gets alone. The
+    reported n is the mean of the per-combo estimates and its uncertainty
+    their sample standard deviation. The model linearization holds for states
+    near the singlet and n near 2, so the coarse search spans [1.5, 2.5].
+    Samples that ``fit_obstacle`` rejects raise ValueError.
     """
     by_combo = {combo: sorted((s for s in samples if s.combo == combo), key=lambda s: s.phi) for combo in COMBOS}
     groups = {combo: grp for combo, grp in by_combo.items() if grp}
@@ -400,39 +404,32 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     if obstacle is not None:
         raise ValueError(obstacle)
 
-    per_combo_n: list[float] = []
-    per_combo: list[str] = []
-    state_ab: dict[str, tuple[float, float]] = {}
-    total_objective = 0.0
-
-    for combo, grp in groups.items():
-        phis = np.array([s.phi for s in grp])
-        values = np.array([s.value for s in grp])
-        weights = np.array([1.0 / s.sigma**2 for s in grp])
-
-        best_n = 2.0
-        for half_width, step in _N_STAGES:
+    phis = [np.array([s.phi for s in grp]) for grp in groups.values()]
+    values = [np.array([s.value for s in grp]) for grp in groups.values()]
+    weights = [np.array([1.0 / s.sigma**2 for s in grp]) for grp in groups.values()]
+    all_phis, splits = np.concatenate(phis), np.cumsum([len(p) for p in phis])[:-1]
+    best_n, at_edge = [2.0] * len(phis), [False] * len(phis)
+    for half_width, step in _N_STAGES:
+        lattices = [_n_lattice(center, half_width, step) for center in best_n]
+        shifts = {n: np.split(_n_shift(n, all_phis), splits) for n in sorted(set().union(*lattices))}
+        fits = []
+        for i, lattice in enumerate(lattices):
             # nearest the center first, so an exact tie keeps the closer n
-            lattice = sorted(_n_lattice(best_n, half_width, step), key=lambda n: abs(n - best_n))
-            fits = {n: _state_fit(n, phis, values, weights) for n in lattice}
-            best_n = min(lattice, key=lambda n: fits[n][0])
+            nearest_first = sorted(lattice, key=lambda n: abs(n - best_n[i]))
+            combo_fits = {n: _state_fit(shifts[n][i], phis[i], values[i], weights[i]) for n in nearest_first}
+            best_n[i] = min(combo_fits, key=lambda n: combo_fits[n][0])
+            at_edge[i] = at_edge[i] or best_n[i] in (lattice[0], lattice[-1])
+            fits.append(combo_fits[best_n[i]])
 
-        objective, ab = fits[best_n]
-        per_combo.append(combo)
-        per_combo_n.append(float(best_n))
-        state_ab[combo] = (float(ab[0]), float(ab[1]))
-        total_objective += objective
-
-    n_arr = np.array(per_combo_n)
-    n_mean = float(n_arr.mean())
-    n_unc = float(n_arr.std(ddof=1)) if len(n_arr) > 1 else 0.0
+    n_arr = np.array(best_n)
     return SonFitResult(
-        n=n_mean,
-        n_uncertainty=n_unc,
-        per_combo_n=tuple(per_combo_n),
-        per_combo=tuple(per_combo),
-        state_ab=state_ab,
-        objective=total_objective,
+        n=float(n_arr.mean()),
+        n_uncertainty=float(n_arr.std(ddof=1)) if len(n_arr) > 1 else 0.0,
+        per_combo_n=tuple(float(n) for n in best_n),
+        per_combo=tuple(groups),
+        state_ab={combo: (float(ab[0]), float(ab[1])) for combo, (_, ab) in zip(groups, fits)},
+        objective=sum(objective for objective, _ in fits),
+        per_combo_at_edge=tuple(at_edge),
     )
 
 

@@ -14,9 +14,6 @@ every step works on each matrix alone (a per-record BLAS product on a
 ``(B, 1, k)`` stack, stacked ``@`` and ``eigvalsh``), never as one 2-D BLAS
 product across records, whose rounding of a row can change with its place
 in the batch. ``mle_reconstruct`` is the one-record call.
-``linear_inversion`` provides the unconstrained least-squares estimate for
-diagnostics; it is not used as the MLE starting point (the maximally mixed
-state guarantees full support).
 """
 
 from __future__ import annotations
@@ -26,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, trace_distance_below
+from .linalg import trace_distance_below
 from .measurement import CountRecord, ProjectorSet
 
-__all__ = ["TomographyResult", "linear_inversion", "mle_reconstruct", "mle_reconstruct_many"]
+__all__ = ["TomographyResult", "mle_reconstruct", "mle_reconstruct_many"]
 
 _PROB_FLOOR = 1e-12
 
@@ -50,30 +47,6 @@ def _setting_frequencies(counts: CountRecord) -> np.ndarray:
     if np.any(totals <= 0):
         raise ValueError("every setting needs at least one positive count")
     return (blocks / totals[:, None]).reshape(36)
-
-
-def linear_inversion(counts: CountRecord, projectors: ProjectorSet) -> np.ndarray:
-    """Least-squares Hermitian unit-trace estimate from normalized frequencies.
-
-    The result can have negative eigenvalues; it is exact on noiseless
-    frequencies because the projector set is informationally complete.
-    """
-    freqs = _setting_frequencies(counts)
-    paulis = [np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z]
-    basis = [
-        np.kron(paulis[i], paulis[j])
-        for i in range(4)
-        for j in range(4)
-        if (i, j) != (0, 0)
-    ]
-    flat = projectors.flat_projectors
-    design = np.array([[np.real(np.trace(p @ g)) / 4 for g in basis] for p in flat])
-    offset = np.array([np.real(np.trace(p)) / 4 for p in flat])
-    coeffs, *_ = np.linalg.lstsq(design, freqs - offset, rcond=None)
-    rho = np.eye(4, dtype=complex) / 4
-    for c, g in zip(coeffs, basis):
-        rho = rho + c * g / 4
-    return (rho + rho.conj().T) / 2
 
 
 def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from envarsim import io as eio
 from envarsim import tomography
 from envarsim.cli import RunConfig, load_config, main
 from envarsim.io import read_count_csv, read_json
+from envarsim.measurement import CountRecord, tomography_projectors
 from envarsim.son import COMBOS, combo_axis_and_basis, extract_correlation, son_fit
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -222,6 +223,28 @@ class TestSonFitCommand:
         curve = (out / "curve_Z-DA.csv").read_text().splitlines()
         row90 = [r for r in curve if r.startswith("90.0,")][0]
         assert float(row90.split(",")[1]) == pytest.approx(1.0, abs=0.05)
+
+    def test_best_n_at_a_lattice_end_warns_once(self, tmp_path, capsys):
+        # E = +1 at every angle of Z-DA: the fit ends on its lattice's edge
+        cfg = _write_config(tmp_path / "c.json", axes=["z"], angles_deg=[float(a) for a in range(0, 361, 30)])
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        da = [s.label for s in tomography_projectors().settings].index("DA-DA")
+        for angle in range(0, 361, 30):
+            path = out / eio.count_file_name("z", float(angle), "II")
+            record = read_count_csv(path)
+            counts = record.counts.copy()
+            counts[4 * da : 4 * da + 4] = (600, 0, 0, 600)
+            eio.write_count_csv(path, CountRecord(counts=counts, duration_s=record.duration_s, flux_hz=record.flux_hz))
+        capsys.readouterr()
+        assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("son-fit: n = ") and captured.out.count("\n") == 1
+        warnings = [line for line in captured.err.splitlines() if "lattice" in line]
+        assert warnings == ["son-fit: warning: best n at an end of the searched lattice for ['Z-DA']"]
+        result = read_json(out / "son_fit.json")
+        assert sorted(result) == ["n", "n_uncertainty", "objective", "per_combo", "per_combo_n"]
+        assert result["per_combo_n"][0] == pytest.approx(2.555, abs=1e-12)
 
     def test_without_simulation_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")

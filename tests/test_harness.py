@@ -8,11 +8,11 @@ from envarsim.harness import (
     ExperimentPlan,
     run_experiment,
     run_three_stages,
-    source_stability,
     theoretical_stage3,
 )
 from envarsim.measurement import NoiseModel
 from envarsim.metrics import fidelity
+from helpers import random_unitary, source_stability
 
 
 def _noiseless_plan(**overrides):
@@ -102,14 +102,14 @@ class TestTheoreticalStage3:
         rng = np.random.default_rng(2)
         rho = linalg.projector(linalg.singlet())
         for _ in range(20):
-            u = linalg.random_unitary(2, rng)
+            u = random_unitary(2, rng)
             np.testing.assert_allclose(theoretical_stage3(rho, u), rho, atol=1e-10)
 
     def test_werner_invariant(self):
         rng = np.random.default_rng(3)
         rho = linalg.werner(0.7)
         for _ in range(20):
-            u = linalg.random_unitary(2, rng)
+            u = random_unitary(2, rng)
             np.testing.assert_allclose(theoretical_stage3(rho, u), rho, atol=1e-10)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envarsim import linalg
+from helpers import random_density_matrix, random_unitary
 
 
 class TestSinglet:
@@ -29,13 +30,6 @@ class TestSinglet:
 
 
 class TestValidators:
-    def test_pure_state_norm_enforced(self):
-        linalg.validate_pure_state(linalg.singlet())
-        with pytest.raises(ValueError):
-            linalg.validate_pure_state(np.array([1.0, 1.0], dtype=complex))
-        with pytest.raises(ValueError):
-            linalg.validate_pure_state(np.ones(3, dtype=complex) / np.sqrt(3))
-
     def test_axis_vector_normalizes(self):
         v = linalg.axis_vector(3, 0, 4)
         np.testing.assert_allclose(v, [0.6, 0.0, 0.8], atol=1e-15)
@@ -98,7 +92,7 @@ class TestApplyLocal:
         rng = np.random.default_rng(5)
         rho = linalg.projector(linalg.singlet())
         for _ in range(100):
-            u = linalg.random_unitary(2, rng)
+            u = random_unitary(2, rng)
             out = linalg.apply_local(u, u, rho)
             np.testing.assert_allclose(out, rho, atol=1e-10)
 
@@ -126,7 +120,7 @@ class TestApplyLocal:
         rng = np.random.default_rng(23)
         rho = linalg.projector(linalg.singlet())
         for _ in range(25):
-            u = linalg.random_unitary(2, rng)
+            u = random_unitary(2, rng)
             restored = linalg.apply_local(np.eye(2), u, linalg.apply_local(u, np.eye(2), rho))
             np.testing.assert_allclose(restored, rho, atol=1e-10)
 
@@ -173,7 +167,7 @@ class TestEigHermitian:
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
-            m = linalg.random_density_matrix(4, rng)
+            m = random_density_matrix(4, rng)
             w, v = linalg.eig_hermitian(m)
             np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-9)
             np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-10)
@@ -200,7 +194,7 @@ class TestPsdSqrt:
     def test_random_psd_roundtrip(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
-            m = linalg.random_density_matrix(4, rng)
+            m = random_density_matrix(4, rng)
             root = linalg.psd_sqrt(m)
             np.testing.assert_allclose(root @ root, m, atol=1e-8)
 
@@ -218,8 +212,8 @@ class TestTraceDistance:
 
     def test_broadcasts_over_leading_axes(self):
         rng = np.random.default_rng(21)
-        a = np.stack([linalg.random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
-        b = np.stack([linalg.random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        a = np.stack([random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        b = np.stack([random_density_matrix(4, rng) for _ in range(6)]).reshape(2, 3, 4, 4)
         dist = linalg.trace_distance(a, b)
         assert dist.shape == (2, 3)
         for i in range(2):
@@ -232,7 +226,7 @@ class TestTraceDistance:
 
 def _unit_step(rng: np.random.Generator, shape: str) -> np.ndarray:
     """A 4x4 Hermitian step of unit Frobenius norm whose trace norm is 1, 2 or in between."""
-    u = linalg.random_unitary(4, rng)
+    u = random_unitary(4, rng)
     spectrum = {"rank1": [1.0, 0, 0, 0], "flat": [0.5, -0.5, 0.5, -0.5], "random": rng.normal(size=4)}[shape]
     d = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
     return d / np.linalg.norm(d)
@@ -259,7 +253,7 @@ class TestTraceDistanceBelow:
         a, b = [], []
         for seed, shape, scale in rows:
             rng = np.random.default_rng(seed)
-            base = linalg.random_density_matrix(4, rng)
+            base = random_density_matrix(4, rng)
             b.append(base)
             a.append(base + scale * tol * _unit_step(rng, shape))
         a, b = np.stack(a), np.stack(b)
@@ -267,7 +261,7 @@ class TestTraceDistanceBelow:
 
     def test_decides_far_rows_without_eigenvalues(self, monkeypatch):
         rng = np.random.default_rng(4)
-        b = np.stack([linalg.random_density_matrix(4, rng) for _ in range(3)])
+        b = np.stack([random_density_matrix(4, rng) for _ in range(3)])
         steps = np.stack([_unit_step(rng, "random") for _ in range(3)])
         a = b + np.array([0.5, 1.5, 3.0])[:, None, None] * 1e-6 * steps
         seen = []
@@ -279,7 +273,7 @@ class TestTraceDistanceBelow:
 
 def _rank2_step(rng: np.random.Generator, eps: float) -> np.ndarray:
     """A 4x4 Hermitian step of unit Frobenius norm with spectrum proportional to (1, -1, eps, -eps)."""
-    u = linalg.random_unitary(4, rng)
+    u = random_unitary(4, rng)
     d = (u * np.array([1.0, -1.0, eps, -eps])) @ u.conj().T
     return d / np.linalg.norm(d)
 
@@ -313,7 +307,7 @@ class TestTraceDistanceBelowHolder:
         a, b = [], []
         for seed, eps, offset in rows:
             rng = np.random.default_rng(seed)
-            base = linalg.random_density_matrix(4, rng)
+            base = random_density_matrix(4, rng)
             scale = np.clip(offset * 2 / _rank2_trace_norm(eps), 1.0, 2.0)
             b.append(base)
             a.append(base + scale * tol * _rank2_step(rng, eps))

@@ -18,6 +18,7 @@ from envarsim.measurement import (
     simulate_counts_many,
     tomography_projectors,
 )
+from helpers import random_density_matrix, random_unitary
 from envarsim.optics import hwp, qwp
 from envarsim.metrics import fidelity
 
@@ -67,7 +68,7 @@ class TestBornProbability:
     def test_setting_probabilities_sum_to_one(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            rho = linalg.random_density_matrix(4, rng)
+            rho = random_density_matrix(4, rng)
             for setting in tomography_projectors().settings:
                 total = sum(born_probability(rho, p) for p in setting.projectors)
                 assert total == pytest.approx(1.0, abs=1e-10)
@@ -87,7 +88,7 @@ class TestBornProbabilities:
         rng = np.random.default_rng(17)
         flat = tomography_projectors().flat_projectors
         for _ in range(20):
-            rho = linalg.random_density_matrix(4, rng)
+            rho = random_density_matrix(4, rng)
             loop = np.array([born_probability(rho, p) for p in flat])
             np.testing.assert_allclose(born_probabilities(rho, flat), loop, rtol=0, atol=1e-15)
             np.testing.assert_allclose(_distribution_from_rho(rho), loop / loop.sum(), rtol=0, atol=1e-15)
@@ -148,8 +149,8 @@ class TestSimulateCounts:
 def _state(seed: int, pure: bool) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if pure:
-        return linalg.projector(linalg.random_unitary(4, rng)[:, 0])
-    return linalg.random_density_matrix(4, rng)
+        return linalg.projector(random_unitary(4, rng)[:, 0])
+    return random_density_matrix(4, rng)
 
 
 class TestSimulateCountsMany:

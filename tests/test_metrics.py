@@ -6,13 +6,14 @@ import pytest
 from envarsim import linalg
 from envarsim.measurement import CountRecord, NoiseModel, born_probability, simulate_counts, tomography_projectors
 from envarsim.metrics import bhattacharyya, fidelity, normalize_counts
+from helpers import random_density_matrix, random_unitary
 
 
 class TestFidelity:
     def test_self_fidelity(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            rho = linalg.random_density_matrix(4, rng)
+            rho = random_density_matrix(4, rng)
             assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_werner_closed_form(self):
@@ -32,15 +33,15 @@ class TestFidelity:
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            a = linalg.random_density_matrix(4, rng)
-            b = linalg.random_density_matrix(4, rng)
+            a = random_density_matrix(4, rng)
+            b = random_density_matrix(4, rng)
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
 
     def test_bounds_and_distinctness(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            a = linalg.random_density_matrix(4, rng)
-            b = linalg.random_density_matrix(4, rng)
+            a = random_density_matrix(4, rng)
+            b = random_density_matrix(4, rng)
             f = fidelity(a, b)
             assert 0.0 <= f <= 1.0
             assert f < 1 - 1e-6
@@ -48,9 +49,9 @@ class TestFidelity:
     def test_unitary_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            a = linalg.random_density_matrix(4, rng)
-            b = linalg.random_density_matrix(4, rng)
-            u = linalg.random_unitary(4, rng)
+            a = random_density_matrix(4, rng)
+            b = random_density_matrix(4, rng)
+            u = random_unitary(4, rng)
             ua = u @ a @ u.conj().T
             ub = u @ b @ u.conj().T
             assert fidelity(ua, ub) == pytest.approx(fidelity(a, b), abs=1e-9)
@@ -61,7 +62,7 @@ class TestFidelity:
         psi = linalg.singlet()
         pure = linalg.projector(psi)
         for _ in range(20):
-            rho = linalg.random_density_matrix(4, rng)
+            rho = random_density_matrix(4, rng)
             direct = float(np.real(np.vdot(psi, rho @ psi)))
             assert fidelity(pure, rho) == pytest.approx(direct, abs=1e-10)
 

@@ -8,23 +8,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from envarsim import linalg
+from envarsim import linalg, son
 from envarsim.measurement import CountRecord, NoiseModel, simulate_counts
 from envarsim.optics import STACK_ROTATION_SIGN, named_axis_vector
 from envarsim.son import (
     COMBOS,
     CorrelationSample,
+    _arc_length,
     _n_shift,
     _secular_root,
+    _son_moduli,
     _state_fit,
     correlation_operator,
-    e_qm,
     extract_correlation,
     fit_obstacle,
     phi_to_theta,
     solve_son,
     son_fit,
 )
+from helpers import e_qm, random_density_matrix, value_at
 
 PHI_GRID = np.deg2rad(np.arange(0, 181, 15))
 
@@ -103,12 +105,12 @@ class TestSolveSon:
         curve1 = solve_son(1.0, 257)
         curve10 = solve_son(10.0, 257)
         for theta in np.linspace(0.05, np.pi / 4 - 0.05, 9):
-            assert abs(curve1.value_at(theta)) <= abs(e_qm(theta)) + 1e-9
-        assert abs(curve10.value_at(np.pi / 4)) < 1e-6
-        assert curve10.value_at(np.pi / 8) < e_qm(np.pi / 8)
-        assert curve10.value_at(1.0) > e_qm(1.0)
+            assert abs(value_at(curve1, theta)) <= abs(e_qm(theta)) + 1e-9
+        assert abs(value_at(curve10, np.pi / 4)) < 1e-6
+        assert value_at(curve10, np.pi / 8) < e_qm(np.pi / 8)
+        assert value_at(curve10, 1.0) > e_qm(1.0)
         delta = 0.02
-        slope10 = (curve10.value_at(np.pi / 4 + delta) - curve10.value_at(np.pi / 4 - delta)) / (2 * delta)
+        slope10 = (value_at(curve10, np.pi / 4 + delta) - value_at(curve10, np.pi / 4 - delta)) / (2 * delta)
         assert slope10 > 2.0  # quantum-mechanics slope at the crossing is 2
 
     def test_fit_reads_the_curve_nodes_exactly(self):
@@ -124,6 +126,31 @@ class TestSolveSon:
             solve_son(0.0)
         with pytest.raises(ValueError):
             solve_son(2.0, grid_size=8)
+
+
+class TestArcLengthInversion:
+    @pytest.mark.parametrize("n", [0.8, 1.0, 1.5, 2.0, 2.555, 5.0])
+    def test_a_row_does_not_depend_on_the_other_rows(self, n):
+        d_mid = 2 ** (-1 / n) if n >= 1 else 1 - 2 ** (-1 / n)
+        d = np.random.default_rng(int(100 * n)).uniform(0.0, d_mid, size=200)
+        whole = _arc_length(d, n)
+        assert all(whole[i] == _arc_length(d[i : i + 1], n)[0] for i in range(len(d)))
+
+    @pytest.mark.parametrize("n", [0.8, 1.5, 2.0, 2.555])
+    def test_repeated_angles_are_inverted_to_the_same_bits(self, n):
+        theta = phi_to_theta(PHI_GRID)
+        p, q, c = _son_moduli(theta, n)
+        p2, q2, c2 = _son_moduli(np.concatenate([theta, theta[::-1]]), n)
+        assert np.array_equal(p2, np.concatenate([p, p[::-1]]))
+        assert np.array_equal(q2, np.concatenate([q, q[::-1]]))
+        assert c2 == c
+
+    @pytest.mark.parametrize("theta", [0.3, 1.2])
+    def test_zero_dimensional_theta_gives_zero_dimensional_moduli(self, theta):
+        p, q, c = _son_moduli(np.float64(theta), 1.8)
+        assert np.ndim(p) == 0 and np.ndim(q) == 0
+        p1, q1, c1 = _son_moduli(np.array([theta]), 1.8)
+        assert (p, q, c) == (p1[0], q1[0], c1)
 
 
 class TestPhiToTheta:
@@ -240,6 +267,49 @@ class TestSonFit:
         for a, b in result.state_ab.values():
             assert math.hypot(a, b) == pytest.approx(1.0, abs=1e-12)
 
+    def test_joint_fit_equals_each_combo_fitted_alone(self):
+        # combos that share their angles share every inversion, bit for bit
+        base = linalg.werner(0.98)
+        noise = NoiseModel(werner_v=0.98, poisson=True)
+        rng = np.random.default_rng(12)
+        samples = [
+            extract_correlation(_stage2_counts(combo, float(phi), base, noise, rng), combo, float(phi))
+            for combo in ("Z-DA", "Y-HV", "X-RL")
+            for phi in PHI_GRID
+        ]
+        joint = son_fit(samples)
+        alone = [son_fit([s for s in samples if s.combo == combo]) for combo in joint.per_combo]
+        assert joint.per_combo_n == tuple(r.per_combo_n[0] for r in alone)
+        assert joint.state_ab == {combo: r.state_ab[combo] for combo, r in zip(joint.per_combo, alone)}
+        assert joint.objective == sum(r.objective for r in alone)
+
+    def test_each_exponent_is_inverted_once_per_stage(self, monkeypatch):
+        # six combos on one angle grid with one best n: 21 exponents a stage
+        calls = []
+        original = son._son_moduli
+        monkeypatch.setattr(son, "_son_moduli", lambda theta, n: calls.append(n) or original(theta, n))
+        samples = [
+            CorrelationSample(combo=combo, phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
+            for combo in COMBOS
+            for phi in PHI_GRID
+        ]
+        son_fit(samples)
+        assert len(calls) == 3 * 21
+        assert all(len(set(calls[k : k + 21])) == 21 for k in (0, 21, 42))
+
+    def test_best_n_at_a_lattice_end_is_flagged(self):
+        # no state gives E = +1 at every angle: the profile falls past the
+        # coarse stage's edge at 2.5 and every stage ends on its last node
+        probe = [CorrelationSample(combo="Z-DA", phi=float(phi), value=1.0, sigma=0.01) for phi in PHI_GRID]
+        singlet = [
+            CorrelationSample(combo="X-HV", phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
+            for phi in PHI_GRID
+        ]
+        result = son_fit(probe + singlet)
+        assert result.per_combo == ("Z-DA", "X-HV")
+        assert result.per_combo_n[0] == pytest.approx(2.555, abs=1e-12)
+        assert result.per_combo_at_edge == (True, False)
+
     def test_too_few_samples_rejected(self):
         samples = [
             CorrelationSample(combo="Z-DA", phi=float(phi), value=0.0, sigma=0.1)
@@ -298,14 +368,14 @@ class TestStateFit:
         phis = np.array([s.phi for s in samples])
         values = np.array([s.value for s in samples])
         weights = np.array([1 / s.sigma**2 for s in samples])
-        fitted, _ = _state_fit(n, phis, values, weights)
+        fitted, _ = _state_fit(_n_shift(n, phis), phis, values, weights)
 
         curve = solve_son(n, 721)
-        shift = np.array([curve.value_at(phi_to_theta(phi)) - e_qm(phi_to_theta(phi)) for phi in phis])
+        shift = np.array([value_at(curve, phi_to_theta(phi)) - e_qm(phi_to_theta(phi)) for phi in phis])
         ops = np.stack([correlation_operator(combo, phi) for phi in phis])
         for _ in range(200):
             mix = rng.uniform(0.9, 1.0)
-            rho = mix * base + (1 - mix) * linalg.random_density_matrix(4, rng)
+            rho = mix * base + (1 - mix) * random_density_matrix(4, rng)
             e_state = np.einsum("aij,ji->a", ops, rho).real
             assert fitted <= float(weights @ (shift + e_state - values) ** 2) + 1e-9
 

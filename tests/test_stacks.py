@@ -18,10 +18,10 @@ from envarsim.harness import (
     calibrated_noise,
     run_experiment,
     simulate_grid,
-    source_stability,
 )
 from envarsim.measurement import born_probabilities, tomography_projectors
 from envarsim.metrics import bhattacharyya, fidelity, normalize_counts
+from helpers import random_unitary, source_stability
 
 
 def _random_state(rng: np.random.Generator, rank: int) -> np.ndarray:
@@ -86,8 +86,8 @@ class TestStackEqualsEachPair:
     def test_apply_local_equals_kron(self, pair, seed):
         _, b = pair
         rng = np.random.default_rng(seed)
-        u_s = np.stack([linalg.random_unitary(2, rng) for _ in range(len(b))])[:, None]
-        u_e = np.stack([linalg.random_unitary(2, rng) for _ in range(b.shape[1])])
+        u_s = np.stack([random_unitary(2, rng) for _ in range(len(b))])[:, None]
+        u_e = np.stack([random_unitary(2, rng) for _ in range(b.shape[1])])
         for other in (u_e, np.eye(2)):
             stacked = linalg.apply_local(u_s, other, b)
             assert stacked.shape == b.shape

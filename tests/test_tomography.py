@@ -1,4 +1,4 @@
-"""Tests for linear inversion and iterative maximum-likelihood reconstruction."""
+"""Tests for iterative maximum-likelihood reconstruction."""
 
 import numpy as np
 import pytest
@@ -15,38 +15,11 @@ from envarsim.measurement import (
     tomography_projectors,
 )
 from envarsim.metrics import fidelity
-from envarsim.tomography import linear_inversion, mle_reconstruct, mle_reconstruct_many
+from envarsim.tomography import mle_reconstruct, mle_reconstruct_many
 
 
 def _noiseless_counts(rho, pairs_per_setting=1e6):
     return simulate_counts(rho, pairs_per_setting, 1.0, NoiseModel.noiseless())
-
-
-class TestLinearInversion:
-    def test_exact_singlet_frequencies(self):
-        rho = linalg.projector(linalg.singlet())
-        est = linear_inversion(_noiseless_counts(rho), tomography_projectors())
-        np.testing.assert_allclose(est, rho, atol=1e-8)
-
-    def test_uniform_counts_give_maximally_mixed(self):
-        rec = CountRecord(counts=np.full(36, 1000), duration_s=1.0, flux_hz=36000.0)
-        est = linear_inversion(rec, tomography_projectors())
-        np.testing.assert_allclose(est, np.eye(4) / 4, atol=1e-8)
-
-    def test_scale_invariance(self):
-        rho = linalg.werner(0.7)
-        rec = _noiseless_counts(rho)
-        scaled = CountRecord(counts=rec.counts * 7, duration_s=rec.duration_s, flux_hz=rec.flux_hz)
-        a = linear_inversion(rec, tomography_projectors())
-        b = linear_inversion(scaled, tomography_projectors())
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_rejects_empty_setting(self):
-        counts = np.full(36, 10)
-        counts[:4] = 0
-        rec = CountRecord(counts=counts, duration_s=1.0, flux_hz=100.0)
-        with pytest.raises(ValueError):
-            linear_inversion(rec, tomography_projectors())
 
 
 class TestMleReconstruct:
