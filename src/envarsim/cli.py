@@ -4,7 +4,8 @@ Subcommands:
   simulate  synthesize per-cell count files plus a manifest
   analyze   reconstruct states from count files and emit report/plot data
   son-fit   fit the Born-rule exponent to middle-stage correlations
-  report    simulate + analyze + son-fit in one pass
+  report    simulate + analyze + son-fit in one pass: the same files as the
+            three subcommands, analyzed from memory, none read back
 
 Every run is driven by a flat key-value JSON config (all keys optional,
 defaults reproduce the calibrated reference experiment) and a seed, so a
@@ -145,13 +146,15 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig) -> dict:
+    """Write the grid's count files and manifest; return its count records, keyed (axis, angle_deg, stage)."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plan = config.plan()
-    cells = []
+    cells, grid = [], {}
     for (axis, angle_deg), stages in simulate_grid(plan).items():
         for result in stages:
+            grid[axis, angle_deg, result.stage] = result.counts
             name = eio.count_file_name(axis, angle_deg, result.stage)
             eio.write_count_csv(out / name, result.counts)
             cells.append(
@@ -171,34 +174,25 @@ def cmd_simulate(config: RunConfig) -> int:
     }
     eio.write_json(out / "manifest.json", manifest)
     print(f"simulate: wrote {len(cells)} count files to {out}")
-    return 0
+    return grid
 
 
-def _read_counts(out: Path, axis: str, angle_deg: float, stage: str) -> CountRecord:
-    """One stage's count record; a file that is absent or unusable is missing data."""
+def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stage: str) -> CountRecord:
+    """One stage's record from ``grid``, else from its file; a bad file or an empty setting is missing data."""
     path = out / eio.count_file_name(axis, angle_deg, stage)
-    if not path.exists():
+    if grid is not None:
+        record = grid[axis, angle_deg, stage]
+    elif not path.exists():
         raise MissingDataError(f"missing stage file: {path}")
-    try:
-        record = eio.read_count_csv(path)
-    except ValueError as exc:
-        raise MissingDataError(f"malformed count file {exc}") from exc
-    # totals are summed in int64 downstream; the plan's pair cap keeps simulated ones below this
-    total = sum(int(c) for c in record.counts)
-    if total > eio.INT64_MAX:
-        raise MissingDataError(f"malformed count file {path}: counts total {total} exceeds 2**63 - 1")
+    else:
+        try:
+            record = eio.read_count_csv(path)
+        except ValueError as exc:
+            raise MissingDataError(f"malformed count file {exc}") from exc
     empty = np.flatnonzero(record.setting_totals() == 0)
     if empty.size:
         raise MissingDataError(f"malformed count file {path}: setting {empty[0] + 1} of 9 has no counts")
     return record
-
-
-def _load_counts(out: Path, plan: ExperimentPlan) -> dict:
-    return {
-        (axis, angle_deg): tuple(_read_counts(out, axis, angle_deg, stage) for stage in STAGES)
-        for axis in plan.axes
-        for angle_deg in plan.angles_deg
-    }
 
 
 def _manifest_plan(out: Path) -> ExperimentPlan:
@@ -215,10 +209,12 @@ def _manifest_plan(out: Path) -> ExperimentPlan:
         raise MissingDataError(f"malformed manifest {path}: {exc}") from exc
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(config: RunConfig, grid: dict | None = None) -> None:
     out = Path(config.out_dir)
-    plan = _manifest_plan(out)
-    report = assemble_report(plan, _load_counts(out, plan))
+    plan = _manifest_plan(out) if grid is None else config.plan()
+    cells = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
+    cell_counts = {cell: tuple(_read_counts(out, grid, *cell, stage) for stage in STAGES) for cell in cells}
+    report = assemble_report(plan, cell_counts)
     missed = [n for n, ok in zip(report.mle_iterations, report.mle_converged) if not ok]
     if missed:
         print(
@@ -237,7 +233,6 @@ def cmd_analyze(config: RunConfig) -> int:
         f"analyze: overall F(I,III) = {report.overall.f_i_iii_mean:.4f}, "
         f"BC(I,III) = {report.overall.bc_i_iii_mean:.5f}"
     )
-    return 0
 
 
 def _write_states_json(out: Path, states: dict) -> None:
@@ -268,9 +263,9 @@ def _son_fit_obstacle(axes, angles_deg) -> str | None:
     return fit_obstacle({combo: phis for combo in COMBOS if combo_axis_and_basis(combo)[0] in axes})
 
 
-def cmd_son_fit(config: RunConfig) -> int:
+def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
     out = Path(config.out_dir)
-    plan = _manifest_plan(out)
+    plan = _manifest_plan(out) if grid is None else config.plan()
     available = [c for c in COMBOS if combo_axis_and_basis(c)[0] in plan.axes]
     if 0 < len(available) < len(COMBOS):
         missing = sorted(set(COMBOS) - set(available))
@@ -279,14 +274,14 @@ def cmd_son_fit(config: RunConfig) -> int:
     if obstacle is not None:
         raise MissingDataError(f"son-fit: {obstacle}")
 
-    # two combos share each axis; each stage-II file is read once, in first-use order
+    # two combos share each axis; each stage-II record is read once, in first-use order
     records = {}
     samples = []
     for combo in available:
         axis, _ = combo_axis_and_basis(combo)
         for angle_deg in plan.angles_deg:
             if (axis, angle_deg) not in records:
-                records[axis, angle_deg] = _read_counts(out, axis, angle_deg, "II")
+                records[axis, angle_deg] = _read_counts(out, grid, axis, angle_deg, "II")
             phi = float(np.deg2rad(angle_deg) / 2)
             samples.append(extract_correlation(records[axis, angle_deg], combo, phi))
 
@@ -303,7 +298,6 @@ def cmd_son_fit(config: RunConfig) -> int:
     if "json" in config.formats:
         eio.write_json(out / "son_fit.json", eio.son_result_to_dict(result))
     print(f"son-fit: n = {result.n:.3f} +- {result.n_uncertainty:.3f} over {len(available)} combos")
-    return 0
 
 
 def _write_fit_curves(out: Path, result) -> None:
@@ -314,14 +308,14 @@ def _write_fit_curves(out: Path, result) -> None:
         eio.write_plot_series(out / f"curve_{combo}.csv", rows)
 
 
-def cmd_report(config: RunConfig) -> int:
-    cmd_simulate(config)
-    cmd_analyze(config)
+def cmd_report(config: RunConfig) -> None:
+    grid = cmd_simulate(config)
+    cmd_analyze(config, grid)
     obstacle = _son_fit_obstacle(config.axes, config.angles_deg)
     if obstacle is None:
-        return cmd_son_fit(config)
-    print(f"report: skipping son-fit ({obstacle})", file=sys.stderr)
-    return 0
+        cmd_son_fit(config, grid)
+    else:
+        print(f"report: skipping son-fit ({obstacle})", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -360,7 +354,8 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (simulate, analyze, son-fit, report)")
         config = load_config(args.config, seed=args.seed, out=args.out, fmt=args.format)
-        return _COMMANDS[args.command](config)
+        _COMMANDS[args.command](config)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -110,8 +110,10 @@ def read_count_csv(path: Path) -> CountRecord:
             raise ValueError(f"duration_s {duration!r} is not finite and positive")
         if any(d != duration for d in durations):
             raise ValueError("rows disagree on duration_s")
-        flux = sum(counts) / (9 * duration)  # exact: an int64 sum could wrap
-        return CountRecord(counts=counts, duration_s=duration, flux_hz=flux)
+        total = sum(counts)  # exact, where the int64 sums downstream would wrap
+        if total > INT64_MAX:
+            raise ValueError(f"counts total {total} exceeds 2**63 - 1")
+        return CountRecord(counts=counts, duration_s=duration, flux_hz=total / (9 * duration))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -327,10 +327,8 @@ def _secular_root(g: np.ndarray, mu: np.ndarray) -> float:
     return t
 
 
-def _state_fit(
-    shift: np.ndarray, phis: np.ndarray, values: np.ndarray, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Best state for one combo at fixed n, given ``_n_shift(n, phis)``: (weighted objective, (A, B)).
+def _state_fit(phis: np.ndarray, values: np.ndarray, weights: np.ndarray):
+    """One combo's state fit, set up once: a function of ``_n_shift(n, phis)`` giving (weighted objective, (A, B)).
 
     Every combo's correlation_operator(phi) is cos(2 phi) O0 + sin(2 phi) O1
     with O0, O1 anticommuting and squaring to 1, so the physical (A, B) =
@@ -340,17 +338,19 @@ def _state_fit(
     |g / (mu + lam)| = 1 in M's eigenbasis (M = V diag(mu) V^T, g = V^T
     x^T W target). ``_secular_root`` finds it by bracketed Newton steps.
     """
-    target = values - shift
     x = np.stack([np.cos(2 * phis), np.sin(2 * phis)], axis=1)
     mu, v = np.linalg.eigh(x.T @ (weights[:, None] * x))
-    g = v.T @ (x.T @ (weights * target))
     # a direction the angles do not probe (every sin 2phi = 0) stays at 0
     mu = np.where(mu > 1e-12 * mu[-1], mu, np.inf)
-    lam = 0.0
-    if np.sum((g / mu) ** 2) > 1:
-        lam = _secular_root(g, mu)
-    ab = v @ (g / (mu + lam))
-    return float(weights @ (x @ ab - target) ** 2), ab
+
+    def fit(shift: np.ndarray) -> tuple[float, np.ndarray]:
+        target = values - shift
+        g = v.T @ (x.T @ (weights * target))
+        lam = _secular_root(g, mu) if np.sum((g / mu) ** 2) > 1 else 0.0
+        ab = v @ (g / (mu + lam))
+        return float(weights @ (x @ ab - target) ** 2), ab
+
+    return fit
 
 
 def _n_lattice(center: float, half_width: float, step: float) -> np.ndarray:
@@ -408,6 +408,7 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     values = [np.array([s.value for s in grp]) for grp in groups.values()]
     weights = [np.array([1.0 / s.sigma**2 for s in grp]) for grp in groups.values()]
     all_phis, splits = np.concatenate(phis), np.cumsum([len(p) for p in phis])[:-1]
+    state_fits = [_state_fit(p, v, w) for p, v, w in zip(phis, values, weights)]
     best_n, at_edge = [2.0] * len(phis), [False] * len(phis)
     for half_width, step in _N_STAGES:
         lattices = [_n_lattice(center, half_width, step) for center in best_n]
@@ -416,7 +417,7 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
         for i, lattice in enumerate(lattices):
             # nearest the center first, so an exact tie keeps the closer n
             nearest_first = sorted(lattice, key=lambda n: abs(n - best_n[i]))
-            combo_fits = {n: _state_fit(shifts[n][i], phis[i], values[i], weights[i]) for n in nearest_first}
+            combo_fits = {n: state_fits[i](shifts[n][i]) for n in nearest_first}
             best_n[i] = min(combo_fits, key=lambda n: combo_fits[n][0])
             at_edge[i] = at_edge[i] or best_n[i] in (lattice[0], lattice[-1])
             fits.append(combo_fits[best_n[i]])

@@ -459,6 +459,39 @@ def test_son_fit_reads_each_count_file_once(tmp_path, monkeypatch):
     assert len(reads) == 13
 
 
+@pytest.mark.parametrize("config", [None, CONFIG_DIR / "son_quick.json"], ids=["default", "son_quick"])
+def test_report_writes_what_the_three_subcommands_write_and_reads_nothing_back(tmp_path, monkeypatch, config):
+    args = [] if config is None else ["--config", str(config)]
+    reads = []
+    for name in ("read_count_csv", "read_json"):
+        original = getattr(eio, name)
+        monkeypatch.setattr(eio, name, lambda path, original=original: reads.append(Path(path)) or original(path))
+    assert main(["report", *args, "--out", str(tmp_path / "report")]) == 0
+    # the config file is the one file report reads
+    assert reads == ([] if config is None else [config])
+    monkeypatch.undo()
+    for command in ("simulate", "analyze", "son-fit"):
+        assert main([command, *args, "--out", str(tmp_path / "steps")]) == 0
+    assert _tree_hash(tmp_path / "report") == _tree_hash(tmp_path / "steps")
+
+
+def test_report_checks_simulated_records_as_analyze_checks_count_files(tmp_path, capsys):
+    # 0.2 pairs per setting: the first record simulated has an empty setting
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"flux_hz": 0.2, "duration_s": 1.0, "axes": ["x"], "angles_deg": [0.0, 90.0]}))
+    out = tmp_path / "run"
+    error = f"error: malformed count file {out / 'counts_x_00000_I.csv'}: setting 2 of 9 has no counts\n"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == error
+    assert captured.out == f"simulate: wrote 6 count files to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json"] + [eio.count_file_name("x", a, stage) for a in (0.0, 90.0) for stage in ("I", "II", "III")]
+    )
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == error
+
+
 class TestSonFitLattice:
     def test_quarter_turn_angles_do_not_identify_n(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json", axes=["z"], angles_deg=[0.0, 90.0, 180.0, 270.0, 360.0])

@@ -20,12 +20,30 @@ durations = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_in
 @settings(max_examples=200, deadline=None)
 @given(counts=count_arrays, duration=durations)
 def test_count_csv_round_trip(counts, duration):
+    total = sum(int(c) for c in counts)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
         eio.write_count_csv(path, CountRecord(counts=counts, duration_s=duration, flux_hz=0.0))
+        if total > eio.INT64_MAX:
+            # rows that each fit int64 but whose total does not are refused
+            with pytest.raises(ValueError, match=rf"counts total {total} exceeds 2\*\*63 - 1$"):
+                eio.read_count_csv(path)
+            return
         record = eio.read_count_csv(path)
     np.testing.assert_array_equal(record.counts, counts)
     assert record.duration_s == duration
+
+
+def test_count_total_past_int64_is_refused(tmp_path):
+    # numpy's int64 sum of these counts wraps to a negative total
+    counts = np.ones(36, dtype=np.int64)
+    counts[[5, 6]] = 2**62
+    assert CountRecord(counts=counts, duration_s=5.0, flux_hz=0.0).total() < 0
+    path = tmp_path / "counts.csv"
+    eio.write_count_csv(path, CountRecord(counts=counts, duration_s=5.0, flux_hz=0.0))
+    with pytest.raises(ValueError) as exc:
+        eio.read_count_csv(path)
+    assert str(exc.value) == f"{path}: counts total {2**63 + 34} exceeds 2**63 - 1"
 
 
 # each call fails after the writer has started writing its rows

@@ -297,6 +297,19 @@ class TestSonFit:
         assert len(calls) == 3 * 21
         assert all(len(set(calls[k : k + 21])) == 21 for k in (0, 21, 42))
 
+    def test_each_combo_disk_fit_is_set_up_once(self, monkeypatch):
+        # M = x^T W x does not depend on n: one eigh per combo, not one per candidate n
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or original(m))
+        samples = [
+            CorrelationSample(combo=combo, phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
+            for combo in COMBOS
+            for phi in PHI_GRID
+        ]
+        son_fit(samples)
+        assert len(calls) == 6
+
     def test_best_n_at_a_lattice_end_is_flagged(self):
         # no state gives E = +1 at every angle: the profile falls past the
         # coarse stage's edge at 2.5 and every stage ends on its last node
@@ -368,7 +381,7 @@ class TestStateFit:
         phis = np.array([s.phi for s in samples])
         values = np.array([s.value for s in samples])
         weights = np.array([1 / s.sigma**2 for s in samples])
-        fitted, _ = _state_fit(_n_shift(n, phis), phis, values, weights)
+        fitted, _ = _state_fit(phis, values, weights)(_n_shift(n, phis))
 
         curve = solve_son(n, 721)
         shift = np.array([value_at(curve, phi_to_theta(phi)) - e_qm(phi_to_theta(phi)) for phi in phis])
