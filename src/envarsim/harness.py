@@ -5,16 +5,20 @@ measures the source directly, stage II applies the wave-plate rotation to
 the system photon only, stage III applies the same rotation to both
 photons. Each stage independently redraws the drifted source state and its
 own wave-plate setting errors and is measured over the 36 projectors.
-``simulate_grid`` simulates every cell's records in one batched
-``simulate_counts_many`` call (``run_three_stages`` is its one-cell call);
-only ``assemble_report`` reconstructs, every count record of the grid in one
-batched MLE call. It scores the grid as stacks, every cell in one
-``fidelity`` and one ``bhattacharyya`` call and the consecutive stage-I
-pairs in one series of each, which every axis and the whole grid slice
-for their source stability; every two-qubit rotation goes through
-``linalg.apply_local``. Per-cell randomness derives from (seed,
-axis, angle, stage) by value, so cells are reproducible in any execution
-order.
+``simulate_grid`` (``run_three_stages`` is its one-cell call) makes two
+passes: a draw pass, a loop over the stage streams that only draws each
+stream's drift and its rotation stacks' plate-angle errors, and a stacked
+pass that builds every drifted source, rotation stack and stage II/III
+true state of the grid in one ``drift_states``, one ``stack`` and one
+``apply_local`` call, then every count record in one
+``simulate_counts_many`` call. Only ``assemble_report`` reconstructs,
+every count record of the grid in one batched MLE call. It scores the
+grid as stacks, every cell in one ``fidelity`` and one ``bhattacharyya``
+call and the consecutive stage-I pairs in one series of each, which every
+axis and the whole grid slice for their source stability; every
+two-qubit rotation goes through ``linalg.apply_local``. Per-cell
+randomness derives from (seed, axis, angle, stage) by value, so cells are
+reproducible in any execution order.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .measurement import (
     CountRecord,
     NoiseModel,
     born_probabilities,
-    drift_state,
+    drift_states,
     simulate_counts_many,
     tomography_projectors,
 )
@@ -121,6 +125,8 @@ class ExperimentPlan:
             raise ValueError("flux_hz and duration_s must be positive")
         if not self.flux_hz * self.duration_s <= _MAX_PAIRS_PER_SETTING:
             raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -162,47 +168,41 @@ def nominal_setting(axis: str, theta: float) -> WavePlateSetting:
     return decompose_rotation(su2_rotation(named_axis_vector(axis), STACK_ROTATION_SIGN * theta))
 
 
-def _perturbed_stack(
-    setting: WavePlateSetting, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    if sigma <= 0:
-        return stack(setting)
-    errors = rng.normal(0.0, sigma, size=3)
-    return stack(
-        WavePlateSetting(
-            setting.alpha + errors[0],
-            setting.beta + errors[1],
-            setting.gamma + errors[2],
-        )
-    )
+def _nominal_angles(cells: list[tuple[str, float]]) -> np.ndarray:
+    """(C, 3) nominal plate angles (alpha, beta, gamma) of each (axis, theta) cell."""
+    return np.array([(s.alpha, s.beta, s.gamma) for s in (nominal_setting(axis, theta) for axis, theta in cells)])
 
 
 def _simulate_cells(
     cells: list[tuple[str, float]], plan: ExperimentPlan
 ) -> list[tuple[StageResult, StageResult, StageResult]]:
-    """Simulate the stage I/II/III counts of each (axis, theta) cell.
+    """Simulate the stage I/II/III counts of each (axis, theta) cell: a draw pass, then a stacked pass.
 
-    Each stage stream derives from (plan.seed, axis, angle, stage) and draws,
-    in order, the drifted source, the stack's plate-angle errors and then the
-    acquisition noise; all records share one ``simulate_counts_many`` call.
+    Each stream derives from (plan.seed, axis, angle, stage) and draws, in
+    order, per qubit a drift axis and angle, the three plate-angle errors of
+    each rotation stack (the system's, then in stage III the environment's)
+    and, in ``simulate_counts_many``, the acquisition noise.
     """
-    base = werner(plan.noise.werner_v)
-    sigma_wp = plan.noise.waveplate_error_sigma
-    streams, states = [], []
-    for axis, theta in cells:
+    noise = plan.noise
+    normals = np.zeros((len(cells), 3, 2, 4))  # per record and qubit: three axis normals, one angle normal
+    errors = np.zeros((len(cells), 3, 2, 3))  # per record: system, then environment plate-angle errors
+    streams = []
+    for c, (axis, theta) in enumerate(cells):
         angle_deg = float(np.rad2deg(theta))
-        setting = nominal_setting(axis, theta)
-        for stage in STAGES:
+        for s, stage in enumerate(STAGES):  # stage s rotates s photons
             stream = stage_rng(plan.seed, axis, angle_deg, stage)
-            source = drift_state(base, plan.noise, stream)
-            rho_true = source
-            if stage != "I":
-                u_s = _perturbed_stack(setting, sigma_wp, stream)
-                u_e = _perturbed_stack(setting, sigma_wp, stream) if stage == "III" else _I2
-                rho_true = apply_local(u_s, u_e, source)
+            if noise.drift_sigma > 0:
+                normals[c, s] = stream.standard_normal((2, 4))
+            if noise.waveplate_error_sigma > 0 and s:
+                errors[c, s, :s] = stream.normal(0.0, noise.waveplate_error_sigma, size=(s, 3))
             streams.append(stream)
-            states.append(rho_true)
-    records = simulate_counts_many(states, plan.flux_hz, plan.duration_s, plan.noise, streams)
+    base = werner(noise.werner_v)
+    sources = drift_states(base, noise, normals) if noise.drift_sigma > 0 else np.broadcast_to(base, (len(cells), 3, 4, 4))
+    # (C, 2, 2, 2, 2): the stage II/III stacks of the system and environment photons
+    u = stack(_nominal_angles(cells)[:, None, None] + errors[:, 1:])
+    u[:, 0, 1] = _I2  # stage II leaves the environment photon alone
+    states = np.concatenate([sources[:, :1], apply_local(u[:, :, 0], u[:, :, 1], sources[:, 1:])], axis=1).reshape(-1, 4, 4)
+    records = simulate_counts_many(states, plan.flux_hz, plan.duration_s, noise, streams)
     results = [
         StageResult(stage=stage, counts=counts, rho_true=rho_true)
         for stage, counts, rho_true in zip(STAGES * len(cells), records, states)
@@ -326,7 +326,7 @@ def assemble_report(
     results = mle_reconstruct_many(records, tomography_projectors())
     rhos = np.stack([result.rho for result in results]).reshape(len(keys), 3, 4, 4)
     dists = np.stack([normalize_counts(record) for record in records]).reshape(len(keys), 3, 36)
-    u = np.stack([stack(nominal_setting(axis, np.deg2rad(angle_deg))) for axis, angle_deg in keys])
+    u = stack(_nominal_angles([(axis, np.deg2rad(angle_deg)) for axis, angle_deg in keys]))
     theory = np.stack([theoretical_stage3(rhos[:, 0], u), apply_local(u, _I2, rhos[:, 0])], axis=1)
     # stage I against III, II, ideal III and ideal II, one column each
     f = fidelity(rhos[:, :1], np.concatenate([rhos[:, [2, 1]], theory], axis=1))

@@ -83,21 +83,23 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 def _check_axis(axis: np.ndarray) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
+    if axis.ndim < 1 or axis.shape[-1] != 3:
         raise ValueError("axis must be a 3-vector")
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+    if not np.all(np.abs(np.linalg.norm(axis, axis=-1) - 1.0) <= 1e-12):
         raise ValueError("axis must be a unit vector (norm within 1e-12)")
     return axis
 
 
-def su2_rotation(axis: np.ndarray, theta: float) -> np.ndarray:
+def su2_rotation(axis: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     """Bloch rotation exp(-i*theta/2 * axis.sigma) as a 2x2 unitary.
 
-    ``axis`` must be a unit 3-vector. The result has determinant 1.
+    ``axis`` must be a unit 3-vector, or a (..., 3) stack that ``theta`` broadcasts
+    against; each matrix has determinant 1 and equals its one-matrix call bit for bit.
     """
-    axis = _check_axis(axis)
-    ns = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
-    return np.cos(theta / 2) * np.eye(2, dtype=complex) - 1j * np.sin(theta / 2) * ns
+    n = _check_axis(axis)[..., None, None, :]
+    half = np.asarray(theta, dtype=float)[..., None, None] / 2
+    ns = n[..., 0] * SIGMA_X + n[..., 1] * SIGMA_Y + n[..., 2] * SIGMA_Z
+    return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * ns
 
 
 def validate_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:

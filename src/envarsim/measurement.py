@@ -5,12 +5,14 @@ the six states into the three bases {H/V, D/A, R/L} per arm gives 9
 analyzer settings of 4 outcomes each: 36 two-qubit projectors, an
 overcomplete tomographic set. Counts are drawn per setting as independent
 Poisson variables with mean flux*duration*p; optional imperfections are
-Werner admixture of the source (handled upstream), slow source drift
-(``drift_state``) and wave-plate setting errors on the analyzers.
-``simulate_counts_many`` synthesizes a stack of records at once, setting by
-setting, with the perturbed analyzers in closed form; each record draws
-from its own stream, so it does not depend on the rest of the stack.
-``simulate_counts`` is the one-record call.
+Werner admixture of the source (handled upstream), slow source drift and
+wave-plate setting errors on the analyzers. The simulation draws first and
+builds stacks after: ``drift_states`` drifts a source once per block of
+normals a stream has drawn (``drift_state`` draws and drifts one), and
+``simulate_counts_many`` synthesizes a stack of records setting by setting,
+with the perturbed analyzers in closed form and each Poisson count drawn
+as a scalar. Each record draws from its own stream, so it does not depend
+on the rest of the stack; ``simulate_counts`` is the one-record call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .linalg import (
     KET_R,
     KET_V,
     apply_local,
-    axis_vector,
     su2_rotation,
     validate_density_matrix,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "simulate_counts",
     "simulate_counts_many",
     "drift_state",
+    "drift_states",
 ]
 
 _KETS = {"H": KET_H, "V": KET_V, "D": KET_D, "A": KET_A, "R": KET_R, "L": KET_L}
@@ -204,6 +206,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.poisson, (bool, np.bool_)):
+            raise ValueError(f"poisson must be a bool, not {self.poisson!r}")
         if not 0.0 <= self.werner_v <= 1.0:
             raise ValueError("werner_v must lie in [0, 1]")
         for sigma in (self.drift_sigma, self.waveplate_error_sigma):
@@ -277,7 +281,7 @@ def simulate_counts_many(
             raise ValueError("negative outcome probability beyond tolerance")
         expected = pairs * np.clip(probs, 0.0, None)
         if noise.poisson:
-            counts[:, 4 * k : 4 * k + 4] = [rng.poisson(row) for rng, row in zip(rngs, expected)]
+            counts[:, 4 * k : 4 * k + 4] = [[rng.poisson(lam) for lam in row] for rng, row in zip(rngs, expected.tolist())]
         else:
             counts[:, 4 * k : 4 * k + 4] = np.rint(expected).astype(np.int64)
     return [CountRecord(counts=row, duration_s=float(duration_s), flux_hz=float(flux_hz)) for row in counts]
@@ -312,17 +316,23 @@ def drift_state(
 
     Each qubit gets a rotation about a Haar-random axis by an angle drawn
     from Normal(0, drift_sigma), modeling slow source drift between
-    acquisitions.
+    acquisitions; the one-record call of ``drift_states``.
     """
-    rho = validate_density_matrix(rho)
     if noise.drift_sigma == 0.0:
-        return rho
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
-    unitaries = []
-    for _ in range(2):
-        raw = rng.normal(size=3)
-        axis = axis_vector(*raw)
-        angle = rng.normal(0.0, noise.drift_sigma)
-        unitaries.append(su2_rotation(axis, angle))
-    return apply_local(unitaries[0], unitaries[1], rho)
+        return validate_density_matrix(rho)
+    rng = np.random.default_rng(noise.seed) if rng is None else rng
+    return drift_states(rho, noise, rng.standard_normal((2, 4)))
+
+
+def drift_states(rho: np.ndarray, noise: NoiseModel, normals: np.ndarray) -> np.ndarray:
+    """Drifted copies of ``rho``, one per (..., 2, 4) block of standard normals.
+
+    Row q of a block turns qubit q about the axis along its first three normals by
+    drift_sigma times the fourth, the axis normalized by the BLAS dot ``axis_vector`` takes.
+    """
+    raw = normals[..., :3]
+    norms = np.sqrt(raw[..., None, :] @ raw[..., :, None])[..., 0]
+    if not np.all(norms > 0):
+        raise ValueError("axis vector must be nonzero")
+    u = su2_rotation(raw / norms, noise.drift_sigma * normals[..., 3])
+    return apply_local(u[..., 0, :, :], u[..., 1, :, :], validate_density_matrix(rho))

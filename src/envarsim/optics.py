@@ -11,6 +11,8 @@ about the x, y and z Bloch axes, ``decompose_rotation`` for any 2x2
 unitary (the m axis among them). The settings of ``rotation_setting`` realize
 ``su2_rotation(axis, STACK_ROTATION_SIGN * theta)`` up to global phase,
 with one uniform sign for all axes and angles (asserted by the test suite).
+``qwp``, ``hwp`` and ``stack`` broadcast over arrays of angles, so a grid's
+perturbed stacks are built in one call, each equal to its one-plate call.
 """
 
 from __future__ import annotations
@@ -77,26 +79,36 @@ class WavePlateSetting:
             object.__setattr__(self, name, float(value) % np.pi)
 
 
-def _rot2(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _real_2x2(a, b, c, d) -> np.ndarray:
+    return np.stack([a, b, c, d], axis=-1).reshape(*np.shape(a), 2, 2).astype(complex)
 
 
-def qwp(angle: float) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate with fast axis at ``angle``."""
-    r = _rot2(angle)
-    return r @ np.diag([1.0, 1.0j]) @ r.conj().T
+def qwp(angle: float | np.ndarray) -> np.ndarray:
+    """Jones matrix of a quarter-wave plate with fast axis at ``angle``; (..., 2, 2) for an array of angles."""
+    c, s = np.cos(angle), np.sin(angle)
+    r = _real_2x2(c, -s, s, c)
+    return r @ np.diag([1.0, 1.0j]) @ r.conj().swapaxes(-1, -2)
 
 
-def hwp(angle: float) -> np.ndarray:
-    """Jones matrix of a half-wave plate with fast axis at ``angle``."""
+def hwp(angle: float | np.ndarray) -> np.ndarray:
+    """Jones matrix of a half-wave plate with fast axis at ``angle``; (..., 2, 2) for an array of angles."""
     c2, s2 = np.cos(2 * angle), np.sin(2 * angle)
-    return np.array([[c2, s2], [s2, -c2]], dtype=complex)
+    return _real_2x2(c2, s2, s2, -c2)
 
 
-def stack(setting: WavePlateSetting) -> np.ndarray:
-    """Composite unitary of the three-plate stack, alpha-plate first."""
-    return qwp(setting.gamma) @ hwp(setting.beta) @ qwp(setting.alpha)
+def stack(setting: WavePlateSetting | np.ndarray) -> np.ndarray:
+    """Composite unitary of the three-plate stack, alpha-plate first.
+
+    Also takes a (..., 3) array of (alpha, beta, gamma) angles, checked and canonicalized
+    as ``WavePlateSetting`` does, for (..., 2, 2) stacks equal to their one-setting calls.
+    """
+    if isinstance(setting, WavePlateSetting):
+        setting = (setting.alpha, setting.beta, setting.gamma)
+    angles = np.asarray(setting, dtype=float)
+    if angles.shape[-1:] != (3,) or not np.all(np.isfinite(angles)):
+        raise ValueError("plate angles must be finite (alpha, beta, gamma) triples")
+    alpha, beta, gamma = np.moveaxis(angles % np.pi, -1, 0)
+    return qwp(gamma) @ hwp(beta) @ qwp(alpha)
 
 
 def rotation_setting(axis: str, theta: float) -> WavePlateSetting:

@@ -1,5 +1,7 @@
 """Tests for the three-stage protocol orchestration and reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,39 @@ class TestRunExperiment:
             ExperimentPlan(axes=("q",))
         with pytest.raises(ValueError):
             ExperimentPlan(angles_deg=(400.0,))
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.9, True, np.True_, "1", -1, np.int64(-3), None])
+def test_plan_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, not {seed!r}")):
+        ExperimentPlan(seed=seed)
+
+
+def test_plan_takes_python_and_numpy_integer_seeds():
+    for seed in (0, 7, np.int32(7), np.uint64(2**63), 2**70):
+        assert ExperimentPlan(seed=seed).seed == seed
+
+
+@pytest.mark.parametrize(
+    ("noise", "seed"),
+    [
+        pytest.param(harness.calibrated_noise(1), 1, id="calibrated-seed-1"),
+        pytest.param(harness.calibrated_noise(), harness.DEFAULT_SEED, id="calibrated-default-seed"),
+        pytest.param(NoiseModel.noiseless(), 1, id="noiseless"),
+    ],
+)
+def test_sub_grid_equals_its_rows_of_the_full_grid(noise, seed):
+    # every record draws from its own stream and is reconstructed on its own:
+    # no product across records may let one record's bits depend on the others
+    full = run_experiment(ExperimentPlan(noise=noise, seed=seed))
+    for axis in ("x", "m"):
+        sub = run_experiment(ExperimentPlan(axes=(axis,), noise=noise, seed=seed))
+        rows = [k for k, cell in enumerate(full.cells) if cell.axis == axis]
+        assert sub.cells == tuple(full.cells[k] for k in rows)
+        assert sub.per_axis == tuple(s for s in full.per_axis if s.axis == axis)
+        for key, rhos in sub.states.items():
+            for rho, full_rho in zip(rhos, full.states[key]):
+                np.testing.assert_array_equal(rho, full_rho)
+        records = [3 * k + s for k in rows for s in range(3)]
+        assert sub.mle_iterations == tuple(full.mle_iterations[r] for r in records)
+        assert sub.mle_converged == tuple(full.mle_converged[r] for r in records)

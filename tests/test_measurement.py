@@ -1,5 +1,7 @@
 """Tests for the 36-projector set, count synthesis and source drift."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,10 @@ class TestDriftState:
         fids = [fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)]
         sigma = float(np.std(fids, ddof=1))
         assert 0.0004 <= sigma <= 0.0016
+
+
+@pytest.mark.parametrize("poisson", ["no", 0, 1, None, 1.0])
+def test_noise_model_rejects_a_poisson_flag_that_is_not_a_bool(poisson):
+    with pytest.raises(ValueError, match=re.escape(f"poisson must be a bool, not {poisson!r}")):
+        NoiseModel(poisson=poisson)
+    assert NoiseModel(poisson=np.False_).poisson == np.False_
