@@ -197,8 +197,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(dist) if dist.ndim == 0 else dist
 
 
-def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """``trace_distance(a, b) < tol`` for (B, n, n) stacks of Hermitian matrices.
+def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> bool | np.ndarray:
+    """``trace_distance(a, b) < tol`` for Hermitian matrices, broadcast as ``trace_distance`` is.
 
     For Hermitian d = a - b of dimension n, ||d||_F <= ||d||_1 <= sqrt(n) ||d||_F,
     so the trace distance lies in [||d||_F / 2, sqrt(n) ||d||_F / 2]. Rows
@@ -208,22 +208,22 @@ def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray
     overflows. Every bound is applied with a 1e-9 relative margin for
     rounding; only the rows still open go through ``trace_distance``.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    d = a - b
+    d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    shape, d = d.shape[:-2], d.reshape((-1,) + d.shape[-2:])
     frob_sq = _row_sq_norms(d)
-    below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(a.shape[-1])) ** 2
-    undecided = np.flatnonzero(~below & (frob_sq <= (2 * tol * (1 + 1e-9)) ** 2))
-    if undecided.size:
-        e = d[undecided] / tol
-        open_rows = _row_sq_norms(e) ** 3 < (2 * (1 + 1e-9)) ** 2 * _row_sq_norms(e @ e)
-        rows = undecided[open_rows]
+    below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(d.shape[-1])) ** 2
+    band = (frob_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below
+    if band.any():
+        e = d[band] / tol
+        rows = np.flatnonzero(band)[_row_sq_norms(e) ** 3 < (2 * (1 + 1e-9)) ** 2 * _row_sq_norms(e @ e)]
         if rows.size:
-            below[rows] = trace_distance(a[rows], b[rows]) < tol
-    return below
+            # d - 0 is d: the same matrices trace_distance(a, b) takes apart
+            below[rows] = trace_distance(d[rows], 0.0) < tol
+    below = below.reshape(shape)
+    return bool(below) if below.ndim == 0 else below
 
 
 def _row_sq_norms(m: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix of a (B, n, n) complex stack."""
-    flat = m.reshape(len(m), -1).view(float)
+    flat = m.reshape(len(m), m.shape[-2] * m.shape[-1]).view(float)
     return np.einsum("bk,bk->b", flat, flat)

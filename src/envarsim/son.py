@@ -12,8 +12,8 @@ assigns probabilities |psi|^n instead of |psi|^2, constrained by
 with E(theta, n) = p^n - q^n. The first two lines say that (p, q) runs
 along the superellipse p^n + q^n = 1 at constant speed sqrt(c), so theta is
 its arc length over sqrt(c); ``solve_son`` and the exponent fit read E
-through one quadrature inversion of that arc length, made once per distinct
-arc-length target. Ordinary quantum mechanics is the n=2 case, where
+through one quadrature inversion of that arc length, made once per exponent
+and distinct angle. Ordinary quantum mechanics is the n=2 case, where
 p = sin(theta), E = -cos(2*theta).
 
 During the experiment's middle stage, rotating one qubit by phi (with the
@@ -109,8 +109,7 @@ class CorrelationCurve:
         if np.any(np.diff(self.values) < -1e-10):
             raise ValueError("E(theta) must be non-decreasing on [0, pi/2]")
         for name in ("theta_grid", "values", "p", "q"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+            getattr(self, name).setflags(write=False)
 
 
 # 96-point Gauss-Legendre rule on [0, 1] for the substitution x = d*u**6
@@ -121,59 +120,66 @@ _ARC_X = ((_GL_U + 1) / 2) ** 6
 _ARC_W = 3 * ((_GL_U + 1) / 2) ** 5 * _GL_W
 
 
-def _arc_speed(d: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _arc_speed(d: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arc length per unit of d along p^n + q^n = 1, and the (tracked, other) moduli.
 
     d is the distance of the tracked modulus from its value at theta = 0:
     p = d for n >= 1, q = 1 - d for n < 1. That modulus is the regular one on
-    [0, pi/4], where (tracked/other)^(2n-2) stays bounded.
+    [0, pi/4], where (tracked/other)^(2n-2) stays bounded. n holds an exponent
+    per entry of d: numpy's power loop may take square or sqrt for a broadcast
+    2 or 0.5, by loop layout, which would tie a row's bits to its neighbours.
     """
-    tracked = d if n >= 1 else 1 - d
+    low = n < 1
     with np.errstate(divide="ignore"):
-        log_tracked = np.log(d) if n >= 1 else np.log1p(-d)
+        tracked, log_tracked = (np.where(low, 1 - d, d), np.where(low, np.log1p(-d), np.log(d))) if low.any() else (d, np.log(d))
         other = (-np.expm1(n * log_tracked)) ** (1 / n)
         return np.sqrt(1 + (tracked / other) ** (2 * n - 2)), tracked, other
 
 
-def _arc_length(d: np.ndarray, n: float) -> np.ndarray:
+def _arc_length(d: np.ndarray, n) -> np.ndarray:
     # summed per row: a BLAS gemv's row sums depend on how many rows share
     # the call, so one angle's arc length would move with the other angles
-    return d * np.sum(_arc_speed(d[..., None] * _ARC_X, n)[0] * _ARC_W, axis=-1)
+    nodes = d[..., None] * _ARC_X
+    n = np.broadcast_to(np.asarray(n)[..., None], nodes.shape).copy()
+    return d * np.sum(_arc_speed(nodes, n)[0] * _ARC_W, axis=-1)
 
 
-def _son_moduli(theta, n: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """The amplitude moduli (p, q) at angles theta in [0, pi/2], and the constant c.
 
     theta is arc length over sqrt(c), and the midpoint p = q = 2^(-1/n) lies
     at theta = pi/4, which fixes c. Angles up to pi/4 invert the arc length by
     Newton steps over Gauss-Legendre quadrature; larger ones fold through the
-    mirror q(theta) = p(pi/2 - theta). Each distinct arc-length target is
-    inverted once, so theta and pi/2 - theta share one inversion. Raises
-    ConvergenceError if it misses an angle by more than 1e-13 in arc length.
+    mirror q(theta) = p(pi/2 - theta). An array n prepends its axes to p and q
+    and gives one c per exponent. Each (exponent, distinct folded angle) row
+    leaves the Newton loop once it misses its arc length by at most 1e-13, so
+    it gets the bits it gets alone; ConvergenceError if one misses after 50 steps.
     """
-    d_mid = 2 ** (-1 / n) if n >= 1 else 1 - 2 ** (-1 / n)
-    s_mid = float(_arc_length(np.array([d_mid]), n)[0])
+    exponents = np.reshape(n, (-1, 1)).astype(float)
+    d_mid = np.where(exponents >= 1, 2 ** (-1 / exponents), 1 - 2 ** (-1 / exponents))
+    s_mid = _arc_length(d_mid, exponents)
     mirrored = theta > np.pi / 4
-    target, inverse = np.unique(
-        s_mid * np.where(mirrored, np.pi / 2 - theta, theta) / (np.pi / 4), return_inverse=True
-    )
+    folded, inverse = np.unique(np.where(mirrored, np.pi / 2 - theta, theta), return_inverse=True)
     # the arc length is >= d, so d = target starts at or above each angle, and
     # it is convex in d, so Newton steps descend monotonically onto the angle
+    target = s_mid * folded / (np.pi / 4)
     d = np.minimum(target, d_mid)
+    rows, row_d, row_n, row_target = np.arange(d.size), d.reshape(-1), np.repeat(exponents, folded.size), target.ravel()
     for _ in range(50):
-        miss = _arc_length(d, n) - target
-        if np.max(np.abs(miss)) <= 1e-13:
+        miss = _arc_length(row_d[rows], row_n[rows]) - row_target[rows]
+        missed = ~(np.abs(miss) <= 1e-13)  # a NaN miss stays missed
+        rows, miss = rows[missed], miss[missed]
+        if not rows.size:
             break
-        d = d - miss / _arc_speed(d, n)[0]
+        row_d[rows] -= miss / _arc_speed(row_d[rows], row_n[rows])[0]
     else:
-        raise ConvergenceError(
-            f"arc-length inversion misses an angle by {np.max(np.abs(miss)):.3e} for n={n}"
-        )
-    _, tracked, other = _arc_speed(d, n)
+        raise ConvergenceError(f"arc-length inversion misses an angle by {np.max(np.abs(miss)):.3e} for n={row_n[rows]}")
     # numpy 1.24 gives a 0-d theta a (1,) inverse
-    inverse = inverse.reshape(np.shape(theta))
-    p, q = (tracked[inverse], other[inverse]) if n >= 1 else (other[inverse], tracked[inverse])
-    return np.where(mirrored, q, p), np.where(mirrored, p, q), (s_mid / (np.pi / 4)) ** 2
+    tracked, other = (m[:, inverse.reshape(np.shape(theta))] for m in _arc_speed(d, row_n.reshape(d.shape))[1:])
+    p_is_tracked = (exponents >= 1).reshape((-1,) + (1,) * np.ndim(theta)) != mirrored
+    shape, c = np.shape(n) + np.shape(theta), (s_mid.reshape(np.shape(n)) / (np.pi / 4)) ** 2
+    p, q = np.where(p_is_tracked, tracked, other), np.where(p_is_tracked, other, tracked)
+    return p.reshape(shape), q.reshape(shape), float(c) if c.ndim == 0 else c
 
 
 def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
@@ -238,11 +244,9 @@ def extract_correlation(counts: CountRecord, combo: str, phi: float) -> Correlat
     total = block.sum()
     if total <= 0:
         raise ValueError(f"setting {basis} has zero total counts")
-    n_same = block[0] + block[3]
-    n_diff = block[1] + block[2]
+    n_same, n_diff = block[0] + block[3], block[1] + block[2]
     value = (n_same - n_diff) / total
-    sigma = 2.0 * math.sqrt(n_same * n_diff / total**3)
-    sigma = max(sigma, 1.0 / total)
+    sigma = max(2.0 * math.sqrt(n_same * n_diff / total**3), 1.0 / total)
     return CorrelationSample(combo=combo, phi=float(phi), value=float(value), sigma=float(sigma))
 
 
@@ -256,12 +260,8 @@ def correlation_operator(combo: str, phi: float) -> np.ndarray:
     axis, basis = combo_axis_and_basis(combo)
     u = su2_rotation(named_axis_vector(axis), STACK_ROTATION_SIGN * 2 * phi)
     setting = tomography_projectors().settings[_combo_setting_index(basis)]
-    diff_op = (
-        setting.projectors[0]
-        - setting.projectors[1]
-        - setting.projectors[2]
-        + setting.projectors[3]
-    )
+    p0, p1, p2, p3 = setting.projectors
+    diff_op = p0 - p1 - p2 + p3
     u_full = np.kron(u, np.eye(2, dtype=complex))
     return u_full.conj().T @ diff_op @ u_full
 
@@ -288,13 +288,16 @@ class SonFitResult:
 
 # Exponent lattice of the fit, (half width, step) per refinement stage
 _N_STAGES = ((0.5, 0.05), (0.05, 0.005), (0.005, 5e-4))
+_N_CHUNK = 21  # exponents per inversion call, one lattice: the (rows, nodes) temporaries stay small
 
 
-def _n_shift(n: float, phis: np.ndarray) -> np.ndarray:
-    """E(theta, n, singlet) - E(theta, 2, singlet) at the angles phis."""
+def _n_shift(n, phis: np.ndarray) -> np.ndarray:
+    """E(theta, n, singlet) - E(theta, 2, singlet) at the angles phis; an array n gives one row per exponent."""
     theta = phi_to_theta(phis)
     p, q, _ = _son_moduli(theta, n)
-    return p**n - q**n + np.cos(2 * theta)
+    # an exponent for every entry, as in _arc_speed
+    n = np.broadcast_to(np.reshape(n, np.shape(n) + (1,) * np.ndim(theta)), np.shape(p)).copy()
+    return np.power(p, n) - np.power(q, n) + np.cos(2 * theta)
 
 
 def _secular_root(g: np.ndarray, mu: np.ndarray) -> float:
@@ -307,17 +310,13 @@ def _secular_root(g: np.ndarray, mu: np.ndarray) -> float:
     step that rounding pushes out of the bracket bisects it instead. An
     entry mu = inf contributes nothing.
     """
-    lo, hi = 0.0, float(np.linalg.norm(g))
-    t = lo
+    lo, hi, t = 0.0, float(np.linalg.norm(g)), 0.0
     for _ in range(100):
         p = g / (mu + t)
         norm = math.sqrt(p @ p)
         if norm == 1:
             break
-        if norm > 1:
-            lo = t
-        else:
-            hi = t
+        lo, hi = (t, hi) if norm > 1 else (lo, t)
         t_next = t + (norm - 1) * norm**2 / (p @ (p / (mu + t)))
         if not lo < t_next < hi:
             t_next = (lo + hi) / 2
@@ -354,11 +353,8 @@ def _state_fit(phis: np.ndarray, values: np.ndarray, weights: np.ndarray):
 
 
 def _n_lattice(center: float, half_width: float, step: float) -> np.ndarray:
-    lo = max(1.0, center - half_width)
-    hi = min(3.0, center + half_width)
-    k_lo = int(round(lo / step))
-    k_hi = int(round(hi / step))
-    return np.array([k * step for k in range(k_lo, k_hi + 1)])
+    lo, hi = max(1.0, center - half_width), min(3.0, center + half_width)
+    return np.array([k * step for k in range(int(round(lo / step)), int(round(hi / step)) + 1)])
 
 
 def n_sensitive(phis) -> np.ndarray:
@@ -391,8 +387,8 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     the exponent is profiled over a lattice refined down to 5e-4 around the
     best coarse value, and for every candidate n the state enters through the
     closed-form disk least squares of ``_state_fit``. The combos are evaluated
-    together, one lattice stage at a time, with one ``_n_shift`` call per
-    distinct n; combos that share their angles get what each gets alone. The
+    together, one lattice stage at a time, with one stacked ``_n_shift`` for
+    the stage's exponents; each combo gets the bits it gets alone. The
     reported n is the mean of the per-combo estimates and its uncertainty
     their sample standard deviation. The model linearization holds for states
     near the singlet and n near 2, so the coarse search spans [1.5, 2.5].
@@ -407,17 +403,21 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     phis = [np.array([s.phi for s in grp]) for grp in groups.values()]
     values = [np.array([s.value for s in grp]) for grp in groups.values()]
     weights = [np.array([1.0 / s.sigma**2 for s in grp]) for grp in groups.values()]
-    all_phis, splits = np.concatenate(phis), np.cumsum([len(p) for p in phis])[:-1]
+    all_phis, ends = np.concatenate(phis), np.cumsum([len(p) for p in phis])
+    spans = [slice(end - len(p), end) for end, p in zip(ends, phis)]
     state_fits = [_state_fit(p, v, w) for p, v, w in zip(phis, values, weights)]
     best_n, at_edge = [2.0] * len(phis), [False] * len(phis)
     for half_width, step in _N_STAGES:
         lattices = [_n_lattice(center, half_width, step) for center in best_n]
-        shifts = {n: np.split(_n_shift(n, all_phis), splits) for n in sorted(set().union(*lattices))}
+        # every exponent of the stage, one lattice's worth per inversion call
+        union = sorted(set().union(*lattices))
+        chunks = [np.array(union[k : k + _N_CHUNK]) for k in range(0, len(union), _N_CHUNK)]
+        shifts = {n: row for chunk in chunks for n, row in zip(chunk.tolist(), _n_shift(chunk, all_phis))}
         fits = []
         for i, lattice in enumerate(lattices):
             # nearest the center first, so an exact tie keeps the closer n
             nearest_first = sorted(lattice, key=lambda n: abs(n - best_n[i]))
-            combo_fits = {n: state_fits[i](shifts[n][i]) for n in nearest_first}
+            combo_fits = {n: state_fits[i](shifts[n][spans[i]]) for n in nearest_first}
             best_n[i] = min(combo_fits, key=lambda n: combo_fits[n][0])
             at_edge[i] = at_edge[i] or best_n[i] in (lattice[0], lattice[-1])
             fits.append(combo_fits[best_n[i]])

@@ -50,12 +50,12 @@ def _setting_frequencies(counts: CountRecord) -> np.ndarray:
 
 
 def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Floored Tr(P_a rho) for a (B, 4, 4) stack of Hermitian matrices: (B, 36).
+    """Floored Tr(P_a rho) for a (B, 4, 4) stack of Hermitian matrices: (B, 1, 36).
 
     For Hermitian rho, Tr(P rho) = sum_ij Re P_ij Re rho_ij + Im P_ij Im rho_ij,
     a dot product of the matrices' float views: one (1, 32) x (32, 36) product per record.
     """
-    probs = (rho.view(float).reshape(-1, 1, 32) @ flat_re.T).reshape(-1, 36)
+    probs = rho.view(float).reshape(-1, 1, 32) @ flat_re.T
     return np.maximum(probs, _PROB_FLOOR, out=probs)
 
 
@@ -74,16 +74,17 @@ def mle_reconstruct_many(
     exact fixed point truncates small eigenvalues to zero and measurably
     degrades fidelity to the true state at realistic count levels.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, not {max_iter!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
     if not records:
         return []
     # the projectors as (36, 32) floats: real and imaginary parts interleaved
     flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
-    all_raw = np.stack([r.counts for r in records]).astype(float)
-    all_freqs = np.stack([_setting_frequencies(r) for r in records])
+    # counts and frequencies as (B, 1, 36) rows, the shape of the probabilities
+    all_raw = np.stack([r.counts for r in records]).astype(float)[:, None, :]
+    all_freqs = np.stack([_setting_frequencies(r) for r in records])[:, None, :]
     batch = len(records)
 
     # row k of raw, freqs and rho belongs to record active[k]; a record's rows leave when it stops
@@ -93,15 +94,17 @@ def mle_reconstruct_many(
     final = np.empty((batch, 4, 4), dtype=complex)
     iterations = np.full(batch, max_iter)
     converged = np.zeros(batch, dtype=bool)
-    steps: list[tuple[np.ndarray, np.ndarray]] = []  # (active records, their log-likelihoods) per iteration
+    steps: list[tuple[np.ndarray, np.ndarray]] = []  # (active records, their (B, 1) log-likelihoods) per iteration
     for it in range(1, max_iter + 1):
         probs = _probabilities(flat_re, rho)
         steps.append((active, (raw * np.log(probs)).sum(-1)))
-        r_op = ((freqs / probs).reshape(-1, 1, 36) @ flat_re).view(complex).reshape(-1, 4, 4)
+        r_op = ((freqs / probs) @ flat_re).view(complex).reshape(-1, 4, 4)
         nxt = r_op @ rho @ r_op
-        # Hermitize and normalize in one pass: the real diagonal, so the trace, is already Hermitian
-        scale = 0.5 / nxt.real.trace(axis1=1, axis2=2)
-        nxt = nxt + nxt.transpose(0, 2, 1).conj()
+        # Hermitize and normalize in one pass: the real diagonal, so the trace, is already
+        # Hermitian; its entries 0, 5, 10 and 15 are summed in the order trace() takes
+        re = nxt.real.reshape(-1, 16)
+        scale = 0.5 / (((re[:, 0] + re[:, 5]) + re[:, 10]) + re[:, 15])
+        nxt += nxt.conj().transpose(0, 2, 1)
         nxt *= scale[:, None, None]
         done = trace_distance_below(nxt, rho, tol)
         rho = nxt
@@ -115,11 +118,11 @@ def mle_reconstruct_many(
                 break
     final[active] = rho
 
-    final_ll = (all_raw * np.log(_probabilities(flat_re, final))).sum(-1)
+    final_ll = (all_raw * np.log(_probabilities(flat_re, final))).sum(-1)[:, 0]
     # row b: record b's log-likelihood at each of its iterations, then at its final state
     history = np.empty((batch, len(steps) + 1))
     for t, (rows, ll) in enumerate(steps):
-        history[rows, t] = ll
+        history[rows, t] = ll[:, 0]
     history[np.arange(batch), iterations] = final_ll
     history.setflags(write=False)
 

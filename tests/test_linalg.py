@@ -270,6 +270,27 @@ class TestTraceDistanceBelow:
         np.testing.assert_array_equal(linalg.trace_distance_below(a, b, 1e-6), original(a, b) < 1e-6)
         assert seen == [1]
 
+    def test_two_matrices_give_one_bool(self):
+        # each row of a 4x4 matrix was taken for a matrix, and 4 bools came back
+        rng = np.random.default_rng(5)
+        a = random_density_matrix(4, rng)
+        assert linalg.trace_distance_below(a, a, 1e-6) is True
+        b = a + 3e-6 * _unit_step(rng, "random")
+        assert linalg.trace_distance_below(a, b, 1e-6) is (linalg.trace_distance(a, b) < 1e-6) is False
+
+    def test_broadcasts_over_leading_axes_as_trace_distance_does(self):
+        rng = np.random.default_rng(6)
+        b = random_density_matrix(4, rng)
+        scales = np.array([[0.5, 1.5, 3.0], [1.2, 1.9, 0.1]])[..., None, None]
+        a = b + scales * 1e-6 * np.stack([_unit_step(rng, "random") for _ in range(6)]).reshape(2, 3, 4, 4)
+        below = linalg.trace_distance_below(a, b, 1e-6)
+        assert below.shape == (2, 3)
+        np.testing.assert_array_equal(below, linalg.trace_distance(a, b) < 1e-6)
+
+    def test_empty_stack_gives_an_empty_array(self):
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        assert linalg.trace_distance_below(empty, empty, 1e-6).shape == linalg.trace_distance(empty, empty).shape == (0,)
+
 
 def _rank2_step(rng: np.random.Generator, eps: float) -> np.ndarray:
     """A 4x4 Hermitian step of unit Frobenius norm with spectrum proportional to (1, -1, eps, -eps)."""

@@ -145,6 +145,25 @@ class TestArcLengthInversion:
         assert np.array_equal(q2, np.concatenate([q, q[::-1]]))
         assert c2 == c
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        exponents=st.lists(
+            st.one_of(st.sampled_from([0.8, 1.0, 2.0, 2.555]), st.floats(0.5, 5.0)), min_size=1, max_size=8
+        ),
+        phis=st.lists(st.floats(-np.pi, 2 * np.pi), min_size=1, max_size=6),
+    )
+    def test_a_stacked_call_equals_its_one_exponent_calls(self, exponents, phis):
+        # every (exponent, angle) row leaves the Newton loop at its own step
+        exponents += [0.8, 1.0, 2.555]
+        theta, phis = phi_to_theta(np.array(phis)), np.array(phis)
+        p, q, c = _son_moduli(theta, np.array(exponents))
+        shift = _n_shift(np.array(exponents), phis)
+        assert p.shape == q.shape == shift.shape == (len(exponents), len(phis)) and c.shape == (len(exponents),)
+        for k, n in enumerate(exponents):
+            p1, q1, c1 = _son_moduli(theta, n)
+            assert np.array_equal(p[k], p1) and np.array_equal(q[k], q1) and c[k] == c1
+            assert np.array_equal(shift[k], _n_shift(n, phis))
+
     @pytest.mark.parametrize("theta", [0.3, 1.2])
     def test_zero_dimensional_theta_gives_zero_dimensional_moduli(self, theta):
         p, q, c = _son_moduli(np.float64(theta), 1.8)
@@ -285,17 +304,19 @@ class TestSonFit:
 
     def test_each_exponent_is_inverted_once_per_stage(self, monkeypatch):
         # six combos on one angle grid with one best n: 21 exponents a stage
-        calls = []
+        exponents = []
         original = son._son_moduli
-        monkeypatch.setattr(son, "_son_moduli", lambda theta, n: calls.append(n) or original(theta, n))
+        monkeypatch.setattr(
+            son, "_son_moduli", lambda theta, n: exponents.extend(np.atleast_1d(n).tolist()) or original(theta, n)
+        )
         samples = [
             CorrelationSample(combo=combo, phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
             for combo in COMBOS
             for phi in PHI_GRID
         ]
         son_fit(samples)
-        assert len(calls) == 3 * 21
-        assert all(len(set(calls[k : k + 21])) == 21 for k in (0, 21, 42))
+        assert len(exponents) == 3 * 21
+        assert all(len(set(exponents[k : k + 21])) == 21 for k in (0, 21, 42))
 
     def test_each_combo_disk_fit_is_set_up_once(self, monkeypatch):
         # M = x^T W x does not depend on n: one eigh per combo, not one per candidate n

@@ -98,6 +98,27 @@ class TestMleReconstruct:
         with pytest.raises(ValueError):
             mle_reconstruct(rec, tomography_projectors(), tol=0.0)
 
+    # nan ran all 5000 iterations and inf stopped every record at the first;
+    # True and 2.5 failed inside the loop with IndexError and TypeError
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-6])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0, flux_hz=100.0)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            mle_reconstruct_many([rec], tomography_projectors(), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [True, False, 2.5, 3.0, "10", -2, np.int64(0)])
+    def test_rejects_a_max_iter_that_is_not_a_positive_integer(self, max_iter):
+        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0, flux_hz=100.0)
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            mle_reconstruct_many([rec], tomography_projectors(), max_iter=max_iter)
+
+    def test_takes_a_numpy_integer_max_iter(self):
+        rec = CountRecord(counts=np.arange(1, 37), duration_s=1.0, flux_hz=666.0)
+        projs = tomography_projectors()
+        result = mle_reconstruct(rec, projs, max_iter=np.int64(7))
+        assert result.iterations == mle_reconstruct(rec, projs, max_iter=7).iterations <= 7
+        np.testing.assert_array_equal(result.rho, mle_reconstruct(rec, projs, max_iter=7).rho)
+
 
 def _records(batch: np.ndarray) -> list[CountRecord]:
     counts = batch.reshape(-1, 9, 4).copy()
@@ -159,7 +180,8 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
     normalization and the eigenvalue trace distance at every step.
 
     Returns the final states (eigenvalues clipped at 0), iterations, convergence
-    flags and log-likelihood histories (one entry per iteration, then the final state's).
+    flags, log-likelihood histories (one entry per iteration, then the final state's)
+    and which final iterates had an eigenvalue below 0 to clip.
     """
     flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
     raw = np.stack([r.counts for r in records]).astype(float)
@@ -193,18 +215,32 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
     rho = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    return rho, iterations, ~np.isin(np.arange(len(records)), active), histories
+    return rho, iterations, ~np.isin(np.arange(len(records)), active), histories, w.min(axis=1) < 0
 
 
 def test_kernel_matches_einsum_oracle_on_the_calibrated_grid():
-    plan = ExperimentPlan(noise=calibrated_noise())
+    _assert_kernel_matches_einsum_oracle(ExperimentPlan(noise=calibrated_noise()))
+
+
+def test_kernel_matches_einsum_oracle_on_the_noiseless_grid():
+    # criterion 1's grid: near-pure states, a tail of runs past 700 iterations, and
+    # about 20 records whose final iterate has an eigenvalue below 0 to clip, which
+    # the calibrated grid never reaches
+    plan = ExperimentPlan(flux_hz=2e5, duration_s=5.0, noise=NoiseModel.noiseless(), seed=1)
+    iterations, clipped = _assert_kernel_matches_einsum_oracle(plan)
+    assert max(iterations) > 700
+    assert clipped.any()
+
+
+def _assert_kernel_matches_einsum_oracle(plan):
     records = [stage.counts for stages in simulate_grid(plan).values() for stage in stages]
     assert len(records) == 156
     projs = tomography_projectors()
-    rho, iterations, converged, histories = _einsum_mle(records, projs)
+    rho, iterations, converged, histories, clipped = _einsum_mle(records, projs)
     results = mle_reconstruct_many(records, projs)
     assert [r.iterations for r in results] == iterations.tolist()
     assert [r.converged for r in results] == converged.tolist()
     assert np.max(np.abs(np.stack([r.rho for r in results]) - rho)) <= 1e-14
     for res, history in zip(results, histories):
         np.testing.assert_allclose(res.log_likelihood_history, history, rtol=1e-12, atol=0)
+    return iterations.tolist(), clipped
