@@ -302,8 +302,7 @@ def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
 
 def _write_fit_curves(out: Path, result) -> None:
     phi_grid = np.deg2rad(np.arange(0.0, 180.5, 1.0))
-    for combo in result.per_combo:
-        values = fitted_correlation(result, combo, phi_grid)
+    for combo, values in zip(result.per_combo, fitted_correlation(result, result.per_combo, phi_grid)):
         rows = [(float(np.rad2deg(phi)), float(v), 0.0) for phi, v in zip(phi_grid, values)]
         eio.write_plot_series(out / f"curve_{combo}.csv", rows)
 

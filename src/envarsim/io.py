@@ -104,6 +104,9 @@ def read_count_csv(path: Path) -> CountRecord:
             if value > INT64_MAX:
                 raise ValueError(f"row {idx} count {value} is not in [0, 2**63 - 1]")
             counts.append(value)
+            # float() would also take "5_0.0" (as 50.0), " 5.0 " and non-ASCII digits
+            if not duration_s.isascii() or "_" in duration_s or duration_s.strip() != duration_s:
+                raise ValueError(f"row {idx} duration_s {duration_s!r} is not a plain decimal number")
             durations.append(float(duration_s))
         duration = durations[0]
         if not (math.isfinite(duration) and duration > 0):

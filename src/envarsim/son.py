@@ -118,6 +118,7 @@ class CorrelationCurve:
 _GL_U, _GL_W = np.polynomial.legendre.leggauss(96)
 _ARC_X = ((_GL_U + 1) / 2) ** 6
 _ARC_W = 3 * ((_GL_U + 1) / 2) ** 5 * _GL_W
+_ARC_ROWS = 128  # rows per arc-length call: its (rows, nodes) temporaries stay about 100 kB
 
 
 def _arc_speed(d: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,7 +167,8 @@ def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     d = np.minimum(target, d_mid)
     rows, row_d, row_n, row_target = np.arange(d.size), d.reshape(-1), np.repeat(exponents, folded.size), target.ravel()
     for _ in range(50):
-        miss = _arc_length(row_d[rows], row_n[rows]) - row_target[rows]
+        chunks = np.split(rows, range(_ARC_ROWS, rows.size, _ARC_ROWS))
+        miss = np.concatenate([_arc_length(row_d[c], row_n[c]) for c in chunks]) - row_target[rows]
         missed = ~(np.abs(miss) <= 1e-13)  # a NaN miss stays missed
         rows, miss = rows[missed], miss[missed]
         if not rows.size:
@@ -288,7 +290,6 @@ class SonFitResult:
 
 # Exponent lattice of the fit, (half width, step) per refinement stage
 _N_STAGES = ((0.5, 0.05), (0.05, 0.005), (0.005, 5e-4))
-_N_CHUNK = 21  # exponents per inversion call, one lattice: the (rows, nodes) temporaries stay small
 
 
 def _n_shift(n, phis: np.ndarray) -> np.ndarray:
@@ -409,10 +410,9 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     best_n, at_edge = [2.0] * len(phis), [False] * len(phis)
     for half_width, step in _N_STAGES:
         lattices = [_n_lattice(center, half_width, step) for center in best_n]
-        # every exponent of the stage, one lattice's worth per inversion call
+        # every exponent of the stage in one inversion call
         union = sorted(set().union(*lattices))
-        chunks = [np.array(union[k : k + _N_CHUNK]) for k in range(0, len(union), _N_CHUNK)]
-        shifts = {n: row for chunk in chunks for n, row in zip(chunk.tolist(), _n_shift(chunk, all_phis))}
+        shifts = dict(zip(union, _n_shift(np.array(union), all_phis)))
         fits = []
         for i, lattice in enumerate(lattices):
             # nearest the center first, so an exact tie keeps the closer n
@@ -434,9 +434,11 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     )
 
 
-def fitted_correlation(result: SonFitResult, combo: str, phis) -> np.ndarray:
-    """The fitted model E(phi, n, rho) of one combo at the angles ``phis``."""
-    n = result.per_combo_n[result.per_combo.index(combo)]
-    a, b = result.state_ab[combo]
+def fitted_correlation(result: SonFitResult, combos, phis) -> np.ndarray:
+    """The fitted model E(phi, n, rho) at the angles ``phis`` of one combo (a str), or one row per combo of a
+    sequence; one stacked ``_n_shift`` serves all exponents, and each row has the bits of its one-combo call."""
+    rows = [result.per_combo.index(combo) for combo in ([combos] if isinstance(combos, str) else combos)]
     phis = np.asarray(phis, dtype=float)
-    return _n_shift(n, phis) + a * np.cos(2 * phis) + b * np.sin(2 * phis)
+    a, b = np.array([result.state_ab[result.per_combo[i]] for i in rows]).T.reshape((2, -1) + (1,) * phis.ndim)
+    values = _n_shift(np.array([result.per_combo_n[i] for i in rows]), phis) + a * np.cos(2 * phis) + b * np.sin(2 * phis)
+    return values[0] if isinstance(combos, str) else values

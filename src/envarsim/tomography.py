@@ -6,9 +6,12 @@ frequencies f_j and R(rho) = sum_j f_j/Tr(P_j rho) P_j, the update
 rho -> N[R rho R] never decreases the log-likelihood for this measurement
 structure and converges to the physical (PSD, unit-trace) maximum. Every
 record starts at I/4 and leaves the stack at the iteration where its own
-trace-distance step drops below ``tol``; ``trace_distance_below`` decides
-most steps from norm bounds (Frobenius, then Hölder) and takes eigenvalues
-only of the rest.
+trace-distance step drops below ``tol``. The stops are decided once per block
+of ``_BLOCK`` steps, in one ``trace_distance_below`` call over the block's
+steps, which decides most of them from norm bounds (Frobenius, then Hölder)
+and takes eigenvalues only of the rest; a record keeps the iterate and the
+iteration of its first step below ``tol``, and the steps it ran past that are
+dropped.
 Its result does not depend on the other records in the batch, bit for bit:
 every step works on each matrix alone (a per-record BLAS product on a
 ``(B, 1, k)`` stack, stacked ``@`` and ``eigvalsh``), never as one 2-D BLAS
@@ -29,6 +32,7 @@ from .measurement import CountRecord, ProjectorSet
 __all__ = ["TomographyResult", "mle_reconstruct", "mle_reconstruct_many"]
 
 _PROB_FLOOR = 1e-12
+_BLOCK = 12  # R-rho-R steps between two stopping tests
 
 
 @dataclass(frozen=True)
@@ -94,36 +98,48 @@ def mle_reconstruct_many(
     final = np.empty((batch, 4, 4), dtype=complex)
     iterations = np.full(batch, max_iter)
     converged = np.zeros(batch, dtype=bool)
-    steps: list[tuple[np.ndarray, np.ndarray]] = []  # (active records, their (B, 1) log-likelihoods) per iteration
-    for it in range(1, max_iter + 1):
-        probs = _probabilities(flat_re, rho)
-        steps.append((active, (raw * np.log(probs)).sum(-1)))
-        r_op = ((freqs / probs) @ flat_re).view(complex).reshape(-1, 4, 4)
-        nxt = r_op @ rho @ r_op
-        # Hermitize and normalize in one pass: the real diagonal, so the trace, is already
-        # Hermitian; its entries 0, 5, 10 and 15 are summed in the order trace() takes
-        re = nxt.real.reshape(-1, 16)
-        scale = 0.5 / (((re[:, 0] + re[:, 5]) + re[:, 10]) + re[:, 15])
-        nxt += nxt.conj().transpose(0, 2, 1)
-        nxt *= scale[:, None, None]
-        done = trace_distance_below(nxt, rho, tol)
-        rho = nxt
-        if done.any():
-            final[active[done]] = rho[done]
-            iterations[active[done]] = it
-            converged[active[done]] = True
-            keep = ~done
-            active, raw, freqs, rho = active[keep], raw[keep], freqs[keep], rho[keep]
-            if not active.size:
-                break
+    blocks: list[tuple[int, np.ndarray, np.ndarray]] = []  # (it0, active, (k, B) log-likelihoods) per block
+    # a block runs k steps on the B active rows; traj[j, :B] is iterate it0 + j, the block starts at traj[0]
+    traj = np.empty((min(_BLOCK, max_iter) + 1, batch, 4, 4), dtype=complex)
+    it0 = 0
+    while active.size and it0 < max_iter:
+        k, b = min(_BLOCK, max_iter - it0), active.size
+        traj[0, :b], ll = rho, np.empty((k, b))
+        blocks.append((it0, active, ll))
+        for j in range(k):
+            rho = traj[j, :b]
+            probs = _probabilities(flat_re, rho)
+            ll[j] = (raw * np.log(probs)).sum(-1)[:, 0]
+            r_op = ((freqs / probs) @ flat_re).view(complex).reshape(-1, 4, 4)
+            nxt = np.matmul(r_op @ rho, r_op, out=traj[j + 1, :b])
+            # Hermitize and normalize in one pass: the real diagonal, so the trace, is already
+            # Hermitian; its entries 0, 5, 10 and 15 are summed in the order trace() takes
+            re = nxt.real.reshape(-1, 16)
+            scale = 0.5 / (((re[:, 0] + re[:, 5]) + re[:, 10]) + re[:, 15])
+            nxt += nxt.conj().transpose(0, 2, 1)
+            nxt *= scale[:, None, None]
+        # one stopping test per block: a row stops at its first step below tol, and the
+        # steps it ran past that, on its own data alone, are dropped
+        done = trace_distance_below(traj[1 : k + 1, :b], traj[:k, :b], tol)
+        keep, first = ~done.any(axis=0), done.argmax(axis=0)
+        rows = np.flatnonzero(~keep)
+        final[active[rows]] = traj[first[rows] + 1, rows]
+        iterations[active[rows]] = it0 + first[rows] + 1
+        converged[active[rows]] = True
+        active, raw, freqs, rho = active[keep], raw[keep], freqs[keep], traj[k, :b][keep]
+        it0 += k
     final[active] = rho
 
     final_ll = (all_raw * np.log(_probabilities(flat_re, final))).sum(-1)[:, 0]
-    # row b: record b's log-likelihood at each of its iterations, then at its final state
-    history = np.empty((batch, len(steps) + 1))
-    for t, (rows, ll) in enumerate(steps):
-        history[rows, t] = ll[:, 0]
-    history[np.arange(batch), iterations] = final_ll
+    # the histories end to end: from start[b], record b's log-likelihood at each of its
+    # iterations, then at its final state
+    start = np.cumsum(iterations + 1) - (iterations + 1)
+    history = np.empty(start[-1] + iterations[-1] + 1)
+    for t0, recs, ll in blocks:
+        t = t0 + np.arange(len(ll))[:, None]
+        kept = t < iterations[recs]
+        history[(start[recs] + t)[kept]] = ll[kept]
+    history[start + iterations] = final_ll
     history.setflags(write=False)
 
     # Numerical floor: eigenvalues of the iterate can sit a hair below 0.
@@ -140,7 +156,7 @@ def mle_reconstruct_many(
             log_likelihood=float(final_ll[b]),
             iterations=int(iterations[b]),
             converged=bool(converged[b]),
-            log_likelihood_history=history[b, : iterations[b] + 1],
+            log_likelihood_history=history[start[b] : start[b] + iterations[b] + 1],
         )
         for b in range(batch)
     ]

@@ -383,6 +383,10 @@ COUNT_FILE_DEFECTS = {
     "underscore-count": lambda rows: _set_count(rows, 5, "2_84"),
     "signed-count": lambda rows: _set_count(rows, 5, "+728"),
     "padded-count": lambda rows: _set_count(rows, 5, " 728 "),
+    # on every row, so that the rows agree: float() read these as 50.0 and 5.0
+    "underscore-duration": lambda rows: [_set_duration(rows, i, "5_0.0") for i in range(36)],
+    "padded-duration": lambda rows: [_set_duration(rows, i, " 5.0 ") for i in range(36)],
+    "non-ascii-duration": lambda rows: [_set_duration(rows, i, "\uff15.0") for i in range(36)],
 }
 
 

@@ -22,6 +22,7 @@ from envarsim.son import (
     correlation_operator,
     extract_correlation,
     fit_obstacle,
+    fitted_correlation,
     phi_to_theta,
     solve_son,
     son_fit,
@@ -301,6 +302,27 @@ class TestSonFit:
         assert joint.per_combo_n == tuple(r.per_combo_n[0] for r in alone)
         assert joint.state_ab == {combo: r.state_ab[combo] for combo, r in zip(joint.per_combo, alone)}
         assert joint.objective == sum(r.objective for r in alone)
+
+    def test_fit_curves_of_all_combos_equal_each_combo_alone(self, monkeypatch):
+        # one inversion for every combo's exponent, at more rows than one arc-length call takes
+        base = linalg.werner(0.98)
+        noise = NoiseModel(werner_v=0.98, poisson=True)
+        rng = np.random.default_rng(12)
+        samples = [
+            extract_correlation(_stage2_counts(combo, float(phi), base, noise, rng), combo, float(phi))
+            for combo in ("Z-DA", "Y-HV", "X-RL")
+            for phi in PHI_GRID
+        ]
+        result = son_fit(samples)
+        assert len(set(result.per_combo_n)) > 1
+        phis = np.deg2rad(np.arange(0.0, 180.5, 1.0))
+        calls = []
+        original = son._son_moduli
+        monkeypatch.setattr(son, "_son_moduli", lambda theta, n: calls.append(n) or original(theta, n))
+        curves = fitted_correlation(result, result.per_combo, phis)
+        assert len(calls) == 1 and curves.shape == (3, phis.size)
+        for combo, row in zip(result.per_combo, curves):
+            np.testing.assert_array_equal(row, fitted_correlation(result, combo, phis))
 
     def test_each_exponent_is_inverted_once_per_stage(self, monkeypatch):
         # six combos on one angle grid with one best n: 21 exponents a stage

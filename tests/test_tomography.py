@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from envarsim import linalg
+from envarsim import linalg, tomography
 from envarsim.harness import ExperimentPlan, calibrated_noise, simulate_grid
 from envarsim.measurement import (
     CountRecord,
@@ -180,8 +180,9 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
     normalization and the eigenvalue trace distance at every step.
 
     Returns the final states (eigenvalues clipped at 0), iterations, convergence
-    flags, log-likelihood histories (one entry per iteration, then the final state's)
-    and which final iterates had an eigenvalue below 0 to clip.
+    flags, log-likelihood histories (one entry per iteration, then the final state's),
+    which final iterates had an eigenvalue below 0 to clip, and each record's trace
+    distance at every step.
     """
     flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
     raw = np.stack([r.counts for r in records]).astype(float)
@@ -194,6 +195,7 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
     rho = np.tile(np.eye(4, dtype=complex) / 4, (len(records), 1, 1))
     iterations = np.full(len(records), max_iter)
     histories = [[] for _ in records]
+    distances = [[] for _ in records]
     active = np.arange(len(records))
     for it in range(1, max_iter + 1):
         probs, ll = log_likelihood(active, rho[active])
@@ -203,7 +205,10 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
         nxt = r_op @ rho[active] @ r_op
         nxt = (nxt + nxt.transpose(0, 2, 1).conj()) / 2
         nxt = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
-        done = linalg.trace_distance(nxt, rho[active]) < tol
+        dist = linalg.trace_distance(nxt, rho[active])
+        for b, value in zip(active, dist):
+            distances[b].append(value)
+        done = dist < tol
         rho[active] = nxt
         iterations[active[done]] = it
         active = active[~done]
@@ -215,7 +220,7 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
     rho = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2
     rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    return rho, iterations, ~np.isin(np.arange(len(records)), active), histories, w.min(axis=1) < 0
+    return rho, iterations, ~np.isin(np.arange(len(records)), active), histories, w.min(axis=1) < 0, distances
 
 
 def test_kernel_matches_einsum_oracle_on_the_calibrated_grid():
@@ -236,7 +241,7 @@ def _assert_kernel_matches_einsum_oracle(plan):
     records = [stage.counts for stages in simulate_grid(plan).values() for stage in stages]
     assert len(records) == 156
     projs = tomography_projectors()
-    rho, iterations, converged, histories, clipped = _einsum_mle(records, projs)
+    rho, iterations, converged, histories, clipped, _ = _einsum_mle(records, projs)
     results = mle_reconstruct_many(records, projs)
     assert [r.iterations for r in results] == iterations.tolist()
     assert [r.converged for r in results] == converged.tolist()
@@ -244,3 +249,64 @@ def _assert_kernel_matches_einsum_oracle(plan):
     for res, history in zip(results, histories):
         np.testing.assert_allclose(res.log_likelihood_history, history, rtol=1e-12, atol=0)
     return iterations.tolist(), clipped
+
+
+# The MLE decides stops once per block of K steps: runs that end on either side of a block edge
+K = tomography._BLOCK
+EDGE_MAX_ITERS = (1, K - 1, K, K + 1, 2 * K + 3)
+# a block's last step, the next block's first, and the last step of a last block cut to 3 steps
+EDGE_STOPS = (K, K + 1, 2 * K, 2 * K + 1, 2 * K + 3)
+
+
+def _edge_records(stop):
+    """Uniform counts (I/4 is the fixed point: a stop at iteration 1, a block's first step),
+    a noisy Werner record and a tol under which the Werner record stops at iteration ``stop``.
+
+    The tol lies between the record's trace-distance step at ``stop`` and the smallest step
+    before it, by the oracle, so it stops there in both implementations.
+    """
+    rng = np.random.default_rng(11)
+    werner = simulate_counts(linalg.werner(0.9), 5400.0, 5.0, NoiseModel(werner_v=0.9, poisson=True), rng)
+    uniform = CountRecord(counts=np.full(36, 5000), duration_s=1.0, flux_hz=180000.0)
+    steps = np.array(_einsum_mle([werner], tomography_projectors(), max_iter=max(EDGE_STOPS), tol=1e-300)[5][0])
+    assert steps[stop - 1] < steps[: stop - 1].min()
+    return [uniform, werner, uniform], float(np.sqrt(steps[stop - 1] * steps[: stop - 1].min()))
+
+
+@pytest.mark.parametrize("stop", EDGE_STOPS)
+@pytest.mark.parametrize("max_iter", EDGE_MAX_ITERS)
+def test_block_edges_match_the_oracle_and_each_record_alone(max_iter, stop):
+    records, tol = _edge_records(stop)
+    projs = tomography_projectors()
+    rho, iterations, converged, histories, _, _ = _einsum_mle(records, projs, max_iter=max_iter, tol=tol)
+    assert iterations.tolist() == [1, min(stop, max_iter), 1]
+    assert converged[1] == (stop <= max_iter)
+    many = mle_reconstruct_many(records, projs, max_iter=max_iter, tol=tol)
+    assert [r.iterations for r in many] == iterations.tolist()
+    assert [r.converged for r in many] == converged.tolist()
+    for b, (res, record) in enumerate(zip(many, records)):
+        assert np.max(np.abs(res.rho - rho[b])) <= 1e-14
+        assert len(res.log_likelihood_history) == res.iterations + 1
+        np.testing.assert_allclose(res.log_likelihood_history, histories[b], rtol=1e-12, atol=0)
+        alone = mle_reconstruct(record, projs, max_iter=max_iter, tol=tol)
+        assert (alone.iterations, alone.converged) == (res.iterations, res.converged)
+        np.testing.assert_array_equal(alone.rho, res.rho)
+        np.testing.assert_array_equal(alone.log_likelihood_history, res.log_likelihood_history)
+
+
+@pytest.mark.parametrize("max_iter", EDGE_MAX_ITERS)
+def test_stops_are_tested_once_per_block(monkeypatch, max_iter):
+    calls = []
+
+    def counting(a, b, tol):
+        calls.append(a.shape[:2])
+        return linalg.trace_distance_below(a, b, tol)
+
+    monkeypatch.setattr(tomography, "trace_distance_below", counting)
+    records, tol = _edge_records(2 * K + 1)
+    many = mle_reconstruct_many(records, tomography_projectors(), max_iter=max_iter, tol=tol)
+    last = max(r.iterations for r in many)
+    # every record in the first block, then the Werner record alone; the last block is cut to max_iter,
+    # and the block where the Werner record stops runs in full
+    blocks = [(min(K, max_iter - it0), 3 if it0 == 0 else 1) for it0 in range(0, last, K)]
+    assert calls == blocks
