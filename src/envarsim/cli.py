@@ -85,7 +85,7 @@ def _is_json_kind(value, kind: type) -> bool:
 
 
 def _config_from_json(raw) -> RunConfig:
-    """A RunConfig from a parsed JSON object, each key checked against its field's kind."""
+    """A RunConfig from a parsed JSON object, each value checked against and cast to its field's kind."""
     if not isinstance(raw, dict):
         raise UsageError("config must be a flat JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -102,7 +102,7 @@ def _config_from_json(raw) -> RunConfig:
             kind = type(getattr(RunConfig, key))
             if not _is_json_kind(value, kind):
                 raise UsageError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
-            values[key] = value
+            values[key] = kind(value)
     return RunConfig(**values)
 
 
@@ -191,7 +191,9 @@ def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stag
             raise MissingDataError(f"malformed count file {exc}") from exc
     empty = np.flatnonzero(record.setting_totals() == 0)
     if empty.size:
-        raise MissingDataError(f"malformed count file {path}: setting {empty[0] + 1} of 9 has no counts")
+        tag = eio.record_tag(axis, angle_deg, stage)
+        source = f"malformed count file {path}" if grid is None else f"simulated count record {tag}"
+        raise MissingDataError(f"{source}: setting {empty[0] + 1} of 9 has no counts")
     return record
 
 
@@ -239,7 +241,7 @@ def _write_states_json(out: Path, states: dict) -> None:
     tables = {}
     for (axis, angle_deg), rhos in states.items():
         for stage, rho in zip(STAGES, rhos):
-            tables[f"{axis}_{int(round(angle_deg * 100)):05d}_{stage}"] = eio.density_matrix_to_table(rho)
+            tables[eio.record_tag(axis, angle_deg, stage)] = eio.density_matrix_to_table(rho)
     eio.write_json(out / "states.json", tables)
 
 

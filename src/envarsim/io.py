@@ -2,17 +2,18 @@
 
 All writers are deterministic: dictionary keys are sorted, floats use
 Python's shortest round-trip repr, and no timestamps or environment data
-are embedded, so identical inputs produce byte-identical files. JSON
-takes plain Python values as they are: ``report_to_dict`` maps the one
-NaN the program makes to null, and ``write_json`` refuses any NaN or
-+-inf. Every writer fills a sibling temporary file and moves it over the
-target, so a file holds either its previous or its complete new content.
+are embedded, so identical inputs produce byte-identical files. Each file
+is written by ``_write_text`` to a sibling temporary file moved over the
+target, so it holds its previous or its complete new content. A CSV is
+built whole (no field needs quoting: fixed vocabularies and reprs); JSON
+is streamed, not held as one string. ``write_json`` refuses NaN and +-inf;
+``report_to_dict`` maps the one NaN the program makes to null.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from .son import CorrelationSample, SonFitResult
 __all__ = [
     "COUNT_CSV_HEADER",
     "INT64_MAX",
+    "record_tag",
     "count_file_name",
     "write_count_csv",
     "read_count_csv",
@@ -46,36 +48,38 @@ COUNT_CSV_HEADER = ("setting_label", "outcome_label", "counts", "duration_s")
 INT64_MAX = 2**63 - 1
 
 
+def record_tag(axis: str, angle_deg: float, stage: str) -> str:
+    """Canonical per-cell record name, angle encoded in centidegrees."""
+    return f"{axis}_{int(round(angle_deg * 100)):05d}_{stage}"
+
+
 def count_file_name(axis: str, angle_deg: float, stage: str) -> str:
-    """Canonical per-cell file name, angle encoded in centidegrees."""
-    return f"counts_{axis}_{int(round(angle_deg * 100)):05d}_{stage}.csv"
+    return f"counts_{record_tag(axis, angle_deg, stage)}.csv"
 
 
-@contextlib.contextmanager
-def _replaced_on_success(path: Path, newline: str | None = None):
-    """Open a sibling temporary file; once the block completes it replaces ``path``.
-
-    ``os.replace`` is atomic within one directory. If the block raises, the
-    temporary file is removed and ``path`` keeps its previous content.
-    """
+def _write_text(path: Path, chunks) -> None:
+    """Write ``chunks`` to a sibling temporary file, then ``os.replace`` it over ``path``; on any failure remove it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
-            yield fh
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """One line per row of string fields, comma-joined and ending in ``\n``, written as one string."""
+    _write_text(path, ["".join(",".join(fields) + "\n" for fields in (header, *rows))])
+
+
 def write_count_csv(path: Path, record: CountRecord) -> None:
     labels = tomography_projectors().flat_labels
-    with _replaced_on_success(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COUNT_CSV_HEADER)
-        for (setting_label, outcome_label), count in zip(labels, record.counts):
-            writer.writerow([setting_label, outcome_label, int(count), repr(float(record.duration_s))])
+    duration = repr(float(record.duration_s))
+    rows = [(setting, outcome, str(int(count)), duration) for (setting, outcome), count in zip(labels, record.counts)]
+    _write_csv(path, COUNT_CSV_HEADER, rows)
 
 
 def read_count_csv(path: Path) -> CountRecord:
@@ -116,21 +120,20 @@ def read_count_csv(path: Path) -> CountRecord:
         total = sum(counts)  # exact, where the int64 sums downstream would wrap
         if total > INT64_MAX:
             raise ValueError(f"counts total {total} exceeds 2**63 - 1")
-        return CountRecord(counts=counts, duration_s=duration, flux_hz=total / (9 * duration))
+        return CountRecord(counts=counts, duration_s=duration)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def density_matrix_to_table(rho: np.ndarray) -> list[list[list[float]]]:
     """4x4 complex matrix as nested [re, im] pairs."""
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in np.asarray(rho)]
+    return np.stack([np.real(rho), np.imag(rho)], -1).tolist()
 
 
 def write_json(path: Path, obj) -> None:
     """Write ``obj`` as sorted, indented JSON; a NaN or +-inf anywhere raises ValueError."""
-    with _replaced_on_success(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).iterencode(obj)
+    _write_text(path, itertools.chain(chunks, ("\n",)))
 
 
 def read_json(path: Path):
@@ -156,14 +159,8 @@ _REPORT_COLUMNS = (
 
 def write_report_csv(path: Path, report: EnvarianceReport) -> None:
     """One row per grid cell with the six comparison metrics."""
-    with _replaced_on_success(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_REPORT_COLUMNS)
-        for cell in report.cells:
-            writer.writerow(
-                [cell.axis, repr(cell.angle_deg)]
-                + [repr(getattr(cell, col)) for col in _REPORT_COLUMNS[2:]]
-            )
+    rows = [[cell.axis] + [repr(getattr(cell, col)) for col in _REPORT_COLUMNS[1:]] for cell in report.cells]
+    _write_csv(path, _REPORT_COLUMNS, rows)
 
 
 def report_to_dict(report: EnvarianceReport) -> dict:
@@ -187,21 +184,13 @@ def report_to_dict(report: EnvarianceReport) -> dict:
 
 def write_plot_series(path: Path, rows: list[tuple[float, float, float]]) -> None:
     """Per-panel plot data: angle_deg, value, error."""
-    with _replaced_on_success(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("angle_deg", "value", "error"))
-        for angle, value, error in rows:
-            err = 0.0 if math.isnan(error) else error
-            writer.writerow([repr(float(angle)), repr(float(value)), repr(float(err))])
+    fields = [(repr(float(a)), repr(float(v)), repr(0.0 if math.isnan(e) else float(e))) for a, v, e in rows]
+    _write_csv(path, ("angle_deg", "value", "error"), fields)
 
 
 def write_correlation_csv(path: Path, samples: list[CorrelationSample]) -> None:
-    with _replaced_on_success(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("combo", "phi_deg", "E", "sigma_E"))
-        for s in samples:
-            phi_deg = round(float(np.rad2deg(s.phi)), 9)
-            writer.writerow([s.combo, repr(phi_deg), repr(s.value), repr(s.sigma)])
+    rows = [(s.combo, repr(round(float(np.rad2deg(s.phi)), 9)), repr(s.value), repr(s.sigma)) for s in samples]
+    _write_csv(path, ("combo", "phi_deg", "E", "sigma_E"), rows)
 
 
 def son_result_to_dict(result: SonFitResult) -> dict:

@@ -170,7 +170,6 @@ class CountRecord:
 
     counts: np.ndarray
     duration_s: float
-    flux_hz: float
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -284,7 +283,7 @@ def simulate_counts_many(
             counts[:, 4 * k : 4 * k + 4] = [[rng.poisson(lam) for lam in row] for rng, row in zip(rngs, expected.tolist())]
         else:
             counts[:, 4 * k : 4 * k + 4] = np.rint(expected).astype(np.int64)
-    return [CountRecord(counts=row, duration_s=float(duration_s), flux_hz=float(flux_hz)) for row in counts]
+    return [CountRecord(counts=row, duration_s=float(duration_s)) for row in counts]
 
 
 def simulate_counts(

@@ -96,6 +96,16 @@ class TestConfig:
         for name, value in vars(RunConfig()).items():
             assert type(value) in (tuple, str, bool, int, float), name
 
+    def test_integral_numbers_run_and_record_as_floats(self, tmp_path):
+        # 5400 runs the experiment 5400.0 does, so the manifest must not tell them apart
+        ints = _write_config(tmp_path / "ints.json", flux_hz=5400, duration_s=1, werner_v=1, drift_sigma=0)
+        floats = _write_config(tmp_path / "floats.json")
+        config = load_config(str(ints))
+        assert type(config.flux_hz) is float and type(config.duration_s) is float
+        for cfg, name in ((ints, "ints"), (floats, "floats")):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        assert _tree_hash(tmp_path / "ints") == _tree_hash(tmp_path / "floats")
+
 
 class TestSimulate:
     def test_default_grid_writes_156_files(self, tmp_path):
@@ -235,7 +245,7 @@ class TestSonFitCommand:
             record = read_count_csv(path)
             counts = record.counts.copy()
             counts[4 * da : 4 * da + 4] = (600, 0, 0, 600)
-            eio.write_count_csv(path, CountRecord(counts=counts, duration_s=record.duration_s, flux_hz=record.flux_hz))
+            eio.write_count_csv(path, CountRecord(counts=counts, duration_s=record.duration_s))
         capsys.readouterr()
         assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 0
         captured = capsys.readouterr()
@@ -487,7 +497,7 @@ def test_report_checks_simulated_records_as_analyze_checks_count_files(tmp_path,
     error = f"error: malformed count file {out / 'counts_x_00000_I.csv'}: setting 2 of 9 has no counts\n"
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 3
     captured = capsys.readouterr()
-    assert captured.err == error
+    assert captured.err == "error: simulated count record x_00000_I: setting 2 of 9 has no counts\n"
     assert captured.out == f"simulate: wrote 6 count files to {out}\n"
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["manifest.json"] + [eio.count_file_name("x", a, stage) for a in (0.0, 90.0) for stage in ("I", "II", "III")]

@@ -171,7 +171,7 @@ class TestSimulateCountsMany:
         for (seed, _), rho, record in zip(states, rhos, many):
             alone = simulate_counts(rho, 5400.0, 5.0, noise, np.random.default_rng(seed))
             np.testing.assert_array_equal(record.counts, alone.counts)
-            assert (record.duration_s, record.flux_hz) == (5.0, 5400.0)
+            assert record.duration_s == 5.0
 
     def test_analyzers_match_plate_products(self):
         errors = np.random.default_rng(3).normal(0.0, 0.05, size=(7, 2))
@@ -191,11 +191,11 @@ class TestSimulateCountsMany:
 class TestCountRecord:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
-            CountRecord(counts=np.full(36, -1), duration_s=5.0, flux_hz=5400.0)
+            CountRecord(counts=np.full(36, -1), duration_s=5.0)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            CountRecord(counts=np.zeros(35, dtype=int), duration_s=5.0, flux_hz=5400.0)
+            CountRecord(counts=np.zeros(35, dtype=int), duration_s=5.0)
 
 
 class TestNoiseModel:

@@ -113,13 +113,13 @@ class TestBhattacharyya:
 
 class TestNormalizeCounts:
     def test_uniform_counts(self):
-        rec = CountRecord(counts=np.full(36, 7), duration_s=1.0, flux_hz=1.0)
+        rec = CountRecord(counts=np.full(36, 7), duration_s=1.0)
         np.testing.assert_allclose(normalize_counts(rec), np.full(36, 1 / 36), atol=1e-15)
 
     def test_single_nonzero(self):
         counts = np.zeros(36, dtype=int)
         counts[0] = 5
-        rec = CountRecord(counts=counts, duration_s=1.0, flux_hz=1.0)
+        rec = CountRecord(counts=counts, duration_s=1.0)
         expected = np.zeros(36)
         expected[0] = 1.0
         np.testing.assert_allclose(normalize_counts(rec), expected, atol=1e-15)
@@ -132,6 +132,6 @@ class TestNormalizeCounts:
         np.testing.assert_allclose(normalize_counts(rec), probs / 9, atol=1e-9)
 
     def test_rejects_zero_total(self):
-        rec = CountRecord(counts=np.zeros(36, dtype=int), duration_s=1.0, flux_hz=1.0)
+        rec = CountRecord(counts=np.zeros(36, dtype=int), duration_s=1.0)
         with pytest.raises(ValueError):
             normalize_counts(rec)

@@ -202,7 +202,7 @@ class TestExtractCorrelation:
         assert sample.value == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_counts_give_zero(self):
-        counts = CountRecord(counts=np.full(36, 250), duration_s=1.0, flux_hz=9000.0)
+        counts = CountRecord(counts=np.full(36, 250), duration_s=1.0)
         sample = extract_correlation(counts, "Y-HV", 0.3)
         assert sample.value == pytest.approx(0.0, abs=1e-15)
         # uniform block (a,a,a,a): sigma = 1/(2*sqrt(a))
@@ -211,7 +211,7 @@ class TestExtractCorrelation:
     def test_poisson_sigma_formula(self):
         counts = np.full(36, 1, dtype=np.int64)
         counts[0:4] = (100, 50, 25, 25)  # HV-HV block
-        rec = CountRecord(counts=counts, duration_s=1.0, flux_hz=1.0)
+        rec = CountRecord(counts=counts, duration_s=1.0)
         sample = extract_correlation(rec, "Y-HV", 0.1)
         assert sample.value == pytest.approx(0.25, abs=1e-15)
         assert sample.sigma == pytest.approx(2 * math.sqrt(125 * 75 / 200**3), abs=1e-15)
@@ -219,12 +219,12 @@ class TestExtractCorrelation:
     def test_zero_total_rejected(self):
         counts = np.full(36, 5, dtype=np.int64)
         counts[0:4] = 0
-        rec = CountRecord(counts=counts, duration_s=1.0, flux_hz=1.0)
+        rec = CountRecord(counts=counts, duration_s=1.0)
         with pytest.raises(ValueError):
             extract_correlation(rec, "Y-HV", 0.0)
 
     def test_unknown_combo_rejected(self):
-        rec = CountRecord(counts=np.full(36, 5), duration_s=1.0, flux_hz=1.0)
+        rec = CountRecord(counts=np.full(36, 5), duration_s=1.0)
         with pytest.raises(ValueError):
             extract_correlation(rec, "Z-HV", 0.0)
 

@@ -29,7 +29,7 @@ class TestMleReconstruct:
         assert fidelity(res.rho, rho) >= 0.9999
 
     def test_uniform_counts_fixed_point(self):
-        rec = CountRecord(counts=np.full(36, 5000), duration_s=1.0, flux_hz=180000.0)
+        rec = CountRecord(counts=np.full(36, 5000), duration_s=1.0)
         res = mle_reconstruct(rec, tomography_projectors())
         np.testing.assert_allclose(res.rho, np.eye(4) / 4, atol=1e-6)
         assert res.converged
@@ -60,7 +60,7 @@ class TestMleReconstruct:
 
         perm = np.random.default_rng(0).permutation(9)
         blocks = counts.counts.reshape(9, 4)[perm].reshape(36)
-        rec_p = CountRecord(counts=blocks, duration_s=counts.duration_s, flux_hz=counts.flux_hz)
+        rec_p = CountRecord(counts=blocks, duration_s=counts.duration_s)
         from envarsim.measurement import ProjectorSet
 
         projs_p = ProjectorSet(settings=tuple(projs.settings[i] for i in perm))
@@ -92,7 +92,7 @@ class TestMleReconstruct:
         assert medians[0] > medians[1] > medians[2]
 
     def test_rejects_bad_arguments(self):
-        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0, flux_hz=100.0)
+        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0)
         with pytest.raises(ValueError):
             mle_reconstruct(rec, tomography_projectors(), max_iter=0)
         with pytest.raises(ValueError):
@@ -102,18 +102,18 @@ class TestMleReconstruct:
     # True and 2.5 failed inside the loop with IndexError and TypeError
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-6])
     def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
-        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0, flux_hz=100.0)
+        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             mle_reconstruct_many([rec], tomography_projectors(), tol=tol)
 
     @pytest.mark.parametrize("max_iter", [True, False, 2.5, 3.0, "10", -2, np.int64(0)])
     def test_rejects_a_max_iter_that_is_not_a_positive_integer(self, max_iter):
-        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0, flux_hz=100.0)
+        rec = CountRecord(counts=np.full(36, 10), duration_s=1.0)
         with pytest.raises(ValueError, match="max_iter must be a positive integer"):
             mle_reconstruct_many([rec], tomography_projectors(), max_iter=max_iter)
 
     def test_takes_a_numpy_integer_max_iter(self):
-        rec = CountRecord(counts=np.arange(1, 37), duration_s=1.0, flux_hz=666.0)
+        rec = CountRecord(counts=np.arange(1, 37), duration_s=1.0)
         projs = tomography_projectors()
         result = mle_reconstruct(rec, projs, max_iter=np.int64(7))
         assert result.iterations == mle_reconstruct(rec, projs, max_iter=7).iterations <= 7
@@ -123,7 +123,7 @@ class TestMleReconstruct:
 def _records(batch: np.ndarray) -> list[CountRecord]:
     counts = batch.reshape(-1, 9, 4).copy()
     counts[counts.sum(axis=2) == 0, 0] = 1  # every setting needs a count
-    return [CountRecord(counts=c.reshape(36), duration_s=1.0, flux_hz=float(c.sum())) for c in counts]
+    return [CountRecord(counts=c.reshape(36), duration_s=1.0) for c in counts]
 
 
 # B from 1 to 8 records of 36 counts, many outcomes at zero
@@ -267,7 +267,7 @@ def _edge_records(stop):
     """
     rng = np.random.default_rng(11)
     werner = simulate_counts(linalg.werner(0.9), 5400.0, 5.0, NoiseModel(werner_v=0.9, poisson=True), rng)
-    uniform = CountRecord(counts=np.full(36, 5000), duration_s=1.0, flux_hz=180000.0)
+    uniform = CountRecord(counts=np.full(36, 5000), duration_s=1.0)
     steps = np.array(_einsum_mle([werner], tomography_projectors(), max_iter=max(EDGE_STOPS), tol=1e-300)[5][0])
     assert steps[stop - 1] < steps[: stop - 1].min()
     return [uniform, werner, uniform], float(np.sqrt(steps[stop - 1] * steps[: stop - 1].min()))
