@@ -78,10 +78,16 @@ _LIST_KEYS = {"axes": str, "angles_deg": float, "formats": str}
 
 
 def _is_json_kind(value, kind: type) -> bool:
-    """A JSON value of the kind a config field holds: ints pass as floats, bools only as bools."""
+    """A JSON value of the kind a config field holds: ints pass as floats that can hold them, bools only as bools."""
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(value, kind)
 
 
 def _config_from_json(raw) -> RunConfig:

@@ -39,7 +39,7 @@ from .measurement import (
     simulate_counts_many,
     tomography_projectors,
 )
-from .metrics import bhattacharyya, fidelity, normalize_counts
+from .metrics import bhattacharyya, fidelity
 from .optics import (
     NAMED_AXES,
     STACK_ROTATION_SIGN,
@@ -285,6 +285,12 @@ def _distribution_from_rho(rho: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
+def _count_distributions(records: list[CountRecord]) -> np.ndarray:
+    """(B, 36): each record's counts divided by its grand total, as ``normalize_counts`` does for one."""
+    counts = np.stack([record.counts for record in records])
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
 def _sample_std(values) -> float:
     """ddof=1 std of ``values``; 0.0 below two values."""
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
@@ -325,7 +331,7 @@ def assemble_report(
     records = [record for key in keys for record in cell_counts[key]]
     results = mle_reconstruct_many(records, tomography_projectors())
     rhos = np.stack([result.rho for result in results]).reshape(len(keys), 3, 4, 4)
-    dists = np.stack([normalize_counts(record) for record in records]).reshape(len(keys), 3, 36)
+    dists = _count_distributions(records).reshape(len(keys), 3, 36)
     u = stack(_nominal_angles([(axis, np.deg2rad(angle_deg)) for axis, angle_deg in keys]))
     theory = np.stack([theoretical_stage3(rhos[:, 0], u), apply_local(u, _I2, rhos[:, 0])], axis=1)
     # stage I against III, II, ideal III and ideal II, one column each

@@ -95,7 +95,7 @@ class ProjectorSet:
         flat.setflags(write=False)
         return flat
 
-    @property
+    @functools.cached_property
     def flat_labels(self) -> tuple[tuple[str, str], ...]:
         """(setting_label, outcome_label) pairs in index order."""
         return tuple(

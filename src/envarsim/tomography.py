@@ -16,7 +16,10 @@ Its result does not depend on the other records in the batch, bit for bit:
 every step works on each matrix alone (a per-record BLAS product on a
 ``(B, 1, k)`` stack, stacked ``@`` and ``eigvalsh``), never as one 2-D BLAS
 product across records, whose rounding of a row can change with its place
-in the batch. ``mle_reconstruct`` is the one-record call.
+in the batch. So equal count records are reconstructed once: the loop runs
+on the distinct rows of the stacked counts only, and each record gets its
+distinct row's result, the bits of its one-record call; a repeated record
+gets its own copy of the state. ``mle_reconstruct`` is the one-record call.
 """
 
 from __future__ import annotations
@@ -44,13 +47,22 @@ class TomographyResult:
     log_likelihood_history: np.ndarray  # read-only: one entry per iteration, then the final state's
 
 
-def _setting_frequencies(counts: CountRecord) -> np.ndarray:
-    """Counts normalized per setting (each block of 4 sums to 1)."""
-    blocks = counts.counts.reshape(9, 4).astype(float)
-    totals = blocks.sum(axis=1)
+def _distinct_rows(records: Sequence[CountRecord]) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
+    """Each distinct record's counts and frequencies (each setting's 4 sum to 1) as (B, 1, 36)
+    rows, the shape of the probabilities, in first-occurrence order; and each input record's
+    row, or None when no record repeats."""
+    counts = np.stack([r.counts for r in records])
+    index: dict[bytes, int] = {}
+    owner = [index.setdefault(row.tobytes(), len(index)) for row in counts]
+    if len(index) < len(owner):
+        counts = np.frombuffer(b"".join(index), dtype=counts.dtype).reshape(len(index), 36)
+    else:
+        owner = None
+    settings = counts.reshape(-1, 9, 4).astype(float)
+    totals = settings.sum(axis=2, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("every setting needs at least one positive count")
-    return (blocks / totals[:, None]).reshape(36)
+    return settings.reshape(-1, 1, 36), (settings / totals).reshape(-1, 1, 36), owner
 
 
 def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -63,37 +75,15 @@ def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.maximum(probs, _PROB_FLOOR, out=probs)
 
 
-def mle_reconstruct_many(
-    records: Sequence[CountRecord],
-    projectors: ProjectorSet,
-    max_iter: int = 5000,
-    tol: float = 1e-6,
-) -> list[TomographyResult]:
-    """Iterative maximum-likelihood reconstruction of every record, one result each.
-
-    A record stops when the trace distance between its successive iterates
-    drops below ``tol``; it gets converged=False (with the last iterate) if
-    ``max_iter`` is exhausted first. The default tolerance deliberately
-    stops short of machine convergence: iterating the R-rho-R map to its
-    exact fixed point truncates small eigenvalues to zero and measurably
-    degrades fidelity to the true state at realistic count levels.
-    """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, not {max_iter!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, not {tol!r}")
-    if not records:
-        return []
-    # the projectors as (36, 32) floats: real and imaginary parts interleaved
-    flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
-    # counts and frequencies as (B, 1, 36) rows, the shape of the probabilities
-    all_raw = np.stack([r.counts for r in records]).astype(float)[:, None, :]
-    all_freqs = np.stack([_setting_frequencies(r) for r in records])[:, None, :]
-    batch = len(records)
-
-    # row k of raw, freqs and rho belongs to record active[k]; a record's rows leave when it stops
+def _run_blocks(
+    flat_re: np.ndarray, raw: np.ndarray, freqs: np.ndarray, max_iter: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """R-rho-R from I/4 on every (1, 36) row of counts ``raw`` and frequencies ``freqs``, in blocks
+    of ``_BLOCK`` steps: each row's final iterate, iterations and convergence, and per block its
+    first iteration, active rows and (steps, rows) log-likelihoods."""
+    batch = len(raw)
+    # row k of raw, freqs and rho belongs to input row active[k]; its rows leave when it stops
     active = np.arange(batch)
-    raw, freqs = all_raw, all_freqs
     rho = np.tile(np.eye(4, dtype=complex) / 4, (batch, 1, 1))
     final = np.empty((batch, 4, 4), dtype=complex)
     iterations = np.full(batch, max_iter)
@@ -129,6 +119,36 @@ def mle_reconstruct_many(
         active, raw, freqs, rho = active[keep], raw[keep], freqs[keep], traj[k, :b][keep]
         it0 += k
     final[active] = rho
+    return final, iterations, converged, blocks
+
+
+def mle_reconstruct_many(
+    records: Sequence[CountRecord],
+    projectors: ProjectorSet,
+    max_iter: int = 5000,
+    tol: float = 1e-6,
+) -> list[TomographyResult]:
+    """Iterative maximum-likelihood reconstruction of every record, one result each.
+
+    A record stops when the trace distance between its successive iterates
+    drops below ``tol``; it gets converged=False (with the last iterate) if
+    ``max_iter`` is exhausted first. The default tolerance deliberately
+    stops short of machine convergence: iterating the R-rho-R map to its
+    exact fixed point truncates small eigenvalues to zero and measurably
+    degrades fidelity to the true state at realistic count levels.
+    """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, not {max_iter!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    if not records:
+        return []
+    # the projectors as (36, 32) floats: real and imaginary parts interleaved
+    flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
+    # one row per distinct record; input record b gets the result of row owner[b]
+    all_raw, all_freqs, owner = _distinct_rows(records)
+    # the block loop's trajectory buffer is freed here, before the histories are assembled
+    final, iterations, converged, blocks = _run_blocks(flat_re, all_raw, all_freqs, max_iter, tol)
 
     final_ll = (all_raw * np.log(_probabilities(flat_re, final))).sum(-1)[:, 0]
     # the histories end to end: from start[b], record b's log-likelihood at each of its
@@ -150,15 +170,19 @@ def mle_reconstruct_many(
         fixed = (v * w[:, None, :]) @ v.transpose(0, 2, 1).conj()
         fixed = (fixed + fixed.transpose(0, 2, 1).conj()) / 2
         final[clip] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
+    if owner is None:
+        owner = range(len(final))
+    else:
+        final = final[owner]  # every input record gets its own state
     return [
         TomographyResult(
             rho=final[b],
-            log_likelihood=float(final_ll[b]),
-            iterations=int(iterations[b]),
-            converged=bool(converged[b]),
-            log_likelihood_history=history[start[b] : start[b] + iterations[b] + 1],
+            log_likelihood=float(final_ll[u]),
+            iterations=int(iterations[u]),
+            converged=bool(converged[u]),
+            log_likelihood_history=history[start[u] : start[u] + iterations[u] + 1],
         )
-        for b in range(batch)
+        for b, u in enumerate(owner)
     ]
 
 

@@ -280,8 +280,12 @@ class TestUsageAndIoErrors:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize(
-        "override", [{"axes": "xz"}, {"poisson": "no"}, {"seed": 5.0}, {"angles_deg": [0, "90"]}],
-        ids=["axes-string", "poisson-string", "seed-float", "angle-string"],
+        "override",
+        [
+            {"axes": "xz"}, {"poisson": "no"}, {"seed": 5.0}, {"angles_deg": [0, "90"]},
+            {"flux_hz": 10**400}, {"angles_deg": [10**400]},
+        ],
+        ids=["axes-string", "poisson-string", "seed-float", "angle-string", "flux-int-beyond-float", "angle-int-beyond-float"],
     )
     def test_mistyped_config_value_exits_1(self, tmp_path, capsys, override):
         cfg = _write_config(tmp_path / "c.json", **override)

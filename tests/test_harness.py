@@ -1,20 +1,25 @@
 """Tests for the three-stage protocol orchestration and reporting."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from envarsim import harness, linalg, tomography
+from envarsim.cli import load_config
 from envarsim.harness import (
     ExperimentPlan,
     run_experiment,
     run_three_stages,
+    simulate_grid,
     theoretical_stage3,
 )
 from envarsim.measurement import NoiseModel
 from envarsim.metrics import fidelity
 from helpers import random_unitary, source_stability
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _noiseless_plan(**overrides):
@@ -55,6 +60,18 @@ class TestRunThreeStages:
         for axis in ("y", "m"):
             s1, _, s3 = run_three_stages(axis, np.pi / 3, _noiseless_plan())
             assert fidelity(s1.rho, s3.rho) >= 0.9999
+
+    def test_envariance_repeats_the_stage_one_counts(self):
+        # no Poisson noise, drift or plate errors: stage III counts are stage I's exactly, and
+        # stage I is the same in every cell, so the MLE sees these records as one
+        plan = load_config(str(CONFIG_DIR / "noiseless_small.json")).plan()
+        cells = list(simulate_grid(plan).values())
+        assert len(cells) == 20
+        first = cells[0][0].counts
+        for s1, _, s3 in cells:
+            for record in (s1.counts, s3.counts):
+                np.testing.assert_array_equal(record.counts, first.counts)
+                assert record.duration_s == first.duration_s
 
     def test_quarter_turn_departs_to_half_fidelity(self):
         s1, s2, _ = run_three_stages("x", np.pi / 2, _noiseless_plan())

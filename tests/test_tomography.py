@@ -130,6 +130,11 @@ def _records(batch: np.ndarray) -> list[CountRecord]:
 count_batches = st.integers(1, 8).flatmap(
     lambda b: arrays(np.int64, (b, 36), elements=st.one_of(st.just(0), st.integers(1, 20000)))
 )
+# the same batches, or rows of a drawn batch picked with repetition: equal records in one batch
+batches_with_repeats = st.one_of(
+    count_batches,
+    count_batches.flatmap(lambda batch: st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=8).map(batch.__getitem__)),
+)
 # short runs keep the examples fast and reach max_iter as well as convergence
 run_lengths = st.integers(1, 300)
 tolerances = st.sampled_from([1e-2, 1e-4, 1e-6])
@@ -137,7 +142,7 @@ tolerances = st.sampled_from([1e-2, 1e-4, 1e-6])
 
 class TestMleReconstructMany:
     @settings(max_examples=40, deadline=None)
-    @given(batch=count_batches, max_iter=run_lengths, tol=tolerances)
+    @given(batch=batches_with_repeats, max_iter=run_lengths, tol=tolerances)
     def test_batch_equals_each_record_alone(self, batch, max_iter, tol):
         records = _records(batch)
         projs = tomography_projectors()
@@ -173,6 +178,26 @@ class TestMleReconstructMany:
 
     def test_empty_batch(self):
         assert mle_reconstruct_many([], tomography_projectors()) == []
+
+    def test_equal_records_are_reconstructed_once(self, monkeypatch):
+        calls = []
+
+        def counting(a, b, tol):
+            calls.append(a.shape[:2])
+            return linalg.trace_distance_below(a, b, tol)
+
+        monkeypatch.setattr(tomography, "trace_distance_below", counting)
+        rng = np.random.default_rng(7)
+        a, b = (simulate_counts(linalg.werner(v), 5400.0, 5.0, NoiseModel(werner_v=v), rng) for v in (0.9, 0.6))
+        projs = tomography_projectors()
+        many = mle_reconstruct_many([a, b, a, a], projs)
+        assert calls[0][1] == 2
+        for record, res in zip([a, b, a, a], many):
+            alone = mle_reconstruct(record, projs)
+            np.testing.assert_array_equal(res.rho, alone.rho)
+            assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
+            np.testing.assert_array_equal(res.log_likelihood_history, alone.log_likelihood_history)
+        assert not any(np.shares_memory(x.rho, y.rho) for i, x in enumerate(many) for y in many[i + 1 :])
 
 
 def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
@@ -306,7 +331,7 @@ def test_stops_are_tested_once_per_block(monkeypatch, max_iter):
     records, tol = _edge_records(2 * K + 1)
     many = mle_reconstruct_many(records, tomography_projectors(), max_iter=max_iter, tol=tol)
     last = max(r.iterations for r in many)
-    # every record in the first block, then the Werner record alone; the last block is cut to max_iter,
-    # and the block where the Werner record stops runs in full
-    blocks = [(min(K, max_iter - it0), 3 if it0 == 0 else 1) for it0 in range(0, last, K)]
+    # both distinct records in the first block (the two uniform records are one), then the Werner
+    # record alone; the last block is cut to max_iter, and the block where the Werner record stops runs in full
+    blocks = [(min(K, max_iter - it0), 2 if it0 == 0 else 1) for it0 in range(0, last, K)]
     assert calls == blocks
