@@ -1,13 +1,18 @@
 """End-to-end tests for the command-line front-end."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from envarsim import io as eio
 from envarsim import tomography
@@ -369,6 +374,73 @@ class TestUsageAndIoErrors:
         assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 4
 
 
+SUBCOMMAND_HELP = {
+    "simulate": "synthesize count files for the configured grid",
+    "analyze": "reconstruct states and emit comparison reports",
+    "son-fit": "fit the Born-rule exponent to stage-II correlations",
+    "report": "simulate, analyze and son-fit in one pass",
+}
+
+
+class TestCommandTexts:
+    def test_no_subcommand_names_every_subcommand(self, capsys):
+        assert main([]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a subcommand is required (simulate, analyze, son-fit, report)\n"
+        assert captured.out == ""
+
+    def test_unknown_subcommand_names_every_subcommand(self, capsys):
+        assert main(["frobnicate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument command: invalid choice: ") and err.count("\n") == 1
+        assert [name for name in SUBCOMMAND_HELP if repr(name) in err] == list(SUBCOMMAND_HELP)
+
+    def test_help_lists_each_subcommand_with_its_help_text(self):
+        from envarsim.cli import build_parser
+
+        text = build_parser().format_help()
+        assert "{simulate,analyze,son-fit,report}" in text
+        listed = [line.split(maxsplit=1) for line in text.splitlines() if line.startswith("    ")]
+        assert listed == [[name, help_text] for name, help_text in SUBCOMMAND_HELP.items()]
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_HELP))
+    def test_each_subcommand_takes_the_same_four_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: envarsim {command} [-h] [--config CONFIG] [--seed SEED] [--out OUT]")
+        for option in ("--config CONFIG", "--seed SEED", "--out OUT", "--format {csv,json}"):
+            assert f"\n  {option} " in text
+
+
+def _exit_cases():
+    from envarsim.cli import UsageError
+    from envarsim.errors import ConvergenceError, MissingDataError
+
+    return [(UsageError, 1), (OSError, 2), (MissingDataError, 3), (ConvergenceError, 4)]
+
+
+@pytest.mark.parametrize("exc_type, code", _exit_cases(), ids=lambda v: getattr(v, "__name__", str(v)))
+def test_each_error_type_exits_with_its_code_and_one_error_line(tmp_path, monkeypatch, capsys, exc_type, code):
+    from envarsim import cli
+
+    # all three axes: no partial-combo warning comes before the error line
+    cfg = _write_config(tmp_path / "c.json", axes=["x", "y", "z"], angles_deg=[float(a) for a in range(0, 181, 30)])
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def boom(*args, **kwargs):
+        raise exc_type("forced for test")
+
+    monkeypatch.setattr(cli, "son_fit", boom)
+    assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: forced for test\n"
+    assert captured.out == ""
+
+
 def _edit_count_rows(path: Path, edit) -> None:
     lines = path.read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
@@ -599,3 +671,37 @@ def test_mle_non_convergence_is_reported_not_dropped(tmp_path, monkeypatch, caps
         assert "warning" not in captured.out
         hashes.append(_tree_hash(tmp_path / run))
     assert hashes[0] == hashes[1]
+
+
+def test_noise_free_bc_that_rounds_above_one_reports_one(tmp_path, capsys):
+    # stage III counts equal stage I counts here, and their float BC sums to 1 + 2**-52
+    cfg = _write_config(tmp_path / "c.json", angles_deg=[0.0, 90.0], werner_v=0.91)
+    out = tmp_path / "run"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "error:" not in capsys.readouterr().err
+    assert read_json(out / "report.json")["cells"][0]["bc_i_iii"] == 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    axes=st.lists(st.sampled_from(["x", "y", "z", "m"]), min_size=1, max_size=2, unique=True),
+    angles_deg=st.lists(st.sampled_from([15.0 * k for k in range(25)]), min_size=1, max_size=4, unique=True),
+    werner_v=st.integers(500, 1000).map(lambda k: k / 1000),
+    flux_hz=st.sampled_from([540.0, 5400.0, 54000.0]),
+)
+@example(axes=["x"], angles_deg=[0.0, 90.0], werner_v=0.91, flux_hz=5400.0)
+def test_noise_free_report_scores_lie_in_the_unit_interval(axes, angles_deg, werner_v, flux_hz):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(Path(tmp) / "c.json", axes=axes, angles_deg=angles_deg, werner_v=werner_v, flux_hz=flux_hz)
+        out = Path(tmp) / "run"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["report", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert "error:" not in stderr.getvalue()
+        report = read_json(out / "report.json")
+    scores = [v for cell in report["cells"] for k, v in cell.items() if k.startswith(("f_", "bc_"))]
+    summaries = [*report["per_axis"].values(), report["overall"]]
+    scores += [summary[key] for summary in summaries for key in ("f_i_iii_mean", "bc_i_iii_mean")]
+    assert len(scores) == 8 * len(axes) * len(angles_deg) + 2 * (len(axes) + 1)
+    assert all(0.0 <= v <= 1.0 for v in scores)
