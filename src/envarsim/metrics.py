@@ -8,8 +8,9 @@ at the rounding level. The Bhattacharyya coefficient sum_i sqrt(p_i q_i)
 compares the normalized 36-outcome count distributions directly, with no
 quantum assumptions. Count distributions are normalized by the grand total
 over all 36 entries, so each of the 9 settings carries weight 1/9. Both
-measures broadcast over leading axes, and a stack gives each pair's one-pair
-result bit for bit.
+measures are clipped to [0, 1]: rounding can carry an exact 1, such as the
+overlap of a distribution with itself, to 1 + 2**-52. Both broadcast over
+leading axes, and a stack gives each pair's one-pair result bit for bit.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ def validate_distribution(p: np.ndarray) -> np.ndarray:
 
 
 def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
-    """Bhattacharyya coefficient sum_i sqrt(p_i q_i) of two distributions.
+    """Bhattacharyya coefficient sum_i sqrt(p_i q_i) of two distributions, clipped to [0, 1].
 
     Broadcasts over leading axes: a float for two distributions, an array
     of coefficients for stacks of them.
     """
-    value = np.sum(np.sqrt(validate_distribution(p) * validate_distribution(q)), axis=-1)
+    value = np.clip(np.sum(np.sqrt(validate_distribution(p) * validate_distribution(q)), axis=-1), 0.0, 1.0)
     return float(value) if value.ndim == 0 else value
 
 

@@ -82,6 +82,14 @@ class TestBhattacharyya:
         u = np.full(36, 1 / 36)
         assert bhattacharyya(u, u) == pytest.approx(1.0, abs=1e-12)
 
+    def test_self_overlap_is_clipped_to_one(self):
+        # the float sum of these 36 quotients rounds to 1 + 2**-52 unclipped
+        counts = np.arange(1, 37) * 7 % 97 + 1
+        p = counts / counts.sum()
+        assert np.sum(np.sqrt(p * p)) > 1.0
+        assert bhattacharyya(p, p) == 1.0
+        assert np.all(bhattacharyya(np.stack([p, p]), p) == 1.0)
+
     def test_orthogonal_bell_states_seven_ninths(self):
         flat = tomography_projectors().flat_projectors
         dists = []
