@@ -252,46 +252,44 @@ def _write_states_json(out: Path, states: dict) -> None:
 
 
 def _write_plot_files(out: Path, report) -> None:
-    by_axis = {}
-    for cell in report.cells:
-        by_axis.setdefault(cell.axis, []).append(cell)
-    summaries = {s.axis: s for s in report.per_axis}
-    for axis, cells in by_axis.items():
+    # the cells are axis-major, one run per per_axis summary
+    run = len(report.cells) // len(report.per_axis)
+    for a, summary in enumerate(report.per_axis):
+        cells = report.cells[a * run : (a + 1) * run]
         for prefix, metric in (("f", "fidelity"), ("bc", "bc")):
-            stability = getattr(summaries[axis], f"stability_{metric}")
+            stability = getattr(summary, f"stability_{metric}")
             for tag in ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory"):
                 err = 0.0 if tag.endswith("_theory") else stability
                 rows = [(c.angle_deg, getattr(c, f"{prefix}_{tag}"), err) for c in cells]
-                eio.write_plot_series(out / f"plot_{metric}_{axis}_{tag}.csv", rows)
+                eio.write_plot_series(out / f"plot_{metric}_{summary.axis}_{tag}.csv", rows)
 
 
-def _son_fit_obstacle(axes, angles_deg) -> str | None:
-    """Why a grid of these axes and angles cannot fix the exponent n, or None when it can."""
+def _fit_grid(axes, angles_deg) -> dict:
+    """Combo -> the angles phi it is fitted at: each combo whose axis the grid rotates about, at phi = angle / 2."""
     phis = np.deg2rad(angles_deg) / 2
-    return fit_obstacle({combo: phis for combo in COMBOS if combo_axis_and_basis(combo)[0] in axes})
+    return {combo: phis for combo in COMBOS if combo_axis_and_basis(combo)[0] in axes}
 
 
 def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
     out = Path(config.out_dir)
     plan = _manifest_plan(out) if grid is None else config.plan()
-    available = [c for c in COMBOS if combo_axis_and_basis(c)[0] in plan.axes]
-    if 0 < len(available) < len(COMBOS):
-        missing = sorted(set(COMBOS) - set(available))
-        print(f"son-fit: warning: fitting {len(available)}/6 combos (missing {missing})", file=sys.stderr)
-    obstacle = _son_fit_obstacle(plan.axes, plan.angles_deg)
+    fitted = _fit_grid(plan.axes, plan.angles_deg)
+    if 0 < len(fitted) < len(COMBOS):
+        missing = sorted(set(COMBOS) - set(fitted))
+        print(f"son-fit: warning: fitting {len(fitted)}/6 combos (missing {missing})", file=sys.stderr)
+    obstacle = fit_obstacle(fitted)
     if obstacle is not None:
         raise MissingDataError(f"son-fit: {obstacle}")
 
     # two combos share each axis; each stage-II record is read once, in first-use order
     records = {}
     samples = []
-    for combo in available:
+    for combo, phis in fitted.items():
         axis, _ = combo_axis_and_basis(combo)
-        for angle_deg in plan.angles_deg:
+        for angle_deg, phi in zip(plan.angles_deg, phis):
             if (axis, angle_deg) not in records:
                 records[axis, angle_deg] = _read_counts(out, grid, axis, angle_deg, "II")
-            phi = float(np.deg2rad(angle_deg) / 2)
-            samples.append(extract_correlation(records[axis, angle_deg], combo, phi))
+            samples.append(extract_correlation(records[axis, angle_deg], combo, float(phi)))
 
     try:
         result = son_fit(samples)
@@ -305,7 +303,7 @@ def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
         _write_fit_curves(out, result)
     if "json" in config.formats:
         eio.write_json(out / "son_fit.json", eio.son_result_to_dict(result))
-    print(f"son-fit: n = {result.n:.3f} +- {result.n_uncertainty:.3f} over {len(available)} combos")
+    print(f"son-fit: n = {result.n:.3f} +- {result.n_uncertainty:.3f} over {len(fitted)} combos")
 
 
 def _write_fit_curves(out: Path, result) -> None:
@@ -318,7 +316,7 @@ def _write_fit_curves(out: Path, result) -> None:
 def cmd_report(config: RunConfig) -> None:
     grid = cmd_simulate(config)
     cmd_analyze(config, grid)
-    obstacle = _son_fit_obstacle(config.axes, config.angles_deg)
+    obstacle = fit_obstacle(_fit_grid(config.axes, config.angles_deg))
     if obstacle is None:
         cmd_son_fit(config, grid)
     else:
@@ -330,15 +328,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_COMMANDS = {
+    "simulate": (cmd_simulate, "synthesize count files for the configured grid"),
+    "analyze": (cmd_analyze, "reconstruct states and emit comparison reports"),
+    "son-fit": (cmd_son_fit, "fit the Born-rule exponent to stage-II correlations"),
+    "report": (cmd_report, "simulate, analyze and son-fit in one pass"),
+}
+
+# no type here subclasses another, so at most one matches
+_EXIT_CODES = {UsageError: 1, OSError: 2, MissingDataError: 3, ConvergenceError: 4}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="envarsim", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in (
-        ("simulate", "synthesize count files for the configured grid"),
-        ("analyze", "reconstruct states and emit comparison reports"),
-        ("son-fit", "fit the Born-rule exponent to stage-II correlations"),
-        ("report", "simulate, analyze and son-fit in one pass"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a flat JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -347,34 +351,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "son-fit": cmd_son_fit,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command is None:
-            raise UsageError("a subcommand is required (simulate, analyze, son-fit, report)")
+            raise UsageError(f"a subcommand is required ({', '.join(_COMMANDS)})")
         config = load_config(args.config, seed=args.seed, out=args.out, fmt=args.format)
-        _COMMANDS[args.command](config)
+        _COMMANDS[args.command][0](config)
         return 0
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MissingDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry() -> None:
