@@ -59,3 +59,35 @@ def test_the_matrix_covers_the_default_run_three_seeds_and_every_bundled_config(
     configs = sorted(Path(outdiff.ROOT, "configs").glob("*.json"))
     assert list(runs)[:4] == ["default", "seed-1", "seed-2", "seed-3"]
     assert [args[1] for args in list(runs.values())[4:]] == [f"configs/{c.name}" for c in configs]
+
+
+def _run(exit=0, stdout="simulate: wrote 6 count files to out\n", stderr=""):
+    return {"exit": exit, "stdout": stdout, "stderr": stderr}
+
+
+def test_runs_that_agree_and_exit_0_have_no_difference():
+    assert outdiff.compare_runs(_run(), _run()) == {"exit": None, "stdout": None, "stderr": None}
+
+
+def test_a_changed_stderr_line_is_shown_on_both_sides():
+    old = _run(stderr="son-fit: warning: fitting 2/6 combos\nreport: skipping son-fit (a)\n")
+    new = _run(stderr="son-fit: warning: fitting 2/6 combos\nreport: skipping son-fit (b)\n")
+    result = outdiff.compare_runs(old, new)
+    assert result == {
+        "exit": None,
+        "stdout": None,
+        "stderr": ["- report: skipping son-fit (a)", "+ report: skipping son-fit (b)"],
+    }
+    summary = {"runs": {"default": {"identical": [], "only_rev": [], "only_here": [], "differ": {}, **result}}}
+    assert "default                (stderr) + report: skipping son-fit (b)" in outdiff._table(summary).splitlines()
+    assert not outdiff._identical(summary["runs"]["default"])
+
+
+def test_a_nonzero_exit_counts_even_when_both_sides_agree():
+    failed = _run(exit=3, stdout="", stderr="error: missing manifest\n")
+    assert outdiff.compare_runs(failed, failed) == {"exit": "3 -> 3", "stdout": None, "stderr": None}
+    assert outdiff.compare_runs(_run(), _run(stdout="")) == {
+        "exit": None,
+        "stdout": ["- simulate: wrote 6 count files to out"],
+        "stderr": None,
+    }

@@ -14,8 +14,10 @@ side only and the byte-identical ones. For a CSV or JSON file that differs it
 gives the largest absolute and relative move per column (CSV) or per key path
 (JSON, list indices dropped, so ``cells[].f_i_iii`` covers every cell), and
 names every column or key whose text differs where a number is not involved.
-Stdout and the exit status of each run are compared too; a run that exits
-nonzero on either side counts as a difference.
+The exit status, stdout and stderr of each run are compared too: a run that
+exits nonzero on either side counts as a difference, and so does any line of
+stdout or stderr found on one side only (both sides write to one path, so the
+paths those lines name match).
 
 Stdout carries a table, then one line of JSON with the whole summary. Exit
 status: 0 when every file is identical, 1 when any differs or sits on one
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import io
 import json
 import math
@@ -152,15 +155,38 @@ def compare_trees(old: Path, new: Path) -> dict:
     return result
 
 
+def _line_diff(old: str, new: str) -> list[str] | None:
+    """The lines on one side only, marked ``-`` (REV) or ``+`` (this checkout); None when the texts agree."""
+    if old == new:
+        return None
+    return [line for line in difflib.ndiff(old.splitlines(), new.splitlines()) if line[:1] in "-+"]
+
+
+def compare_runs(old: dict, new: dict) -> dict:
+    """The exit status, stdout and stderr of one run on both sides; each None where the sides agree and exit 0."""
+    return {
+        "exit": None if old["exit"] == new["exit"] == 0 else f"{old['exit']} -> {new['exit']}",
+        "stdout": _line_diff(old["stdout"], new["stdout"]),
+        "stderr": _line_diff(old["stderr"], new["stderr"]),
+    }
+
+
+def _identical(res: dict) -> bool:
+    return not (res["differ"] or res["only_rev"] or res["only_here"]) and all(
+        res[what] is None for what in ("exit", "stdout", "stderr")
+    )
+
+
 def _table(summary: dict) -> str:
     lines = [f"{'run':<22} {'file':<34} {'column or key':<30} {'max abs':>9} {'max rel':>9}  values moved / text"]
     for run, res in summary["runs"].items():
         for side, key in (("REV", "only_rev"), ("this checkout", "only_here")):
             for name in res[key]:
                 lines.append(f"{run:<22} {name:<34} only in {side}")
-        for what in ("exit", "stdout"):
-            if res[what] is not None:
-                lines.append(f"{run:<22} ({what}) {res[what]}")
+        if res["exit"] is not None:
+            lines.append(f"{run:<22} (exit) {res['exit']}")
+        for stream in ("stdout", "stderr"):
+            lines.extend(f"{run:<22} ({stream}) {line}" for line in res[stream] or ())
         for name, moves in res["differ"].items():
             ranked = sorted(moves.items(), key=lambda kv: (-kv[1]["text"], -kv[1]["abs"]))
             for key, m in ranked[:4]:
@@ -199,9 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                 if result["exit"]:
                     print(f"outdiff: {run}: report in {side} exits {result['exit']}: {result['stderr']}", file=sys.stderr)
             res = compare_trees(tmp / "trees" / "rev" / run, tmp / "trees" / "here" / run)
-            res["exit"] = None if old["exit"] == new["exit"] == 0 else f"{old['exit']} -> {new['exit']}"
-            res["stdout"] = None if old["stdout"] == new["stdout"] else "the summary lines differ"
-            summary["runs"][run] = res
+            summary["runs"][run] = {**res, **compare_runs(old, new)}
     except subprocess.CalledProcessError as exc:
         print(f"outdiff: {' '.join(exc.cmd)} failed: {exc.stderr.strip()}", file=sys.stderr)
         return 2
@@ -212,11 +236,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(_table(summary))
     print(json.dumps(summary, sort_keys=True))
-    same = all(
-        not res["differ"] and not res["only_rev"] and not res["only_here"] and res["exit"] is None and res["stdout"] is None
-        for res in summary["runs"].values()
-    )
-    return 0 if same else 1
+    return 0 if all(_identical(res) for res in summary["runs"].values()) else 1
 
 
 if __name__ == "__main__":
