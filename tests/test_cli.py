@@ -414,6 +414,18 @@ class TestCommandTexts:
             assert f"\n  {option} " in text
 
 
+def test_the_exit_code_table_is_unambiguous_and_documented():
+    from envarsim import cli
+
+    assert list(cli._EXIT_CODES.items()) == _exit_cases()
+    kinds = list(cli._EXIT_CODES)
+    assert not [(a, b) for a in kinds for b in kinds if a is not b and issubclass(a, b)]
+    doc = " ".join(cli.__doc__.split())
+    assert "Exit codes: 0 ok, 1 usage error, 2 I/O failure, 3 missing data, 4 convergence failure." in doc
+    for name in cli._COMMANDS:
+        assert f"\n  {name} " in cli.__doc__
+
+
 def _exit_cases():
     from envarsim.cli import UsageError
     from envarsim.errors import ConvergenceError, MissingDataError

@@ -91,3 +91,10 @@ def test_a_nonzero_exit_counts_even_when_both_sides_agree():
         "stdout": ["- simulate: wrote 6 count files to out"],
         "stderr": None,
     }
+
+
+def test_a_lost_final_newline_is_a_shown_difference():
+    assert outdiff.compare_runs(_run(), _run(stdout="simulate: wrote 6 count files to out"))["stdout"] == [
+        "- simulate: wrote 6 count files to out",
+        "+ simulate: wrote 6 count files to out",
+    ]

@@ -20,9 +20,10 @@ stdout or stderr found on one side only (both sides write to one path, so the
 paths those lines name match).
 
 Stdout carries a table, then one line of JSON with the whole summary. Exit
-status: 0 when every file is identical, 1 when any differs or sits on one
-side only, 2 when git fails. Compare on one machine: numpy may pick
-float64 loops per CPU, so the last bits can differ between machines.
+status: 0 when every run exits 0 on both sides with the same stdout and
+stderr and every file is identical, 1 otherwise, 2 when git fails. Compare
+on one machine: numpy may pick float64 loops per CPU, so the last bits can
+differ between machines.
 """
 
 from __future__ import annotations
@@ -159,7 +160,9 @@ def _line_diff(old: str, new: str) -> list[str] | None:
     """The lines on one side only, marked ``-`` (REV) or ``+`` (this checkout); None when the texts agree."""
     if old == new:
         return None
-    return [line for line in difflib.ndiff(old.splitlines(), new.splitlines()) if line[:1] in "-+"]
+    # line ends kept, so a lost final newline shows as a changed line
+    diff = difflib.ndiff(old.splitlines(keepends=True), new.splitlines(keepends=True))
+    return [line.rstrip("\n") for line in diff if line[:1] in "-+"]
 
 
 def compare_runs(old: dict, new: dict) -> dict:
