@@ -414,6 +414,13 @@ class TestCommandTexts:
             assert f"\n  {option} " in text
 
 
+def _exit_cases():
+    from envarsim.cli import UsageError
+    from envarsim.errors import ConvergenceError, MissingDataError
+
+    return [(UsageError, 1), (OSError, 2), (MissingDataError, 3), (ConvergenceError, 4)]
+
+
 def test_the_exit_code_table_is_unambiguous_and_documented():
     from envarsim import cli
 
@@ -424,13 +431,6 @@ def test_the_exit_code_table_is_unambiguous_and_documented():
     assert "Exit codes: 0 ok, 1 usage error, 2 I/O failure, 3 missing data, 4 convergence failure." in doc
     for name in cli._COMMANDS:
         assert f"\n  {name} " in cli.__doc__
-
-
-def _exit_cases():
-    from envarsim.cli import UsageError
-    from envarsim.errors import ConvergenceError, MissingDataError
-
-    return [(UsageError, 1), (OSError, 2), (MissingDataError, 3), (ConvergenceError, 4)]
 
 
 @pytest.mark.parametrize("exc_type, code", _exit_cases(), ids=lambda v: getattr(v, "__name__", str(v)))
