@@ -25,7 +25,7 @@ import numpy as np
 
 from . import io as eio
 from .errors import ConvergenceError, MissingDataError
-from .harness import STAGES, ExperimentPlan, assemble_report, calibrated_noise, cell_seed_entropy, simulate_grid
+from .harness import _SCORE_SERIES, STAGES, ExperimentPlan, assemble_report, calibrated_noise, cell_seed_entropy, simulate_grid
 from .measurement import CountRecord, NoiseModel
 from .son import COMBOS, combo_axis_and_basis, extract_correlation, fit_obstacle, fitted_correlation, son_fit
 
@@ -124,11 +124,16 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     config = _config_from_json(raw)
     if seed is not None:
+        # the command line's seed is written as a count is: ASCII decimal digits only
+        if isinstance(seed, str) and not eio.is_decimal(seed):
+            raise UsageError(f"seed must be written in ASCII decimal digits, not {seed!r}")
         config = replace(config, seed=int(seed))
     if config.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, not {config.seed}")
     if out is not None:
         config = replace(config, out_dir=out)
+    if not config.out_dir:
+        raise UsageError("out_dir must name a directory, not the empty string")
     if fmt is not None:
         config = replace(config, formats=(fmt,))
     if not config.formats:
@@ -220,8 +225,7 @@ def _manifest_plan(out: Path) -> ExperimentPlan:
 def cmd_analyze(config: RunConfig, grid: dict | None = None) -> None:
     out = Path(config.out_dir)
     plan = _manifest_plan(out) if grid is None else config.plan()
-    cells = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
-    cell_counts = {cell: tuple(_read_counts(out, grid, *cell, stage) for stage in STAGES) for cell in cells}
+    cell_counts = {cell: tuple(_read_counts(out, grid, *cell, stage) for stage in STAGES) for cell in plan.cells}
     report = assemble_report(plan, cell_counts)
     missed = [n for n, ok in zip(report.mle_iterations, report.mle_converged) if not ok]
     if missed:
@@ -258,7 +262,7 @@ def _write_plot_files(out: Path, report) -> None:
         cells = report.cells[a * run : (a + 1) * run]
         for prefix, metric in (("f", "fidelity"), ("bc", "bc")):
             stability = getattr(summary, f"stability_{metric}")
-            for tag in ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory"):
+            for tag in _SCORE_SERIES:
                 err = 0.0 if tag.endswith("_theory") else stability
                 rows = [(c.angle_deg, getattr(c, f"{prefix}_{tag}"), err) for c in cells]
                 eio.write_plot_series(out / f"plot_{metric}_{summary.axis}_{tag}.csv", rows)
@@ -345,7 +349,7 @@ def build_parser() -> _Parser:
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a flat JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", help="override the config seed")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--format", choices=("csv", "json"), help="restrict output format")
     return parser

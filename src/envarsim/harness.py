@@ -39,7 +39,7 @@ from .measurement import (
     simulate_counts_many,
     tomography_projectors,
 )
-from .metrics import bhattacharyya, fidelity
+from .metrics import bhattacharyya, fidelity, normalize_counts
 from .optics import (
     NAMED_AXES,
     STACK_ROTATION_SIGN,
@@ -84,6 +84,9 @@ _MAX_PAIRS_PER_SETTING = 1e18
 
 _I2 = np.eye(2, dtype=complex)
 
+# the four scores of a cell, each for fidelity and BC: stage I against III, II, ideal III and ideal II
+_SCORE_SERIES = ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory")
+
 
 def calibrated_noise(seed: int = 0) -> NoiseModel:
     """Noise model reproducing the reference experiment's imperfections."""
@@ -127,6 +130,11 @@ class ExperimentPlan:
             raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
+
+    @property
+    def cells(self) -> tuple[tuple[str, float], ...]:
+        """The grid's (axis, angle_deg) cells, axis-major in plan order: the order of every grid result."""
+        return tuple((axis, angle_deg) for axis in self.axes for angle_deg in self.angles_deg)
 
 
 @dataclass(frozen=True)
@@ -227,8 +235,7 @@ def simulate_grid(plan: ExperimentPlan) -> dict[tuple[str, float], tuple[StageRe
     Each cell equals ``run_three_stages(axis, np.deg2rad(angle_deg), plan)``
     bit for bit; the records of the whole grid are drawn in one batch.
     """
-    keys = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
-    return dict(zip(keys, _simulate_cells([(axis, np.deg2rad(a)) for axis, a in keys], plan)))
+    return dict(zip(plan.cells, _simulate_cells([(axis, np.deg2rad(a)) for axis, a in plan.cells], plan)))
 
 
 def theoretical_stage3(rho_i: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -285,12 +292,6 @@ def _distribution_from_rho(rho: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _count_distributions(records: list[CountRecord]) -> np.ndarray:
-    """(B, 36): each record's counts divided by its grand total, as ``normalize_counts`` does for one."""
-    counts = np.stack([record.counts for record in records])
-    return counts / counts.sum(axis=1, keepdims=True)
-
-
 def _sample_std(values) -> float:
     """ddof=1 std of ``values``; 0.0 below two values."""
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
@@ -327,18 +328,17 @@ def assemble_report(
     report as ``states``, keyed like ``cell_counts``, and each record's MLE
     iterations and convergence as ``mle_iterations`` and ``mle_converged``.
     """
-    keys = [(axis, angle_deg) for axis in plan.axes for angle_deg in plan.angles_deg]
+    keys = plan.cells
     records = [record for key in keys for record in cell_counts[key]]
     results = mle_reconstruct_many(records, tomography_projectors())
     rhos = np.stack([result.rho for result in results]).reshape(len(keys), 3, 4, 4)
-    dists = _count_distributions(records).reshape(len(keys), 3, 36)
+    dists = np.stack([normalize_counts(record) for record in records]).reshape(len(keys), 3, 36)
     u = stack(_nominal_angles([(axis, np.deg2rad(angle_deg)) for axis, angle_deg in keys]))
     theory = np.stack([theoretical_stage3(rhos[:, 0], u), apply_local(u, _I2, rhos[:, 0])], axis=1)
     # stage I against III, II, ideal III and ideal II, one column each
     f = fidelity(rhos[:, :1], np.concatenate([rhos[:, [2, 1]], theory], axis=1))
     bc = bhattacharyya(dists[:, :1], np.concatenate([dists[:, [2, 1]], _distribution_from_rho(theory)], axis=1))
-    tags = ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory")
-    scores = {f"{m}_{tag}": col.tolist() for m, metric in (("f", f), ("bc", bc)) for tag, col in zip(tags, metric.T)}
+    scores = {f"{m}_{tag}": col.tolist() for m, metric in (("f", f), ("bc", bc)) for tag, col in zip(_SCORE_SERIES, metric.T)}
     cells = [
         CellMetrics(axis, float(angle_deg), **{name: col[k] for name, col in scores.items()})
         for k, (axis, angle_deg) in enumerate(keys)

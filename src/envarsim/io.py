@@ -29,6 +29,7 @@ from .son import CorrelationSample, SonFitResult
 __all__ = [
     "COUNT_CSV_HEADER",
     "INT64_MAX",
+    "is_decimal",
     "record_tag",
     "count_file_name",
     "write_count_csv",
@@ -46,6 +47,14 @@ __all__ = [
 COUNT_CSV_HEADER = ("setting_label", "outcome_label", "counts", "duration_s")
 
 INT64_MAX = 2**63 - 1
+
+
+def is_decimal(text: str) -> bool:
+    """Whether ``text`` is ASCII decimal digits only, the one form a count or a seed is read in.
+
+    int() would also take "2_84", " +728 " and non-ASCII digits.
+    """
+    return text.isascii() and text.isdigit()
 
 
 def record_tag(axis: str, angle_deg: float, stage: str) -> str:
@@ -101,8 +110,7 @@ def read_count_csv(path: Path) -> CountRecord:
             setting_label, outcome_label, count, duration_s = row
             if (setting_label, outcome_label) != labels[idx]:
                 raise ValueError(f"row {idx} labels {row[:2]} out of canonical order")
-            # int() would also take "2_84", " +728 " and non-ASCII digits
-            if not (count.isascii() and count.isdigit()):
+            if not is_decimal(count):
                 raise ValueError(f"row {idx} count {count!r} is not a decimal integer")
             value = int(count)
             if value > INT64_MAX:

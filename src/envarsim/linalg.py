@@ -102,14 +102,14 @@ def su2_rotation(axis: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * ns
 
 
-def validate_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Return ``u`` as a complex array, or raise if it (or any matrix of a stack) is not unitary."""
+def validate_unitary(u: np.ndarray) -> np.ndarray:
+    """Return ``u`` as a complex array, or raise if it (or any matrix of a stack) is not unitary within 1e-10."""
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("unitary must be a square matrix")
     dev = np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])))
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol:.0e})")
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > 1e-10)")
     return u
 
 
@@ -159,14 +159,14 @@ def werner(v: float) -> np.ndarray:
     return v * projector(singlet()) + (1 - v) * np.eye(4, dtype=complex) / 4
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     Returns (eigenvalues ascending, eigenvectors as columns). Raises if the
-    input deviates from Hermiticity by more than ``tol`` entrywise.
+    input deviates from Hermiticity by more than 1e-8 entrywise.
     """
     m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - _dagger(m))) > tol:
+    if np.max(np.abs(m - _dagger(m))) > 1e-8:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + _dagger(m)) / 2)
     return w, v

@@ -31,6 +31,7 @@ from .linalg import (
     KET_R,
     KET_V,
     apply_local,
+    projector,
     su2_rotation,
     validate_density_matrix,
 )
@@ -103,10 +104,6 @@ class ProjectorSet:
         )
 
 
-def _single_projector(ket: np.ndarray) -> np.ndarray:
-    return np.outer(ket, ket.conj())
-
-
 @functools.cache
 def tomography_projectors() -> ProjectorSet:
     """The canonical 36-projector set |a><a| (x) |b><b|, a,b in {H,V,D,A,R,L}."""
@@ -118,7 +115,7 @@ def tomography_projectors() -> ProjectorSet:
             for a in basis_s:
                 for b in basis_e:
                     outs.append(f"{a}{b}")
-                    proj = np.kron(_single_projector(_KETS[a]), _single_projector(_KETS[b]))
+                    proj = np.kron(projector(_KETS[a]), projector(_KETS[b]))
                     proj.setflags(write=False)
                     projs.append(proj)
             settings.append(

@@ -157,7 +157,7 @@ def decompose_rotation(target: np.ndarray) -> WavePlateSetting:
     target l(t), and beta is read off qwp(gamma)^dag target qwp(alpha)^dag,
     a half-wave plate up to phase.
     """
-    target = validate_unitary(np.asarray(target, dtype=complex), tol=1e-10)
+    target = validate_unitary(target)
     if target.shape != (2, 2):
         raise ValueError("target must be a 2x2 unitary")
     (a, b), (c, d) = target

@@ -19,10 +19,12 @@ p = sin(theta), E = -cos(2*theta).
 During the experiment's middle stage, rotating one qubit by phi (with the
 same analyzer basis on both arms, basis orthogonal to the rotation axis)
 is equivalent to measuring the singlet with analyzers 2*theta apart, where
-2*theta = pi - |pi - 2*phi| folded periodically. ``extract_correlation``
-turns one analyzer setting's four counts into a correlation sample and
-``son_fit`` estimates n from several such data sets, using the near-ideal
-model E(phi,n,rho) ~ E(phi,n,singlet) + E(phi,2,rho) - E(phi,2,singlet),
+2*theta = pi - |pi - 2*phi| folded periodically. One table, built once from
+``tomography_projectors().settings``, gives each combo its rotation axis, its
+analyzer basis and the index of the setting with that basis on both arms.
+``extract_correlation`` turns that setting's four counts into a correlation
+sample and ``son_fit`` estimates n from several such data sets, using the
+near-ideal model E(phi,n,rho) ~ E(phi,n,singlet) + E(phi,2,rho) - E(phi,2,singlet),
 valid for states close to the singlet and n close to 2. The state enters
 only through E(phi,2,rho) = A cos(2*phi) + B sin(2*phi) with A^2 + B^2 <= 1,
 so each candidate n costs one weighted 2x2 least-squares solve on a disk,
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linalg import su2_rotation
-from .measurement import BASES, CountRecord, tomography_projectors
+from .measurement import CountRecord, tomography_projectors
 from .optics import STACK_ROTATION_SIGN, named_axis_vector
 
 __all__ = [
@@ -60,7 +62,13 @@ __all__ = [
 # each pair the basis Bloch axis is orthogonal to the rotation axis.
 COMBOS = ("Z-DA", "Z-RL", "Y-DA", "Y-HV", "X-RL", "X-HV")
 
-_BASIS_BY_NAME = {f"{b[0]}{b[1]}": b for b in BASES}
+# combo -> (rotation axis tag, analyzer basis pair, index of the setting with that basis on both arms)
+_COMBO_TABLE = {
+    combo: (combo[0].lower(), setting.basis_s, k)
+    for combo in COMBOS
+    for k, setting in enumerate(tomography_projectors().settings)
+    if setting.label == f"{combo[2:]}-{combo[2:]}"
+}
 
 
 def __getattr__(name: str):
@@ -208,28 +216,24 @@ class CorrelationSample:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.combo not in COMBOS:
-            raise ValueError(f"unknown combo {self.combo!r}; expected one of {COMBOS}")
+        _combo_entry(self.combo)
         if abs(self.value) > 1.0:
             raise ValueError("correlation value must lie in [-1, 1]")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
 
-def combo_axis_and_basis(combo: str) -> tuple[str, tuple[str, str]]:
-    """Split a combo label into (rotation axis tag, analyzer basis pair)."""
+def _combo_entry(combo: str) -> tuple[str, tuple[str, str], int]:
+    """A combo's row of ``_COMBO_TABLE``; ValueError for a label not in ``COMBOS``."""
     if combo not in COMBOS:
         raise ValueError(f"unknown combo {combo!r}; expected one of {COMBOS}")
-    axis, basis_name = combo.split("-")
-    return axis.lower(), _BASIS_BY_NAME[basis_name]
+    return _COMBO_TABLE[combo]
 
 
-def _combo_setting_index(basis: tuple[str, str]) -> int:
-    label = f"{basis[0]}{basis[1]}-{basis[0]}{basis[1]}"
-    for idx, setting in enumerate(tomography_projectors().settings):
-        if setting.label == label:
-            return idx
-    raise ValueError(f"no analyzer setting {label}")
+def combo_axis_and_basis(combo: str) -> tuple[str, tuple[str, str]]:
+    """Split a combo label into (rotation axis tag, analyzer basis pair)."""
+    axis, basis, _ = _combo_entry(combo)
+    return axis, basis
 
 
 def extract_correlation(counts: CountRecord, combo: str, phi: float) -> CorrelationSample:
@@ -240,8 +244,7 @@ def extract_correlation(counts: CountRecord, combo: str, phi: float) -> Correlat
     Poisson propagation, sigma = 2*sqrt(n_same*n_diff/n_total^3), floored at
     1/n_total so noiseless perfect correlations keep a usable weight.
     """
-    _, basis = combo_axis_and_basis(combo)
-    idx = _combo_setting_index(basis)
+    _, basis, idx = _combo_entry(combo)
     block = counts.counts[4 * idx : 4 * idx + 4].astype(float)
     total = block.sum()
     if total <= 0:
@@ -259,10 +262,9 @@ def correlation_operator(combo: str, phi: float) -> np.ndarray:
     Bloch angle 2*phi about the combo's axis (in the sense realized by the
     wave-plate stacks), then measure both arms in the combo's basis.
     """
-    axis, basis = combo_axis_and_basis(combo)
+    axis, _, idx = _combo_entry(combo)
     u = su2_rotation(named_axis_vector(axis), STACK_ROTATION_SIGN * 2 * phi)
-    setting = tomography_projectors().settings[_combo_setting_index(basis)]
-    p0, p1, p2, p3 = setting.projectors
+    p0, p1, p2, p3 = tomography_projectors().settings[idx].projectors
     diff_op = p0 - p1 - p2 + p3
     u_full = np.kron(u, np.eye(2, dtype=complex))
     return u_full.conj().T @ diff_op @ u_full

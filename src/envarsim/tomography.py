@@ -17,9 +17,9 @@ every step works on each matrix alone (a per-record BLAS product on a
 ``(B, 1, k)`` stack, stacked ``@`` and ``eigvalsh``), never as one 2-D BLAS
 product across records, whose rounding of a row can change with its place
 in the batch. So equal count records are reconstructed once: the loop runs
-on the distinct rows of the stacked counts only, and each record gets its
-distinct row's result, the bits of its one-record call; a repeated record
-gets its own copy of the state. ``mle_reconstruct`` is the one-record call.
+on one row per distinct record, keyed by the bytes of its counts, and every
+record gets its own copy of its row's state, the bits of its one-record call.
+``mle_reconstruct`` is the one-record call.
 """
 
 from __future__ import annotations
@@ -47,17 +47,12 @@ class TomographyResult:
     log_likelihood_history: np.ndarray  # read-only: one entry per iteration, then the final state's
 
 
-def _distinct_rows(records: Sequence[CountRecord]) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
+def _distinct_rows(records: Sequence[CountRecord]) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Each distinct record's counts and frequencies (each setting's 4 sum to 1) as (B, 1, 36)
-    rows, the shape of the probabilities, in first-occurrence order; and each input record's
-    row, or None when no record repeats."""
-    counts = np.stack([r.counts for r in records])
+    rows, the shape of the probabilities, in first-occurrence order; and each input record's row."""
     index: dict[bytes, int] = {}
-    owner = [index.setdefault(row.tobytes(), len(index)) for row in counts]
-    if len(index) < len(owner):
-        counts = np.frombuffer(b"".join(index), dtype=counts.dtype).reshape(len(index), 36)
-    else:
-        owner = None
+    owner = [index.setdefault(r.counts.tobytes(), len(index)) for r in records]
+    counts = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), 36)
     settings = counts.reshape(-1, 9, 4).astype(float)
     totals = settings.sum(axis=2, keepdims=True)
     if np.any(totals <= 0):
@@ -170,10 +165,7 @@ def mle_reconstruct_many(
         fixed = (v * w[:, None, :]) @ v.transpose(0, 2, 1).conj()
         fixed = (fixed + fixed.transpose(0, 2, 1).conj()) / 2
         final[clip] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
-    if owner is None:
-        owner = range(len(final))
-    else:
-        final = final[owner]  # every input record gets its own state
+    final = final[owner]  # every input record gets its own state
     return [
         TomographyResult(
             rho=final[b],

@@ -348,6 +348,30 @@ class TestUsageAndIoErrors:
         assert err.startswith("error: seed") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["1_000", " 7 ", "+7", "\u0663", ""], ids=["underscore", "spaces", "plus", "arabic-indic", "empty"])
+    def test_seed_not_in_ascii_digits_exits_1_before_writing(self, tmp_path, capsys, seed):
+        # int() takes each of these but the first; none is how a count file writes an integer
+        cfg = _write_config(tmp_path / "c.json")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_seed_in_ascii_digits_overrides_the_config(self, tmp_path):
+        cfg = _write_config(tmp_path / "c.json")
+        assert load_config(str(cfg), seed="12345678901234567890").seed == 12345678901234567890
+        assert load_config(str(cfg), seed="0042").seed == 42
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_dir_exits_1_before_writing(self, tmp_path, monkeypatch, capsys, source):
+        cfg = _write_config(tmp_path / "c.json", **({"out_dir": ""} if source == "config" else {}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--config", str(cfg), *(["--out", ""] if source == "flag" else [])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 3
 

@@ -163,6 +163,14 @@ class TestRunExperiment:
         for rho, stage in zip(report.states[("z", 210.0)], stages):
             np.testing.assert_array_equal(rho, stage.rho)
 
+    def test_grid_order_is_axis_major_in_plan_order(self):
+        plan = _noiseless_plan(axes=("z", "x"), angles_deg=(90.0, 0.0, 30.0))
+        expected = [(axis, angle_deg) for axis in ("z", "x") for angle_deg in (90.0, 0.0, 30.0)]
+        assert list(simulate_grid(plan)) == expected
+        report = run_experiment(plan)
+        assert [(cell.axis, cell.angle_deg) for cell in report.cells] == expected
+        assert list(report.states) == expected
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             ExperimentPlan(axes=())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from envarsim import linalg, son
-from envarsim.measurement import CountRecord, NoiseModel, simulate_counts
+from envarsim.measurement import CountRecord, NoiseModel, simulate_counts, tomography_projectors
 from envarsim.optics import STACK_ROTATION_SIGN, named_axis_vector
 from envarsim.son import (
     COMBOS,
@@ -19,6 +19,7 @@ from envarsim.son import (
     _secular_root,
     _son_moduli,
     _state_fit,
+    combo_axis_and_basis,
     correlation_operator,
     extract_correlation,
     fit_obstacle,
@@ -227,6 +228,20 @@ class TestExtractCorrelation:
         rec = CountRecord(counts=np.full(36, 5), duration_s=1.0)
         with pytest.raises(ValueError):
             extract_correlation(rec, "Z-HV", 0.0)
+
+    @pytest.mark.parametrize("combo", COMBOS)
+    def test_reads_the_setting_with_its_basis_on_both_arms(self, combo):
+        # every setting's block of arange(1, 37) has its own total, so its own sigma
+        counts = np.arange(1, 37)
+        pair = combo.split("-")[1]
+        labels = [setting.label for setting in tomography_projectors().settings]
+        k = labels.index(f"{pair}-{pair}")
+        n1, n2, n3, n4 = (float(n) for n in counts[4 * k : 4 * k + 4])
+        total = n1 + n2 + n3 + n4
+        sample = extract_correlation(CountRecord(counts=counts, duration_s=1.0), combo, 0.2)
+        assert sample.value == ((n1 + n4) - (n2 + n3)) / total
+        assert sample.sigma == pytest.approx(2 * math.sqrt((n1 + n4) * (n2 + n3) / total**3), rel=1e-12)
+        assert combo_axis_and_basis(combo) == (combo[0].lower(), tuple(pair))
 
 
 class TestSonFit:

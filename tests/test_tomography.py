@@ -179,6 +179,18 @@ class TestMleReconstructMany:
     def test_empty_batch(self):
         assert mle_reconstruct_many([], tomography_projectors()) == []
 
+    def test_distinct_records_get_their_one_record_results(self):
+        rng = np.random.default_rng(8)
+        records = [simulate_counts(linalg.werner(v), 5400.0, 5.0, NoiseModel(werner_v=v), rng) for v in (0.9, 0.6, 0.75)]
+        projs = tomography_projectors()
+        many = mle_reconstruct_many(records, projs)
+        for record, res in zip(records, many):
+            alone = mle_reconstruct(record, projs)
+            np.testing.assert_array_equal(res.rho, alone.rho)
+            assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
+            np.testing.assert_array_equal(res.log_likelihood_history, alone.log_likelihood_history)
+        assert not any(np.shares_memory(x.rho, y.rho) for i, x in enumerate(many) for y in many[i + 1 :])
+
     def test_equal_records_are_reconstructed_once(self, monkeypatch):
         calls = []
 
