@@ -124,9 +124,10 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     config = _config_from_json(raw)
     if seed is not None:
-        # the command line's seed is written as a count is: ASCII decimal digits only
-        if isinstance(seed, str) and not eio.is_decimal(seed):
-            raise UsageError(f"seed must be written in ASCII decimal digits, not {seed!r}")
+        # an int that is not a bool, or text written as a count is: ASCII decimal
+        # digits only; int() would also take 7.9, True and "\u0663"
+        if not (eio.is_decimal(seed) if isinstance(seed, str) else type(seed) is int):
+            raise UsageError(f"seed must be an int or a string of ASCII decimal digits, not {seed!r}")
         config = replace(config, seed=int(seed))
     if config.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, not {config.seed}")
@@ -157,6 +158,10 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
+def _grid_echo(plan: ExperimentPlan) -> dict:
+    return {"axes": list(plan.axes), "angles_deg": [float(a) for a in plan.angles_deg]}
+
+
 def cmd_simulate(config: RunConfig) -> dict:
     """Write the grid's count files and manifest; return its count records, keyed (axis, angle_deg, stage)."""
     out = Path(config.out_dir)
@@ -178,11 +183,7 @@ def cmd_simulate(config: RunConfig) -> dict:
                     "true_state": eio.density_matrix_to_table(result.rho_true),
                 }
             )
-    manifest = {
-        "config": _config_echo(config),
-        "grid": {"axes": list(plan.axes), "angles_deg": [float(a) for a in plan.angles_deg]},
-        "cells": cells,
-    }
+    manifest = {"config": _config_echo(config), "grid": _grid_echo(plan), "cells": cells}
     eio.write_json(out / "manifest.json", manifest)
     print(f"simulate: wrote {len(cells)} count files to {out}")
     return grid
@@ -209,7 +210,7 @@ def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stag
 
 
 def _manifest_plan(out: Path) -> ExperimentPlan:
-    """The plan of the simulate run whose manifest is in ``out``."""
+    """The plan of the simulate run whose manifest is in ``out``; its ``grid`` must be the config's."""
     path = out / "manifest.json"
     if not path.exists():
         raise MissingDataError(f"missing manifest: {path} (run simulate first)")
@@ -217,7 +218,10 @@ def _manifest_plan(out: Path) -> ExperimentPlan:
         manifest = eio.read_json(path)
         if not isinstance(manifest, dict) or "config" not in manifest:
             raise UsageError('no "config" object')
-        return _config_from_json(manifest["config"]).plan()
+        plan = _config_from_json(manifest["config"]).plan()
+        if manifest.get("grid") != _grid_echo(plan):
+            raise UsageError('"grid" disagrees with "config"')
+        return plan
     except (ValueError, UsageError) as exc:
         raise MissingDataError(f"malformed manifest {path}: {exc}") from exc
 

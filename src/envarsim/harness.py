@@ -18,7 +18,9 @@ call and the consecutive stage-I pairs in one series of each, which every
 axis and the whole grid slice for their source stability; every
 two-qubit rotation goes through ``linalg.apply_local``. Per-cell
 randomness derives from (seed, axis, angle, stage) by value, so cells are
-reproducible in any execution order.
+reproducible in any execution order. A noise model that draws nothing
+(``NoiseModel.draws`` false) gets no stream, so a noise-free run never
+loads ``numpy.random``; numpy 2 imports it on first use.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy 2 loads it lazily; load it on import, not in the first run
 
 from .linalg import apply_local, su2_rotation, validate_density_matrix, werner
 from .measurement import (
@@ -189,7 +190,8 @@ def _simulate_cells(
     Each stream derives from (plan.seed, axis, angle, stage) and draws, in
     order, per qubit a drift axis and angle, the three plate-angle errors of
     each rotation stack (the system's, then in stage III the environment's)
-    and, in ``simulate_counts_many``, the acquisition noise.
+    and, in ``simulate_counts_many``, the acquisition noise. A noise model
+    that draws nothing gets None in place of each stream.
     """
     noise = plan.noise
     normals = np.zeros((len(cells), 3, 2, 4))  # per record and qubit: three axis normals, one angle normal
@@ -198,7 +200,7 @@ def _simulate_cells(
     for c, (axis, theta) in enumerate(cells):
         angle_deg = float(np.rad2deg(theta))
         for s, stage in enumerate(STAGES):  # stage s rotates s photons
-            stream = stage_rng(plan.seed, axis, angle_deg, stage)
+            stream = stage_rng(plan.seed, axis, angle_deg, stage) if noise.draws else None
             if noise.drift_sigma > 0:
                 normals[c, s] = stream.standard_normal((2, 4))
             if noise.waveplate_error_sigma > 0 and s:

@@ -210,6 +210,11 @@ class NoiseModel:
             if not 0 <= sigma < np.inf:
                 raise ValueError("noise sigmas must be finite and non-negative")
 
+    @property
+    def draws(self) -> bool:
+        """Whether the model draws any random number: shot noise, drift or plate-angle errors."""
+        return bool(self.poisson) or self.drift_sigma > 0 or self.waveplate_error_sigma > 0
+
     @classmethod
     def noiseless(cls, werner_v: float = 1.0) -> "NoiseModel":
         return cls(werner_v=werner_v, drift_sigma=0.0, waveplate_error_sigma=0.0, poisson=False)
@@ -236,7 +241,7 @@ def simulate_counts_many(
     flux_hz: float,
     duration_s: float,
     noise: NoiseModel,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator | None],
 ) -> list[CountRecord]:
     """Synthesize one 36-projector acquisition per density matrix, all at once.
 
@@ -247,7 +252,8 @@ def simulate_counts_many(
     diag(M rho M^dag), M = A_s (x) A_e the two perturbed analyzers, whose
     rows pull the PBS ports back to the measured kets; without them they are
     Tr(P rho) on the ideal projectors. Record b depends on no other record,
-    bit for bit.
+    bit for bit. A model that draws nothing (``noise.draws`` false) reads no
+    stream, so its streams may be None.
     """
     if flux_hz <= 0 or duration_s <= 0:
         raise ValueError("flux and duration must be positive")
@@ -295,10 +301,10 @@ def simulate_counts(
     Each of the 9 settings is an independent acquisition of
     flux_hz*duration_s expected pairs split over its 4 outcomes. With
     ``noise.poisson`` off, counts are rounded expectations. Without ``rng``
-    the draws come from ``default_rng(noise.seed)``. The one-record call of
-    ``simulate_counts_many``.
+    the draws come from ``default_rng(noise.seed)``, made only if
+    ``noise.draws``. The one-record call of ``simulate_counts_many``.
     """
-    if rng is None:
+    if rng is None and noise.draws:
         rng = np.random.default_rng(noise.seed)
     return simulate_counts_many([rho], flux_hz, duration_s, noise, [rng])[0]
 

@@ -13,8 +13,9 @@ with E(theta, n) = p^n - q^n. The first two lines say that (p, q) runs
 along the superellipse p^n + q^n = 1 at constant speed sqrt(c), so theta is
 its arc length over sqrt(c); ``solve_son`` and the exponent fit read E
 through one quadrature inversion of that arc length, made once per exponent
-and distinct angle. Ordinary quantum mechanics is the n=2 case, where
-p = sin(theta), E = -cos(2*theta).
+and distinct angle. The quadrature rule is built on first use, so a run
+that fits no exponent never imports ``numpy.polynomial``. Ordinary quantum
+mechanics is the n=2 case, where p = sin(theta), E = -cos(2*theta).
 
 During the experiment's middle stage, rotating one qubit by phi (with the
 same analyzer basis on both arms, basis orthogonal to the rotation axis)
@@ -33,6 +34,7 @@ and one inversion per lattice stage serves every combo that profiles it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,12 +122,19 @@ class CorrelationCurve:
             getattr(self, name).setflags(write=False)
 
 
-# 96-point Gauss-Legendre rule on [0, 1] for the substitution x = d*u**6
-# (dx = 6*d*u**5 du), which smooths the (x/other)**(2n-2) endpoint term of the
-# arc-length integrand; 96 points give c to about 1e-13 up to n = 10
-_GL_U, _GL_W = np.polynomial.legendre.leggauss(96)
-_ARC_X = ((_GL_U + 1) / 2) ** 6
-_ARC_W = 3 * ((_GL_U + 1) / 2) ** 5 * _GL_W
+@functools.cache
+def _arc_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the arc-length quadrature, built on the first son fit.
+
+    A 96-point Gauss-Legendre rule on [0, 1] for the substitution x = d*u**6
+    (dx = 6*d*u**5 du), which smooths the (x/other)**(2n-2) endpoint term of
+    the arc-length integrand; 96 points give c to about 1e-13 up to n = 10.
+    Building it imports ``numpy.polynomial``, which no other path needs.
+    """
+    u, w = np.polynomial.legendre.leggauss(96)
+    return ((u + 1) / 2) ** 6, 3 * ((u + 1) / 2) ** 5 * w
+
+
 _ARC_ROWS = 128  # rows per arc-length call: its (rows, nodes) temporaries stay about 100 kB
 
 
@@ -148,9 +157,10 @@ def _arc_speed(d: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def _arc_length(d: np.ndarray, n) -> np.ndarray:
     # summed per row: a BLAS gemv's row sums depend on how many rows share
     # the call, so one angle's arc length would move with the other angles
-    nodes = d[..., None] * _ARC_X
+    x, w = _arc_rule()
+    nodes = d[..., None] * x
     n = np.broadcast_to(np.asarray(n)[..., None], nodes.shape).copy()
-    return d * np.sum(_arc_speed(nodes, n)[0] * _ARC_W, axis=-1)
+    return d * np.sum(_arc_speed(nodes, n)[0] * w, axis=-1)
 
 
 def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:

@@ -363,6 +363,14 @@ class TestUsageAndIoErrors:
         assert load_config(str(cfg), seed="12345678901234567890").seed == 12345678901234567890
         assert load_config(str(cfg), seed="0042").seed == 42
 
+    @pytest.mark.parametrize("seed", [7.9, True, "\u0663"], ids=["float", "bool", "arabic-indic"])
+    def test_library_seed_other_than_an_int_or_ascii_digits_rejected(self, seed):
+        # int() would take each of them, as 7, 1 and 3
+        from envarsim.cli import UsageError
+
+        with pytest.raises(UsageError, match="^seed must be an int or a string of ASCII decimal digits"):
+            load_config(None, seed=seed)
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_out_dir_exits_1_before_writing(self, tmp_path, monkeypatch, capsys, source):
         cfg = _write_config(tmp_path / "c.json", **({"out_dir": ""} if source == "config" else {}))
@@ -543,6 +551,27 @@ class TestMalformedData:
             err = capsys.readouterr().err
             assert err.startswith("error: malformed manifest") and err.count("\n") == 1
             assert "manifest.json" in err
+
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"axes": ["q"], "angles_deg": [1234.0]}, {"axes": ["x"], "angles_deg": [0.0, 45.0, 90.0, 135.0]}, None],
+        ids=["unknown-axis-and-angle", "one-angle-dropped", "no-grid"],
+    )
+    def test_manifest_grid_that_disagrees_with_config_exits_3(self, run, capsys, grid):
+        cfg, out = run
+        manifest = read_json(out / "manifest.json")
+        if grid is None:
+            del manifest["grid"]
+        else:
+            manifest["grid"] = grid
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for command in ("analyze", "son-fit"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed manifest") and err.count("\n") == 1
+            assert "grid" in err
 
 
 class TestReconstructOnce:

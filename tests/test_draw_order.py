@@ -84,6 +84,9 @@ PLANS = {
     "calibrated-seed-1": ExperimentPlan(noise=calibrated_noise(1), seed=1),
     "calibrated-default-seed": ExperimentPlan(noise=calibrated_noise()),
     "noiseless": ExperimentPlan(flux_hz=2e5, duration_s=5.0, noise=NoiseModel.noiseless(), seed=1),
+    # without shot noise each draw on its own still needs the streams
+    "drift-only": ExperimentPlan(noise=NoiseModel(werner_v=0.98267, drift_sigma=0.025, poisson=False), seed=2),
+    "plate-errors-only": ExperimentPlan(noise=NoiseModel(werner_v=0.98267, waveplate_error_sigma=np.deg2rad(0.2), poisson=False), seed=2),
 }
 
 
