@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import locale  # noqa: F401  argparse's gettext loads it on first use; load it on import
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,8 @@ class RunConfig:
     seed: int = _DEFAULT.seed
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
+    # the keys its config file or --seed set, in that order: not a config key, and not compared
+    given: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def plan(self) -> ExperimentPlan:
         noise = NoiseModel(
@@ -73,7 +75,9 @@ class RunConfig:
         )
 
 
-_CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
+_CONFIG_KEYS = set(RunConfig.__dataclass_fields__) - {"given"}
+# the keys that determine the data; output location and formats stay out
+_DATA_KEYS = _CONFIG_KEYS - {"out_dir", "formats"}
 _LIST_KEYS = {"axes": str, "angles_deg": float, "formats": str}
 
 
@@ -109,7 +113,7 @@ def _config_from_json(raw) -> RunConfig:
             if not _is_json_kind(value, kind):
                 raise UsageError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
             values[key] = kind(value)
-    return RunConfig(**values)
+    return RunConfig(**values, given=tuple(values))
 
 
 def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
@@ -128,7 +132,7 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         # digits only; int() would also take 7.9, True and "\u0663"
         if not (eio.is_decimal(seed) if isinstance(seed, str) else type(seed) is int):
             raise UsageError(f"seed must be an int or a string of ASCII decimal digits, not {seed!r}")
-        config = replace(config, seed=int(seed))
+        config = replace(config, seed=int(seed), given=(*config.given, "seed"))
     if config.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, not {config.seed}")
     if out is not None:
@@ -150,12 +154,8 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
 
 
 def _config_echo(config: RunConfig) -> dict:
-    # only the keys that determine the data; output location and formats
-    # stay out so the manifest is identical wherever the run lands
-    echo = asdict(config)
-    del echo["out_dir"]
-    del echo["formats"]
-    return echo
+    # only the data keys, so the manifest is identical wherever the run lands
+    return {key: value for key, value in asdict(config).items() if key in _DATA_KEYS}
 
 
 def _grid_echo(plan: ExperimentPlan) -> dict:
@@ -209,26 +209,32 @@ def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stag
     return record
 
 
-def _manifest_plan(out: Path) -> ExperimentPlan:
-    """The plan of the simulate run whose manifest is in ``out``; its ``grid`` must be the config's."""
-    path = out / "manifest.json"
+def _manifest_plan(config: RunConfig) -> ExperimentPlan:
+    """The plan of the simulate run whose manifest is in ``config.out_dir``; its ``grid`` must be
+    its config's, and each data key ``config`` was given must hold the manifest's value."""
+    path = Path(config.out_dir) / "manifest.json"
     if not path.exists():
         raise MissingDataError(f"missing manifest: {path} (run simulate first)")
     try:
         manifest = eio.read_json(path)
         if not isinstance(manifest, dict) or "config" not in manifest:
             raise UsageError('no "config" object')
-        plan = _config_from_json(manifest["config"]).plan()
+        recorded = _config_from_json(manifest["config"])
+        plan = recorded.plan()
         if manifest.get("grid") != _grid_echo(plan):
             raise UsageError('"grid" disagrees with "config"')
-        return plan
     except (ValueError, UsageError) as exc:
         raise MissingDataError(f"malformed manifest {path}: {exc}") from exc
+    for key in config.given:
+        mine, theirs = getattr(config, key), getattr(recorded, key)
+        if key in _DATA_KEYS and mine != theirs:
+            raise UsageError(f"{key} = {mine!r} disagrees with {path}, which records {key} = {theirs!r}")
+    return plan
 
 
 def cmd_analyze(config: RunConfig, grid: dict | None = None) -> None:
     out = Path(config.out_dir)
-    plan = _manifest_plan(out) if grid is None else config.plan()
+    plan = _manifest_plan(config) if grid is None else config.plan()
     cell_counts = {cell: tuple(_read_counts(out, grid, *cell, stage) for stage in STAGES) for cell in plan.cells}
     report = assemble_report(plan, cell_counts)
     missed = [n for n, ok in zip(report.mle_iterations, report.mle_converged) if not ok]
@@ -280,7 +286,7 @@ def _fit_grid(axes, angles_deg) -> dict:
 
 def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
     out = Path(config.out_dir)
-    plan = _manifest_plan(out) if grid is None else config.plan()
+    plan = _manifest_plan(config) if grid is None else config.plan()
     fitted = _fit_grid(plan.axes, plan.angles_deg)
     if 0 < len(fitted) < len(COMBOS):
         missing = sorted(set(COMBOS) - set(fitted))

@@ -214,8 +214,12 @@ def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> bool | np.
     below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(d.shape[-1])) ** 2
     band = (frob_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below
     if band.any():
-        e = d[band] / tol
+        # d[band] is a copy: scaled in place, it is the one band-sized temporary beside e @ e,
+        # and it is freed before the open rows' eigenvalues are taken
+        e = d[band]
+        e /= tol
         rows = np.flatnonzero(band)[_row_sq_norms(e) ** 3 < (2 * (1 + 1e-9)) ** 2 * _row_sq_norms(e @ e)]
+        del e
         if rows.size:
             # d - 0 is d: the same matrices trace_distance(a, b) takes apart
             below[rows] = trace_distance(d[rows], 0.0) < tol

@@ -12,13 +12,20 @@ steps, which decides most of them from norm bounds (Frobenius, then Hölder)
 and takes eigenvalues only of the rest; a record keeps the iterate and the
 iteration of its first step below ``tol``, and the steps it ran past that are
 dropped.
+Each step takes R rho R in real arithmetic. A complex product a @ m equals
+a.view(float) @ E(m), with E(m) the real 8x8 matrix of right-multiplication
+by m. So a step builds E(R) from R's 36 weights through one (36, 64) map,
+takes y = rho R as a real (4, 8) x (8, 8) product, and R rho R as y^dag R,
+since y^dag = R rho. Numpy runs such a real product several times faster
+than a complex 4x4 ``matmul``; the state stays a complex (B, 4, 4) stack.
 Its result does not depend on the other records in the batch, bit for bit:
 every step works on each matrix alone (a per-record BLAS product on a
-``(B, 1, k)`` stack, stacked ``@`` and ``eigvalsh``), never as one 2-D BLAS
-product across records, whose rounding of a row can change with its place
-in the batch. So equal count records are reconstructed once: the loop runs
-on one row per distinct record, keyed by the bytes of its counts, and every
-record gets its own copy of its row's state, the bits of its one-record call.
+``(B, 1, k)`` or ``(B, 4, 8)`` stack, and stacked ``eigvalsh``), never as one
+2-D BLAS product across records, whose rounding of a row can change with its
+place in the batch. So equal count records are reconstructed once: the loop
+runs on one row per distinct record, keyed by the bytes of its counts, and
+every record gets its own copy of its row's state, the bits of its one-record
+call.
 ``mle_reconstruct`` is the one-record call.
 """
 
@@ -70,12 +77,29 @@ def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.maximum(probs, _PROB_FLOOR, out=probs)
 
 
+def _mult_matrices(m: np.ndarray) -> np.ndarray:
+    """The real (8, 8) matrix E(m) of each complex 4x4 matrix of a stack, the matrix for which
+    (a @ m).view(float) is a.view(float) @ E(m): row 2k is m's float-view row k, row 2k + 1 the
+    same row of i*m."""
+    return np.stack([m, 1j * m], axis=-2).view(float).reshape(*m.shape[:-2], 8, 8)
+
+
+def _r_rho_r(e_r: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """R rho R into ``out`` for a (B, 4, 4) stack of Hermitian rho and their Hermitian R given as
+    E(R): y = rho R, then y^dag R, since y^dag = R rho; each a per-record real (4, 8) x (8, 8) product."""
+    y = (rho.view(float).reshape(-1, 4, 8) @ e_r).view(complex)
+    y_dag = np.conjugate(y.transpose(0, 2, 1), order="C")
+    np.matmul(y_dag.view(float).reshape(-1, 4, 8), e_r, out=out.view(float).reshape(-1, 4, 8))
+    return out
+
+
 def _run_blocks(
-    flat_re: np.ndarray, raw: np.ndarray, freqs: np.ndarray, max_iter: int, tol: float
+    flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, freqs: np.ndarray, max_iter: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
     """R-rho-R from I/4 on every (1, 36) row of counts ``raw`` and frequencies ``freqs``, in blocks
     of ``_BLOCK`` steps: each row's final iterate, iterations and convergence, and per block its
-    first iteration, active rows and (steps, rows) log-likelihoods."""
+    first iteration, active rows and (steps, rows) log-likelihoods. Each step builds E(R) from the
+    (36, 64) map ``mult`` (row a is E(P_a)) as R is built from ``flat_re``."""
     batch = len(raw)
     # row k of raw, freqs and rho belongs to input row active[k]; its rows leave when it stops
     active = np.arange(batch)
@@ -95,8 +119,7 @@ def _run_blocks(
             rho = traj[j, :b]
             probs = _probabilities(flat_re, rho)
             ll[j] = (raw * np.log(probs)).sum(-1)[:, 0]
-            r_op = ((freqs / probs) @ flat_re).view(complex).reshape(-1, 4, 4)
-            nxt = np.matmul(r_op @ rho, r_op, out=traj[j + 1, :b])
+            nxt = _r_rho_r(((freqs / probs) @ mult).reshape(-1, 8, 8), rho, traj[j + 1, :b])
             # Hermitize and normalize in one pass: the real diagonal, so the trace, is already
             # Hermitian; its entries 0, 5, 10 and 15 are summed in the order trace() takes
             re = nxt.real.reshape(-1, 16)
@@ -140,10 +163,12 @@ def mle_reconstruct_many(
         return []
     # the projectors as (36, 32) floats: real and imaginary parts interleaved
     flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
+    # and as the (36, 64) map from the weights w of R = sum_a w_a P_a to E(R)
+    mult = _mult_matrices(projectors.flat_projectors).reshape(36, 64)
     # one row per distinct record; input record b gets the result of row owner[b]
     all_raw, all_freqs, owner = _distinct_rows(records)
     # the block loop's trajectory buffer is freed here, before the histories are assembled
-    final, iterations, converged, blocks = _run_blocks(flat_re, all_raw, all_freqs, max_iter, tol)
+    final, iterations, converged, blocks = _run_blocks(flat_re, mult, all_raw, all_freqs, max_iter, tol)
 
     final_ll = (all_raw * np.log(_probabilities(flat_re, final))).sum(-1)[:, 0]
     # the histories end to end: from start[b], record b's log-likelihood at each of its

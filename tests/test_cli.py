@@ -574,6 +574,74 @@ class TestMalformedData:
             assert "grid" in err
 
 
+class TestDataKeysAgainstTheManifest:
+    """``analyze`` and ``son-fit`` from files take the data keys from the manifest; a data key that
+    the config file or --seed sets must hold the manifest's value, or the run exits 1 unwritten."""
+
+    QUICK = str(CONFIG_DIR / "quick.json")
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", self.QUICK, "--seed", "1", "--out", str(out)]) == 0
+        return out
+
+    def _refused(self, argv, out, capsys):
+        before = _tree_hash(out)
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _tree_hash(out) == before
+        return captured.err
+
+    @pytest.mark.parametrize("command", ["analyze", "son-fit"])
+    def test_a_seed_other_than_the_manifests_exits_1(self, run, capsys, command):
+        err = self._refused([command, "--config", self.QUICK, "--seed", "2", "--out", str(run)], run, capsys)
+        assert err == f"error: seed = 2 disagrees with {run / 'manifest.json'}, which records seed = 1\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "son-fit"])
+    def test_config_data_keys_other_than_the_manifests_exit_1(self, run, tmp_path, capsys, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"axes": ["x"], "angles_deg": [0, 90], "flux_hz": 10.0}))
+        err = self._refused([command, "--config", str(cfg), "--out", str(run)], run, capsys)
+        assert err.startswith("error: axes = ('x',) disagrees with") and err.count("\n") == 1
+        assert err.endswith("which records axes = ('x', 'z')\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("axes", ["z", "x"]), ("angles_deg", [0.0, 60.0, 120.0]), ("flux_hz", 2000.5), ("duration_s", 2.0),
+         ("werner_v", 0.9), ("drift_sigma", 0.0), ("waveplate_error_sigma", 0.0), ("poisson", False), ("seed", 7)],
+    )
+    def test_each_data_key_is_checked(self, run, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        err = self._refused(["analyze", "--config", str(cfg), "--out", str(run)], run, capsys)
+        assert err.startswith(f"error: {key} = ") and err.count("\n") == 1
+
+    def test_keys_left_unset_come_from_the_manifest(self, run, tmp_path):
+        # output keys are no data keys: a config of them alone takes seed 1 and quick's grid from the manifest
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out_dir": "elsewhere", "formats": ["json"]}))
+        assert main(["analyze", "--config", str(cfg), "--out", str(run)]) == 0
+        cells = [(axis, angle) for axis in "xz" for angle in (0.0, 60.0, 120.0, 180.0)]
+        tags = {eio.record_tag(*cell, stage) for cell in cells for stage in ("I", "II", "III")}
+        assert set(read_json(run / "states.json")) == tags
+
+    def test_the_configs_own_values_analyze_as_the_manifest_alone(self, tmp_path, capsys):
+        # simulated with quick.json's own seed: analyzing with the config gives the files analyzing without it does
+        runs = [tmp_path / "with-config", tmp_path / "without"]
+        for out in runs:
+            assert main(["simulate", "--config", self.QUICK, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--config", self.QUICK, "--out", str(runs[0])]) == 0
+        assert main(["analyze", "--config", self.QUICK, "--seed", "7", "--out", str(runs[0])]) == 0
+        assert main(["analyze", "--out", str(runs[1])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == lines[1] == lines[2]
+        assert _tree_hash(runs[0]) == _tree_hash(runs[1])
+
+
 class TestReconstructOnce:
     def test_simulate_runs_no_mle(self, tmp_path, monkeypatch):
         calls = _count_mle_calls(monkeypatch)

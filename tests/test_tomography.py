@@ -212,6 +212,52 @@ class TestMleReconstructMany:
         assert not any(np.shares_memory(x.rho, y.rho) for i, x in enumerate(many) for y in many[i + 1 :])
 
 
+# entries of magnitude 1e-3 to 4 or zero: no product underflows, so a rounding error stays relative
+_entries = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+# B from 1 to 8: a Hermitian R, a density matrix rho and the 36 weights w of an R = sum_a w_a P_a per record
+r_rho_batches = st.integers(1, 8).flatmap(
+    lambda b: st.tuples(
+        arrays(np.float64, (b, 4, 4, 2), elements=_entries),
+        arrays(np.float64, (b, 4, 4, 2), elements=_entries),
+        arrays(np.float64, (b, 1, 36), elements=st.floats(0.0, 1e3)),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=r_rho_batches)
+def test_real_r_rho_r_equals_the_complex_product(batch):
+    """The step's R rho R in real arithmetic: y = rho R on E(R), then y^dag R."""
+    r_parts, m_parts, weights = batch
+    r = r_parts[..., 0] + 1j * r_parts[..., 1]
+    r = (r + r.conj().transpose(0, 2, 1)) / 2
+    m = m_parts[..., 0] + 1j * m_parts[..., 1]
+    rho = m @ m.conj().transpose(0, 2, 1) + np.eye(4)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+    e_r = tomography._mult_matrices(r)
+    got = tomography._r_rho_r(e_r, rho, np.empty_like(rho))
+    want = r @ rho @ r
+    # rounding is relative to |R| |rho| |R|, the size of the terms each entry sums
+    scale = (np.abs(r) @ np.abs(rho) @ np.abs(r)).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-14 * scale)
+
+    # E(R) from the weights through the (36, 64) map: its (k, re) rows are the R the step used to build
+    flat = tomography_projectors().flat_projectors
+    flat_re = flat.view(float).reshape(36, 32)
+    mult = tomography._mult_matrices(flat).reshape(36, 64)
+    e_w = (weights @ mult).reshape(-1, 8, 8)
+    r_w = weights @ flat_re
+    np.testing.assert_array_equal(e_w[:, 0::2], r_w.reshape(-1, 4, 8))
+    np.testing.assert_array_equal(e_w, tomography._mult_matrices(r_w.view(complex).reshape(-1, 4, 4)))
+
+    # every row is its one-row call, bit for bit
+    for b in range(len(rho)):
+        np.testing.assert_array_equal(weights[b : b + 1] @ mult, (weights @ mult)[b : b + 1])
+        alone = tomography._r_rho_r(e_r[b : b + 1], rho[b : b + 1], np.empty_like(rho[b : b + 1]))
+        np.testing.assert_array_equal(alone[0], got[b])
+
+
 def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
     """Oracle: the R-rho-R loop with ``einsum`` contractions, a Hermitize-then-divide
     normalization and the eigenvalue trace distance at every step.
