@@ -200,34 +200,26 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> bool | np.ndarray:
     """``trace_distance(a, b) < tol`` for Hermitian matrices, broadcast as ``trace_distance`` is.
 
-    For Hermitian d = a - b of dimension n, ||d||_F <= ||d||_1 <= sqrt(n) ||d||_F,
-    so the trace distance lies in [||d||_F / 2, sqrt(n) ||d||_F / 2]. Rows
-    that bound leaves open get a second lower bound from Hölder's inequality,
-    ||d||_1 >= ||d||_F^3 / ||d^2||_F (tight when the nonzero eigenvalues of d
-    share one modulus), taken on d / tol so that no power under- or
-    overflows. Every bound is applied with a 1e-9 relative margin for
-    rounding; only the rows still open go through ``trace_distance``.
+    For Hermitian d = a - b of dimension n with t = Tr d,
+    max(||d||_F^2, 2 ||d||_F^2 - t^2) <= ||d||_1^2 <= n ||d||_F^2. The middle term:
+    with P the sum of d's positive eigenvalues and N that of the moduli of its
+    negative ones, ||d||_1 = P + N, t = P - N and ||d||_F^2 <= P^2 + N^2 =
+    (||d||_1^2 + t^2) / 2. For the step between two unit-trace iterates (t = 0) it
+    is sqrt(2) tighter than ||d||_F; the max keeps it never weaker. Both take only
+    squares of d's entries, so they underflow no sooner than ||d||_F^2. Each bound
+    is applied with a 1e-9 relative margin for rounding; only the rows they leave
+    open go through ``trace_distance``.
     """
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     shape, d = d.shape[:-2], d.reshape((-1,) + d.shape[-2:])
-    frob_sq = _row_sq_norms(d)
+    flat = d.reshape(len(d), d.shape[-2] * d.shape[-1]).view(float)
+    frob_sq = np.einsum("bk,bk->b", flat, flat)
+    t = np.trace(d, axis1=1, axis2=2).real
     below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(d.shape[-1])) ** 2
-    band = (frob_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below
-    if band.any():
-        # d[band] is a copy: scaled in place, it is the one band-sized temporary beside e @ e,
-        # and it is freed before the open rows' eigenvalues are taken
-        e = d[band]
-        e /= tol
-        rows = np.flatnonzero(band)[_row_sq_norms(e) ** 3 < (2 * (1 + 1e-9)) ** 2 * _row_sq_norms(e @ e)]
-        del e
-        if rows.size:
-            # d - 0 is d: the same matrices trace_distance(a, b) takes apart
-            below[rows] = trace_distance(d[rows], 0.0) < tol
+    lower_sq = np.maximum(frob_sq, 2 * frob_sq - t * t)
+    rows = np.flatnonzero((lower_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below)
+    if rows.size:
+        # d - 0 is d: the same matrices trace_distance(a, b) takes apart
+        below[rows] = trace_distance(d[rows], 0.0) < tol
     below = below.reshape(shape)
     return bool(below) if below.ndim == 0 else below
-
-
-def _row_sq_norms(m: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix of a (B, n, n) complex stack."""
-    flat = m.reshape(len(m), m.shape[-2] * m.shape[-1]).view(float)
-    return np.einsum("bk,bk->b", flat, flat)

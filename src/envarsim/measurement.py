@@ -192,7 +192,9 @@ class NoiseModel:
     the per-qubit random rotation angle applied by ``drift_state``;
     waveplate_error_sigma is the std of each plate-angle setting error
     (applied both to analyzer plates and, by the experiment harness, to the
-    rotation stacks); poisson toggles shot noise.
+    rotation stacks); poisson toggles shot noise. Each sigma lies in
+    [0, 2 pi] rad: a Gaussian angle error wider than one full turn carries
+    no physics.
     """
 
     werner_v: float = 1.0
@@ -207,8 +209,8 @@ class NoiseModel:
         if not 0.0 <= self.werner_v <= 1.0:
             raise ValueError("werner_v must lie in [0, 1]")
         for sigma in (self.drift_sigma, self.waveplate_error_sigma):
-            if not 0 <= sigma < np.inf:
-                raise ValueError("noise sigmas must be finite and non-negative")
+            if not 0 <= sigma <= 2 * np.pi:
+                raise ValueError("noise sigmas must lie in [0, 2 pi] rad")
 
     @property
     def draws(self) -> bool:

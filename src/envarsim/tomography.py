@@ -8,10 +8,10 @@ structure and converges to the physical (PSD, unit-trace) maximum. Every
 record starts at I/4 and leaves the stack at the iteration where its own
 trace-distance step drops below ``tol``. The stops are decided once per block
 of ``_BLOCK`` steps, in one ``trace_distance_below`` call over the block's
-steps, which decides most of them from norm bounds (Frobenius, then Hölder)
-and takes eigenvalues only of the rest; a record keeps the iterate and the
-iteration of its first step below ``tol``, and the steps it ran past that are
-dropped.
+steps, which decides most of them from norm bounds (Frobenius, then a
+trace-corrected Frobenius bound) and takes eigenvalues only of the rest; a
+record keeps the iterate and the iteration of its first step below ``tol``,
+and the steps it ran past that are dropped.
 Each step takes R rho R in real arithmetic. A complex product a @ m equals
 a.view(float) @ E(m), with E(m) the real 8x8 matrix of right-multiplication
 by m. So a step builds E(R) from R's 36 weights through one (36, 64) map,

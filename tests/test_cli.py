@@ -307,11 +307,12 @@ class TestUsageAndIoErrors:
             {"drift_sigma": float("nan")}, {"waveplate_error_sigma": float("inf")}, {"flux_hz": 1e300},
             {"axes": ["z", "z"]}, {"angles_deg": [30.0, 30.0, 60.0]}, {"angles_deg": [30.0, 30.001]},
             {"angles_deg": [0, 30, 60, 90, float("inf")]}, {"angles_deg": [0, 30, 60, 90, float("nan")]},
+            {"drift_sigma": 1e308}, {"waveplate_error_sigma": 1e308},
         ],
         ids=[
             "unknown-axis", "angle-400", "werner-above-1", "zero-flux", "negative-duration",
             "drift-nan", "waveplate-infinity", "flux-1e300", "duplicate-axes", "duplicate-angles",
-            "same-file-angles", "angle-infinity", "angle-nan",
+            "same-file-angles", "angle-infinity", "angle-nan", "drift-1e308", "waveplate-1e308",
         ],
     )
     def test_out_of_range_config_value_exits_1(self, tmp_path, capsys, override):

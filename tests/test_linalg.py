@@ -268,7 +268,7 @@ class TestTraceDistanceBelow:
         original = linalg.trace_distance
         monkeypatch.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
         np.testing.assert_array_equal(linalg.trace_distance_below(a, b, 1e-6), original(a, b) < 1e-6)
-        assert seen == [1]
+        assert seen == []
 
     def test_two_matrices_give_one_bool(self):
         # each row of a 4x4 matrix was taken for a matrix, and 4 bools came back
@@ -304,7 +304,8 @@ def _rank2_trace_norm(eps: float) -> float:
     return (2 + 2 * eps) / np.sqrt(2 + 2 * eps**2)
 
 
-# near-flat spectra, where the Hölder bound ||d||_1 >= ||d||_F^3 / ||d^2||_F is tight or nearly so;
+# traceless near-flat spectra, where the trace-corrected bound ||d||_1^2 >= 2 ||d||_F^2 - (Tr d)^2
+# is tight (eps = 0) or nearly so;
 # each row's Frobenius norm is scale * tol with scale in [1, 2], on both sides of the trace-distance
 # threshold 2 / _rank2_trace_norm(eps), at it and next to it
 rank2_rows = st.lists(
@@ -319,6 +320,36 @@ rank2_rows = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+def _traceless_step(rng: np.random.Generator, rank: int | None) -> np.ndarray:
+    """A 4x4 Hermitian step of unit Frobenius norm with a random zero-sum spectrum of ``rank``
+    nonzero eigenvalues, or with the spectrum (3, -1, -1, -1) for ``rank=None``."""
+    if rank is None:
+        spectrum = np.array([3.0, -1.0, -1.0, -1.0])
+    else:
+        spectrum = np.zeros(4)
+        spectrum[:rank] = rng.normal(size=rank)
+        spectrum[:rank] -= spectrum[:rank].mean()
+    u = random_unitary(4, rng)
+    d = (u * spectrum) @ u.conj().T
+    return d / np.linalg.norm(d)
+
+
+# traceless steps of Frobenius norm scale * tol, scale in [sqrt(2) (1 + 1e-8), 2]: the Frobenius
+# bound leaves each open, and ||d||_1 >= sqrt(2) ||d||_F puts its trace distance above tol; the
+# first row of every example has the spectrum (3, -1, -1, -1), where Hölder's lower bound
+# ||d||_F^3 / ||d^2||_F reaches only 1.31 ||d||_F
+_SQRT2_UP = np.sqrt(2) * (1 + 1e-8)
+traceless_rows = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 2, 3, 4]),
+        st.one_of(st.sampled_from([_SQRT2_UP, 1.45, 2.0]), st.floats(_SQRT2_UP, 2.0)),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda rows: [(rows[0][0], None, rows[0][2])] + rows[1:])
 
 
 class TestTraceDistanceBelowHolder:
@@ -344,7 +375,26 @@ class TestTraceDistanceBelowHolder:
         seen = []
         original = linalg.trace_distance
         monkeypatch.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
-        # ... and its trace distance, 1.9 tol / sqrt(2) or more, is above tol by the Hölder bound
+        # ... and its trace distance, 1.9 tol / sqrt(2) or more, is above tol by the trace-corrected bound
         np.testing.assert_array_equal(linalg.trace_distance_below(a, b, tol), [False, False])
         assert seen == []
         assert np.all(original(a, b) >= tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=traceless_rows, tol=st.sampled_from([1e-3, 1e-6, 1e-80]))
+    def test_traceless_steps_are_decided_without_eigenvalues(self, rows, tol):
+        a, b = [], []
+        for seed, rank, scale in rows:
+            rng = np.random.default_rng(seed)
+            # a 1e-80 step vanishes when added to a density matrix, so it is taken from zero
+            base = np.zeros((4, 4), dtype=complex) if tol < 1e-20 else random_density_matrix(4, rng)
+            b.append(base)
+            a.append(base + scale * tol * _traceless_step(rng, rank))
+        a, b = np.stack(a), np.stack(b)
+        seen = []
+        original = linalg.trace_distance
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
+            below = linalg.trace_distance_below(a, b, tol)
+        np.testing.assert_array_equal(below, original(a, b) < tol)
+        assert seen == []

@@ -214,6 +214,16 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(waveplate_error_sigma=value)
 
+    def test_rejects_sigma_above_one_full_turn(self):
+        # a full turn is allowed; the next float above it, or a sigma of 1e308, is not
+        above = np.nextafter(2 * np.pi, np.inf)
+        for value in (above, 1e308):
+            with pytest.raises(ValueError, match="noise sigmas"):
+                NoiseModel(drift_sigma=value)
+            with pytest.raises(ValueError, match="noise sigmas"):
+                NoiseModel(waveplate_error_sigma=value)
+        assert NoiseModel(drift_sigma=2 * np.pi, waveplate_error_sigma=2 * np.pi).drift_sigma == 2 * np.pi
+
 
 class TestDriftState:
     def test_zero_sigma_is_identity(self):
