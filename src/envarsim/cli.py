@@ -132,9 +132,12 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         # digits only; int() would also take 7.9, True and "\u0663"
         if not (eio.is_decimal(seed) if isinstance(seed, str) else type(seed) is int):
             raise UsageError(f"seed must be an int or a string of ASCII decimal digits, not {seed!r}")
-        config = replace(config, seed=int(seed), given=(*config.given, "seed"))
-    if config.seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, not {config.seed}")
+        try:
+            value = int(seed)
+        except ValueError:  # more digits than the interpreter converts to an int
+            limit = sys.get_int_max_str_digits()
+            raise UsageError(f"seed has {len(seed)} digits, more than the interpreter's limit of {limit}") from None
+        config = replace(config, seed=value, given=(*config.given, "seed"))
     if out is not None:
         config = replace(config, out_dir=out)
     if not config.out_dir:

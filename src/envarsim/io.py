@@ -8,11 +8,15 @@ target, so it holds its previous or its complete new content. A CSV is
 built whole (no field needs quoting: fixed vocabularies and reprs); JSON
 is streamed, not held as one string. ``write_json`` refuses NaN and +-inf;
 ``report_to_dict`` maps the one NaN the program makes to null.
+
+Each reader is its writer's inverse. ``read_count_csv`` splits lines on
+``\n`` and fields on ``,``, as ``_write_csv`` joins them: no quoting and
+no ``\r``. ``read_json`` refuses an object that repeats a key, which the
+decoder would otherwise collapse to its last value.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -92,14 +96,14 @@ def write_count_csv(path: Path, record: CountRecord) -> None:
 
 
 def read_count_csv(path: Path) -> CountRecord:
-    """Parse one count file; malformed content raises ValueError naming the file."""
+    """Parse one count file as ``_write_csv`` writes it; malformed content raises ValueError naming the file."""
     labels = tomography_projectors().flat_labels
     counts = []
     durations = []
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header = tuple(rows.pop(0)) if rows else ()
+            rows = [line.split(",") for line in fh.read().removesuffix("\n").split("\n")]
+        header = tuple(rows.pop(0))
         if header != COUNT_CSV_HEADER:
             raise ValueError(f"unexpected header {header}")
         if len(rows) != 36:
@@ -144,11 +148,21 @@ def write_json(path: Path, obj) -> None:
     _write_text(path, itertools.chain(chunks, ("\n",)))
 
 
+def _object_of_distinct_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} repeats in one object")
+        obj[key] = value
+    return obj
+
+
 def read_json(path: Path):
-    """Parse one JSON file; nesting too deep for the decoder raises ValueError naming the file."""
+    """Parse one JSON file; an object that repeats a key raises ValueError naming the key,
+    nesting too deep for the decoder one naming the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object_of_distinct_keys)
         except RecursionError:
             raise ValueError(f"{path} nests arrays or objects too deeply to decode") from None
 

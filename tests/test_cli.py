@@ -307,12 +307,13 @@ class TestUsageAndIoErrors:
             {"drift_sigma": float("nan")}, {"waveplate_error_sigma": float("inf")}, {"flux_hz": 1e300},
             {"axes": ["z", "z"]}, {"angles_deg": [30.0, 30.0, 60.0]}, {"angles_deg": [30.0, 30.001]},
             {"angles_deg": [0, 30, 60, 90, float("inf")]}, {"angles_deg": [0, 30, 60, 90, float("nan")]},
-            {"drift_sigma": 1e308}, {"waveplate_error_sigma": 1e308},
+            {"drift_sigma": 1e308}, {"waveplate_error_sigma": 1e308}, {"seed": -1},
         ],
         ids=[
             "unknown-axis", "angle-400", "werner-above-1", "zero-flux", "negative-duration",
             "drift-nan", "waveplate-infinity", "flux-1e300", "duplicate-axes", "duplicate-angles",
             "same-file-angles", "angle-infinity", "angle-nan", "drift-1e308", "waveplate-1e308",
+            "negative-seed",
         ],
     )
     def test_out_of_range_config_value_exits_1(self, tmp_path, capsys, override):
@@ -357,6 +358,30 @@ class TestUsageAndIoErrors:
         assert main(["simulate", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: seed") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="this interpreter converts any number of digits"
+    )
+    def test_seed_past_the_interpreters_digit_limit_exits_1_before_writing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "c.json")
+        out = tmp_path / "o"
+        seed = "7" * (sys.get_int_max_str_digits() + 700)
+        assert main(["simulate", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: seed has {len(seed)} digits") and err.count("\n") == 1
+        assert str(sys.get_int_max_str_digits()) in err and seed not in err
+        assert not out.exists()
+
+    def test_config_that_repeats_a_key_exits_1_before_writing(self, tmp_path, capsys):
+        # the decoder alone would keep the last value and run with seed 2
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seed": 1, "seed": 2, "axes": ["x"], "angles_deg": [0, 30, 60]}')
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}") and err.count("\n") == 1
+        assert "'seed'" in err
         assert not out.exists()
 
     def test_seed_in_ascii_digits_overrides_the_config(self, tmp_path):
@@ -514,6 +539,9 @@ COUNT_FILE_DEFECTS = {
     "underscore-count": lambda rows: _set_count(rows, 5, "2_84"),
     "signed-count": lambda rows: _set_count(rows, 5, "+728"),
     "padded-count": lambda rows: _set_count(rows, 5, " 728 "),
+    "quoted-count": lambda rows: _set_count(rows, 5, '"728"'),
+    # longer than the csv module's default field limit of 131,072 characters
+    "oversized-field": lambda rows: rows[5].__setitem__(0, "x" * 140_000),
     # on every row, so that the rows agree: float() read these as 50.0 and 5.0
     "underscore-duration": lambda rows: [_set_duration(rows, i, "5_0.0") for i in range(36)],
     "padded-duration": lambda rows: [_set_duration(rows, i, " 5.0 ") for i in range(36)],
@@ -553,6 +581,17 @@ class TestMalformedData:
             assert err.startswith("error: malformed manifest") and err.count("\n") == 1
             assert "manifest.json" in err
 
+
+    def test_manifest_that_repeats_a_key_exits_3(self, run, capsys):
+        cfg, out = run
+        text = (out / "manifest.json").read_text()
+        (out / "manifest.json").write_text(text.replace('"config": {', '"config": {\n    "seed": 5,', 1))
+        capsys.readouterr()
+        for command in ("analyze", "son-fit"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: malformed manifest {out / 'manifest.json'}") and err.count("\n") == 1
+            assert "'seed'" in err
 
     @pytest.mark.parametrize(
         "grid",
