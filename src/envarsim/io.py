@@ -95,8 +95,19 @@ def write_count_csv(path: Path, record: CountRecord) -> None:
     _write_csv(path, COUNT_CSV_HEADER, rows)
 
 
+_ECHO = 40  # characters of a field that an error line shows
+
+
+def _echo(field: str, show=repr) -> str:
+    """``show(field)``, or for a field of more than ``_ECHO`` characters ``show`` of its first ``_ECHO`` and its length."""
+    if len(field) <= _ECHO:
+        return show(field)
+    return f"{show(field[:_ECHO])}… ({len(field)} characters)"
+
+
 def read_count_csv(path: Path) -> CountRecord:
-    """Parse one count file as ``_write_csv`` writes it; malformed content raises ValueError naming the file."""
+    """Parse one count file as ``_write_csv`` writes it; malformed content raises ValueError naming the file
+    and showing at most ``_ECHO`` characters of a field."""
     labels = tomography_projectors().flat_labels
     counts = []
     durations = []
@@ -104,8 +115,10 @@ def read_count_csv(path: Path) -> CountRecord:
         with open(path, newline="") as fh:
             rows = [line.split(",") for line in fh.read().removesuffix("\n").split("\n")]
         header = tuple(rows.pop(0))
+        if len(header) != len(COUNT_CSV_HEADER):
+            raise ValueError(f"header has {len(header)} fields, expected {len(COUNT_CSV_HEADER)}")
         if header != COUNT_CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
+            raise ValueError(f"unexpected header ({', '.join(map(_echo, header))})")
         if len(rows) != 36:
             raise ValueError(f"expected 36 rows, found {len(rows)}")
         for idx, row in enumerate(rows):
@@ -113,17 +126,21 @@ def read_count_csv(path: Path) -> CountRecord:
                 raise ValueError(f"row {idx} has {len(row)} fields, expected {len(COUNT_CSV_HEADER)}")
             setting_label, outcome_label, count, duration_s = row
             if (setting_label, outcome_label) != labels[idx]:
-                raise ValueError(f"row {idx} labels {row[:2]} out of canonical order")
+                raise ValueError(f"row {idx} labels [{_echo(setting_label)}, {_echo(outcome_label)}] out of canonical order")
             if not is_decimal(count):
-                raise ValueError(f"row {idx} count {count!r} is not a decimal integer")
-            value = int(count)
-            if value > INT64_MAX:
-                raise ValueError(f"row {idx} count {value} is not in [0, 2**63 - 1]")
-            counts.append(value)
-            # float() would also take "5_0.0" (as 50.0), " 5.0 " and non-ASCII digits
-            if not duration_s.isascii() or "_" in duration_s or duration_s.strip() != duration_s:
-                raise ValueError(f"row {idx} duration_s {duration_s!r} is not a plain decimal number")
-            durations.append(float(duration_s))
+                raise ValueError(f"row {idx} count {_echo(count)} is not a decimal integer")
+            # int() converts at most 4,300 digits, leading zeros included; INT64_MAX has 19
+            digits = count.lstrip("0") or "0"
+            if len(digits) > 19 or int(digits) > INT64_MAX:
+                raise ValueError(f"row {idx} count {_echo(digits, str)} is not in [0, 2**63 - 1]")
+            counts.append(int(digits))
+            try:
+                # float() would also take "5_0.0" (as 50.0), " 5.0 " and non-ASCII digits
+                if not duration_s.isascii() or "_" in duration_s or duration_s.strip() != duration_s:
+                    raise ValueError
+                durations.append(float(duration_s))
+            except ValueError:
+                raise ValueError(f"row {idx} duration_s {_echo(duration_s)} is not a plain decimal number") from None
         duration = durations[0]
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration_s {duration!r} is not finite and positive")

@@ -1,17 +1,18 @@
 """Two-qubit state reconstruction from 36-projector coincidence counts.
 
 ``mle_reconstruct_many`` is the iterative maximum-likelihood R-rho-R
-scheme run on a stack of count records at once: with per-setting
-frequencies f_j and R(rho) = sum_j f_j/Tr(P_j rho) P_j, the update
-rho -> N[R rho R] never decreases the log-likelihood for this measurement
-structure and converges to the physical (PSD, unit-trace) maximum. Every
-record starts at I/4 and leaves the stack at the iteration where its own
-trace-distance step drops below ``tol``. The stops are decided once per block
-of ``_BLOCK`` steps, in one ``trace_distance_below`` call over the block's
-steps, which decides most of them from norm bounds (Frobenius, then a
-trace-corrected Frobenius bound) and takes eigenvalues only of the rest; a
-record keeps the iterate and the iteration of its first step below ``tol``,
-and the steps it ran past that are dropped.
+scheme run on a stack of count records at once: with counts n_j and
+R(rho) = sum_j n_j/Tr(P_j rho) P_j, the update rho -> N[R rho R] never
+decreases the log-likelihood L(rho) = sum_j n_j log Tr(P_j rho), the one
+``log_likelihood_history`` records, for this measurement structure and
+converges to its physical (PSD, unit-trace) maximum; R's scale cancels in the
+normalization N. Every record starts at I/4 and leaves the stack at the
+iteration where its own trace-distance step drops below ``tol``. The stops are
+decided once per block of ``_BLOCK`` steps, in one ``trace_distance_below``
+call over the block's steps, which decides most of them from norm bounds
+(Frobenius, then a trace-corrected Frobenius bound) and takes eigenvalues only
+of the rest; a record keeps the iterate and the iteration of its first step
+below ``tol``, and the steps it ran past that are dropped.
 Each step takes R rho R in real arithmetic. A complex product a @ m equals
 a.view(float) @ E(m), with E(m) the real 8x8 matrix of right-multiplication
 by m. So a step builds E(R) from R's 36 weights through one (36, 64) map,
@@ -54,17 +55,16 @@ class TomographyResult:
     log_likelihood_history: np.ndarray  # read-only: one entry per iteration, then the final state's
 
 
-def _distinct_rows(records: Sequence[CountRecord]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Each distinct record's counts and frequencies (each setting's 4 sum to 1) as (B, 1, 36)
-    rows, the shape of the probabilities, in first-occurrence order; and each input record's row."""
+def _distinct_rows(records: Sequence[CountRecord]) -> tuple[np.ndarray, list[int]]:
+    """Each distinct record's counts as (B, 1, 36) rows, the shape of the probabilities, in
+    first-occurrence order; and each input record's row."""
     index: dict[bytes, int] = {}
     owner = [index.setdefault(r.counts.tobytes(), len(index)) for r in records]
-    counts = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), 36)
-    settings = counts.reshape(-1, 9, 4).astype(float)
-    totals = settings.sum(axis=2, keepdims=True)
-    if np.any(totals <= 0):
+    counts = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), 1, 36)
+    # keeps an all-zero record, whose R is 0, from a 0/0 normalization
+    if np.any(counts.reshape(-1, 9, 4).sum(axis=2) <= 0):
         raise ValueError("every setting needs at least one positive count")
-    return settings.reshape(-1, 1, 36), (settings / totals).reshape(-1, 1, 36), owner
+    return counts.astype(float), owner
 
 
 def _probabilities(flat_re: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -94,14 +94,14 @@ def _r_rho_r(e_r: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _run_blocks(
-    flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, freqs: np.ndarray, max_iter: int, tol: float
+    flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, max_iter: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
-    """R-rho-R from I/4 on every (1, 36) row of counts ``raw`` and frequencies ``freqs``, in blocks
-    of ``_BLOCK`` steps: each row's final iterate, iterations and convergence, and per block its
-    first iteration, active rows and (steps, rows) log-likelihoods. Each step builds E(R) from the
+    """R-rho-R from I/4 on every (1, 36) row of counts ``raw``, in blocks of ``_BLOCK`` steps: each
+    row's final iterate, iterations and convergence, and per block its first iteration, active rows
+    and (steps, rows) log-likelihoods. Each step builds E(R) from the
     (36, 64) map ``mult`` (row a is E(P_a)) as R is built from ``flat_re``."""
     batch = len(raw)
-    # row k of raw, freqs and rho belongs to input row active[k]; its rows leave when it stops
+    # row k of raw and rho belongs to input row active[k]; its rows leave when it stops
     active = np.arange(batch)
     rho = np.tile(np.eye(4, dtype=complex) / 4, (batch, 1, 1))
     final = np.empty((batch, 4, 4), dtype=complex)
@@ -119,7 +119,7 @@ def _run_blocks(
             rho = traj[j, :b]
             probs = _probabilities(flat_re, rho)
             ll[j] = (raw * np.log(probs)).sum(-1)[:, 0]
-            nxt = _r_rho_r(((freqs / probs) @ mult).reshape(-1, 8, 8), rho, traj[j + 1, :b])
+            nxt = _r_rho_r(((raw / probs) @ mult).reshape(-1, 8, 8), rho, traj[j + 1, :b])
             # Hermitize and normalize in one pass: the real diagonal, so the trace, is already
             # Hermitian; its entries 0, 5, 10 and 15 are summed in the order trace() takes
             re = nxt.real.reshape(-1, 16)
@@ -134,7 +134,7 @@ def _run_blocks(
         final[active[rows]] = traj[first[rows] + 1, rows]
         iterations[active[rows]] = it0 + first[rows] + 1
         converged[active[rows]] = True
-        active, raw, freqs, rho = active[keep], raw[keep], freqs[keep], traj[k, :b][keep]
+        active, raw, rho = active[keep], raw[keep], traj[k, :b][keep]
         it0 += k
     final[active] = rho
     return final, iterations, converged, blocks
@@ -166,9 +166,9 @@ def mle_reconstruct_many(
     # and as the (36, 64) map from the weights w of R = sum_a w_a P_a to E(R)
     mult = _mult_matrices(projectors.flat_projectors).reshape(36, 64)
     # one row per distinct record; input record b gets the result of row owner[b]
-    all_raw, all_freqs, owner = _distinct_rows(records)
+    all_raw, owner = _distinct_rows(records)
     # the block loop's trajectory buffer is freed here, before the histories are assembled
-    final, iterations, converged, blocks = _run_blocks(flat_re, mult, all_raw, all_freqs, max_iter, tol)
+    final, iterations, converged, blocks = _run_blocks(flat_re, mult, all_raw, max_iter, tol)
 
     final_ll = (all_raw * np.log(_probabilities(flat_re, final))).sum(-1)[:, 0]
     # the histories end to end: from start[b], record b's log-likelihood at each of its

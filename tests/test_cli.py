@@ -549,6 +549,10 @@ COUNT_FILE_DEFECTS = {
 }
 
 
+# (line, field) of a count file to pad past 140,000 characters: the header and row 5's fields
+PADDED_FIELDS = {"header": (0, 0), "label": (6, 0), "count": (6, 2), "duration_s": (6, 3)}
+
+
 class TestMalformedData:
     @pytest.fixture
     def run(self, tmp_path):
@@ -566,6 +570,19 @@ class TestMalformedData:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed count file") and err.count("\n") == 1
         assert "counts_x_09000_II.csv" in err
+
+    @pytest.mark.parametrize("line, field", PADDED_FIELDS.values(), ids=PADDED_FIELDS)
+    def test_malformed_count_file_line_shows_a_bounded_prefix_of_a_field(self, run, capsys, line, field):
+        cfg, out = run
+        path = out / "counts_x_09000_II.csv"
+        lines = [text.split(",") for text in path.read_text().splitlines()]
+        lines[line][field] = lines[line][field].ljust(140_000, "x")
+        path.write_text("".join(",".join(fields) + "\n" for fields in lines))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed count file {path}: ") and err.count("\n") == 1
+        assert len(err) < len(str(path)) + 300, err[:300]
 
     @pytest.mark.parametrize(
         "content", ['{"config": {', json.dumps({"grid": {"axes": ["x"], "angles_deg": [0.0]}}), DEEPLY_NESTED],

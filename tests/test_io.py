@@ -47,6 +47,18 @@ def test_count_total_past_int64_is_refused(tmp_path):
     assert str(exc.value) == f"{path}: counts total {2**63 + 34} exceeds 2**63 - 1"
 
 
+def test_a_count_past_the_interpreters_digit_limit_names_its_row(tmp_path):
+    # int() refuses more than 4,300 digits with advice about sys.set_int_max_str_digits
+    path = tmp_path / "counts.csv"
+    eio.write_count_csv(path, CountRecord(counts=np.ones(36, dtype=np.int64), duration_s=5.0))
+    lines = path.read_text().split("\n")
+    lines[6] = lines[6].replace(",1,", f",{'9' * 140_000},")
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as exc:
+        eio.read_count_csv(path)
+    assert str(exc.value) == f"{path}: row 5 count {'9' * 40}… (140000 characters) is not in [0, 2**63 - 1]"
+
+
 _COUNT_CSV = """\
 setting_label,outcome_label,counts,duration_s
 HV-HV,HH,0,1e-05

@@ -191,6 +191,15 @@ class TestMleReconstructMany:
             np.testing.assert_array_equal(res.log_likelihood_history, alone.log_likelihood_history)
         assert not any(np.shares_memory(x.rho, y.rho) for i, x in enumerate(many) for y in many[i + 1 :])
 
+    @pytest.mark.parametrize("empty", [slice(8, 12), slice(None)], ids=["one-empty-setting", "all-36-zero"])
+    def test_rejects_a_record_with_an_empty_setting(self, empty):
+        # with R built from counts, an all-zero record would make R 0 and the step's normalization 0/0
+        counts = np.full(36, 50)
+        counts[empty] = 0
+        good = CountRecord(counts=np.full(36, 50), duration_s=1.0)
+        with pytest.raises(ValueError, match="every setting needs at least one positive count"):
+            mle_reconstruct_many([good, CountRecord(counts=counts, duration_s=1.0)], tomography_projectors())
+
     def test_equal_records_are_reconstructed_once(self, monkeypatch):
         calls = []
 
@@ -269,7 +278,6 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
     """
     flat_re = projectors.flat_projectors.view(float).reshape(36, 32)
     raw = np.stack([r.counts for r in records]).astype(float)
-    freqs = (raw.reshape(-1, 9, 4) / raw.reshape(-1, 9, 4).sum(-1, keepdims=True)).reshape(-1, 36)
 
     def log_likelihood(rows, rho):
         probs = np.clip(np.einsum("ak,bk->ba", flat_re, rho.view(float).reshape(-1, 32)), 1e-12, None)
@@ -284,7 +292,7 @@ def _einsum_mle(records, projectors, max_iter=5000, tol=1e-6):
         probs, ll = log_likelihood(active, rho[active])
         for b, value in zip(active, ll):
             histories[b].append(value)
-        r_op = np.einsum("ba,ak->bk", freqs[active] / probs, flat_re).view(complex).reshape(-1, 4, 4)
+        r_op = np.einsum("ba,ak->bk", raw[active] / probs, flat_re).view(complex).reshape(-1, 4, 4)
         nxt = r_op @ rho[active] @ r_op
         nxt = (nxt + nxt.transpose(0, 2, 1).conj()) / 2
         nxt = nxt / np.trace(nxt, axis1=1, axis2=2).real[:, None, None]
@@ -393,3 +401,21 @@ def test_stops_are_tested_once_per_block(monkeypatch, max_iter):
     # record alone; the last block is cut to max_iter, and the block where the Werner record stops runs in full
     blocks = [(min(K, max_iter - it0), 2 if it0 == 0 else 1) for it0 in range(0, last, K)]
     assert calls == blocks
+
+
+def test_the_likelihood_gap_bound_closes_at_a_tight_tol():
+    """L(rho) = sum_a n_a log Tr(P_a rho) is concave, so no state beats the reconstruction's L by
+    more than lambda_max(R_n) - N, with R_n = sum_a n_a P_a / Tr(P_a rho) and N the total count.
+    Run to tol 1e-8, the step's fixed point is L's maximum, so that bound falls to near 0."""
+    records = [stage.counts for stages in simulate_grid(ExperimentPlan(noise=calibrated_noise())).values() for stage in stages]
+    assert len(records) == 156
+    projs = tomography_projectors()
+    results = mle_reconstruct_many(records, projs, max_iter=10_000, tol=1e-8)
+    assert all(r.converged for r in results)
+    projectors = projs.flat_projectors.reshape(36, 4, 4)
+    counts = np.stack([r.counts for r in records]).astype(float)
+    probs = np.einsum("aij,bji->ba", projectors, np.stack([r.rho for r in results])).real
+    r_n = np.einsum("ba,aij->bij", counts / probs, projectors)
+    gap = np.linalg.eigvalsh(r_n)[:, -1] - counts.sum(axis=1)
+    assert gap.min() >= -1e-9
+    assert gap.max() < 0.3
