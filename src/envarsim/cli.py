@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as eio
-from .errors import ConvergenceError, MissingDataError
-from .harness import _SCORE_SERIES, STAGES, ExperimentPlan, assemble_report, calibrated_noise, cell_seed_entropy, simulate_grid
+from .errors import ConvergenceError, MissingDataError, echo
+from .harness import _SCORE_SERIES, STAGES, ExperimentPlan, assemble_report, calibrated_noise, simulate_grid
 from .measurement import CountRecord, NoiseModel
 from .son import COMBOS, combo_axis_and_basis, extract_correlation, fit_obstacle, fitted_correlation, son_fit
 
@@ -100,18 +100,18 @@ def _config_from_json(raw) -> RunConfig:
         raise UsageError("config must be a flat JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown config keys: {echo(sorted(unknown))}")
     values = {}
     for key, value in raw.items():
         if key in _LIST_KEYS:
             cast = _LIST_KEYS[key]
             if not isinstance(value, list) or not all(_is_json_kind(v, cast) for v in value):
-                raise UsageError(f"config key {key!r} must be a list of {cast.__name__}, not {value!r}")
+                raise UsageError(f"config key {key!r} must be a list of {cast.__name__}, not {echo(value)}")
             values[key] = tuple(cast(v) for v in value)
         else:
             kind = type(getattr(RunConfig, key))
             if not _is_json_kind(value, kind):
-                raise UsageError(f"config key {key!r} must be {kind.__name__}, not {value!r}")
+                raise UsageError(f"config key {key!r} must be {kind.__name__}, not {echo(value)}")
             values[key] = kind(value)
     return RunConfig(**values, given=tuple(values))
 
@@ -131,7 +131,7 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         # an int that is not a bool, or text written as a count is: ASCII decimal
         # digits only; int() would also take 7.9, True and "\u0663"
         if not (eio.is_decimal(seed) if isinstance(seed, str) else type(seed) is int):
-            raise UsageError(f"seed must be an int or a string of ASCII decimal digits, not {seed!r}")
+            raise UsageError(f"seed must be an int or a string of ASCII decimal digits, not {echo(seed)}")
         try:
             value = int(seed)
         except ValueError:  # more digits than the interpreter converts to an int
@@ -148,7 +148,7 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         raise UsageError("formats must name at least one of csv, json")
     for f in config.formats:
         if f not in ("csv", "json"):
-            raise UsageError(f"unknown output format {f!r}")
+            raise UsageError(f"unknown output format {echo(f)}")
     try:
         config.plan()
     except ValueError as exc:
@@ -165,31 +165,25 @@ def _grid_echo(plan: ExperimentPlan) -> dict:
     return {"axes": list(plan.axes), "angles_deg": [float(a) for a in plan.angles_deg]}
 
 
+def _state_tables(states: dict) -> dict:
+    """Record tag -> [re, im] table of each state in ``states``, keyed (axis, angle_deg, stage):
+    the layout of the manifest's ``cells`` and of ``states.json``."""
+    return {eio.record_tag(*key): eio.density_matrix_to_table(rho) for key, rho in states.items()}
+
+
 def cmd_simulate(config: RunConfig) -> dict:
     """Write the grid's count files and manifest; return its count records, keyed (axis, angle_deg, stage)."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plan = config.plan()
-    cells, grid = [], {}
-    for (axis, angle_deg), stages in simulate_grid(plan).items():
-        for result in stages:
-            grid[axis, angle_deg, result.stage] = result.counts
-            name = eio.count_file_name(axis, angle_deg, result.stage)
-            eio.write_count_csv(out / name, result.counts)
-            cells.append(
-                {
-                    "axis": axis,
-                    "angle_deg": float(angle_deg),
-                    "stage": result.stage,
-                    "file": name,
-                    "seed_entropy": cell_seed_entropy(plan.seed, axis, angle_deg, result.stage),
-                    "true_state": eio.density_matrix_to_table(result.rho_true),
-                }
-            )
-    manifest = {"config": _config_echo(config), "grid": _grid_echo(plan), "cells": cells}
+    results = {(*cell, result.stage): result for cell, stages in simulate_grid(plan).items() for result in stages}
+    for key, result in results.items():
+        eio.write_count_csv(out / eio.count_file_name(*key), result.counts)
+    true_states = {key: result.rho_true for key, result in results.items()}
+    manifest = {"config": _config_echo(config), "grid": _grid_echo(plan), "cells": _state_tables(true_states)}
     eio.write_json(out / "manifest.json", manifest)
-    print(f"simulate: wrote {len(cells)} count files to {out}")
-    return grid
+    print(f"simulate: wrote {len(results)} count files to {out}")
+    return {key: result.counts for key, result in results.items()}
 
 
 def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stage: str) -> CountRecord:
@@ -231,7 +225,7 @@ def _manifest_plan(config: RunConfig) -> ExperimentPlan:
     for key in config.given:
         mine, theirs = getattr(config, key), getattr(recorded, key)
         if key in _DATA_KEYS and mine != theirs:
-            raise UsageError(f"{key} = {mine!r} disagrees with {path}, which records {key} = {theirs!r}")
+            raise UsageError(f"{key} = {echo(mine)} disagrees with {path}, which records {key} = {echo(theirs)}")
     return plan
 
 
@@ -253,19 +247,12 @@ def cmd_analyze(config: RunConfig, grid: dict | None = None) -> None:
         _write_plot_files(out, report)
     if "json" in config.formats:
         eio.write_json(out / "report.json", eio.report_to_dict(report))
-        _write_states_json(out, report.states)
+        states = {(*cell, stage): rho for cell, rhos in report.states.items() for stage, rho in zip(STAGES, rhos)}
+        eio.write_json(out / "states.json", _state_tables(states))
     print(
         f"analyze: overall F(I,III) = {report.overall.f_i_iii_mean:.4f}, "
         f"BC(I,III) = {report.overall.bc_i_iii_mean:.5f}"
     )
-
-
-def _write_states_json(out: Path, states: dict) -> None:
-    tables = {}
-    for (axis, angle_deg), rhos in states.items():
-        for stage, rho in zip(STAGES, rhos):
-            tables[eio.record_tag(axis, angle_deg, stage)] = eio.density_matrix_to_table(rho)
-    eio.write_json(out / "states.json", tables)
 
 
 def _write_plot_files(out: Path, report) -> None:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import echo
 from .linalg import apply_local, su2_rotation, validate_density_matrix, werner
 from .measurement import (
     DEFAULT_DRIFT_SIGMA,
@@ -62,7 +63,6 @@ __all__ = [
     "AxisSummary",
     "EnvarianceReport",
     "calibrated_noise",
-    "cell_seed_entropy",
     "stage_rng",
     "nominal_setting",
     "run_three_stages",
@@ -75,9 +75,6 @@ __all__ = [
 DEFAULT_SEED = 20140217
 DEFAULT_ANGLES_DEG = tuple(float(a) for a in range(0, 361, 30))
 STAGES = ("I", "II", "III")
-
-_AXIS_CODE = {tag: i for i, tag in enumerate(NAMED_AXES)}
-_STAGE_CODE = {name: i for i, name in enumerate(STAGES)}
 
 # Expected pairs per setting stay below this, so that every Poisson draw and
 # the 9-setting total of a count record fit in int64.
@@ -124,13 +121,13 @@ class ExperimentPlan:
             raise ValueError("angles_deg must be distinct at 0.01-degree resolution")
         for axis in self.axes:
             if axis not in NAMED_AXES:
-                raise ValueError(f"unknown axis {axis!r}")
+                raise ValueError(f"unknown axis {echo(axis)}")
         if not (self.flux_hz > 0 and self.duration_s > 0):
             raise ValueError("flux_hz and duration_s must be positive")
         if not self.flux_hz * self.duration_s <= _MAX_PAIRS_PER_SETTING:
             raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
+            raise ValueError(f"seed must be a non-negative integer, not {echo(self.seed)}")
 
     @property
     def cells(self) -> tuple[tuple[str, float], ...]:
@@ -151,19 +148,19 @@ class StageResult:
         return mle_reconstruct(self.counts, tomography_projectors()).rho
 
 
-def cell_seed_entropy(seed: int, axis: str, angle_deg: float, stage: str) -> list[int]:
-    """Entropy words identifying one (axis, angle, stage) random stream."""
-    return [
-        int(seed),
-        _AXIS_CODE[axis],
-        int(round(angle_deg * 1000)),
-        _STAGE_CODE[stage],
-    ]
-
-
 def stage_rng(seed: int, axis: str, angle_deg: float, stage: str) -> np.random.Generator:
-    """Independent stream for one (axis, angle, stage) cell, derived by value."""
-    return np.random.default_rng(np.random.SeedSequence(cell_seed_entropy(seed, axis, angle_deg, stage)))
+    """Independent stream for one (axis, angle, stage) cell, derived by value.
+
+    Its entropy words are the seed, the axis's index in ``NAMED_AXES``, the
+    angle in millidegrees rounded to an integer and the stage's index in ``STAGES``.
+    """
+    entropy = [
+        int(seed),
+        NAMED_AXES.index(axis),
+        int(round(angle_deg * 1000)),
+        STAGES.index(stage),
+    ]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def nominal_setting(axis: str, theta: float) -> WavePlateSetting:
@@ -187,8 +184,11 @@ def _simulate_cells(
 ) -> list[tuple[StageResult, StageResult, StageResult]]:
     """Simulate the stage I/II/III counts of each (axis, theta) cell: a draw pass, then a stacked pass.
 
-    Each stream derives from (plan.seed, axis, angle, stage) and draws, in
-    order, per qubit a drift axis and angle, the three plate-angle errors of
+    Each stream derives from (plan.seed, axis, rad2deg(theta), stage).
+    ``simulate_grid`` derives a cell's streams from the theta that
+    ``run_three_stages(axis, np.deg2rad(angle_deg), plan)`` sees, so the two
+    agree bit for bit; that angle is ``rad2deg(deg2rad(angle_deg))``, which
+    may miss the grid's angle in the last bit. Each stream draws, in order, per qubit a drift axis and angle, the three plate-angle errors of
     each rotation stack (the system's, then in stage III the environment's)
     and, in ``simulate_counts_many``, the acquisition noise. A noise model
     that draws nothing gets None in place of each stream.

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import echo
 from .harness import EnvarianceReport
 from .measurement import CountRecord, tomography_projectors
 from .son import CorrelationSample, SonFitResult
@@ -95,19 +96,9 @@ def write_count_csv(path: Path, record: CountRecord) -> None:
     _write_csv(path, COUNT_CSV_HEADER, rows)
 
 
-_ECHO = 40  # characters of a field that an error line shows
-
-
-def _echo(field: str, show=repr) -> str:
-    """``show(field)``, or for a field of more than ``_ECHO`` characters ``show`` of its first ``_ECHO`` and its length."""
-    if len(field) <= _ECHO:
-        return show(field)
-    return f"{show(field[:_ECHO])}… ({len(field)} characters)"
-
-
 def read_count_csv(path: Path) -> CountRecord:
     """Parse one count file as ``_write_csv`` writes it; malformed content raises ValueError naming the file
-    and showing at most ``_ECHO`` characters of a field."""
+    and showing at most ``ECHO`` characters of a field."""
     labels = tomography_projectors().flat_labels
     counts = []
     durations = []
@@ -118,7 +109,7 @@ def read_count_csv(path: Path) -> CountRecord:
         if len(header) != len(COUNT_CSV_HEADER):
             raise ValueError(f"header has {len(header)} fields, expected {len(COUNT_CSV_HEADER)}")
         if header != COUNT_CSV_HEADER:
-            raise ValueError(f"unexpected header ({', '.join(map(_echo, header))})")
+            raise ValueError(f"unexpected header ({', '.join(map(echo, header))})")
         if len(rows) != 36:
             raise ValueError(f"expected 36 rows, found {len(rows)}")
         for idx, row in enumerate(rows):
@@ -126,13 +117,13 @@ def read_count_csv(path: Path) -> CountRecord:
                 raise ValueError(f"row {idx} has {len(row)} fields, expected {len(COUNT_CSV_HEADER)}")
             setting_label, outcome_label, count, duration_s = row
             if (setting_label, outcome_label) != labels[idx]:
-                raise ValueError(f"row {idx} labels [{_echo(setting_label)}, {_echo(outcome_label)}] out of canonical order")
+                raise ValueError(f"row {idx} labels [{echo(setting_label)}, {echo(outcome_label)}] out of canonical order")
             if not is_decimal(count):
-                raise ValueError(f"row {idx} count {_echo(count)} is not a decimal integer")
+                raise ValueError(f"row {idx} count {echo(count)} is not a decimal integer")
             # int() converts at most 4,300 digits, leading zeros included; INT64_MAX has 19
             digits = count.lstrip("0") or "0"
             if len(digits) > 19 or int(digits) > INT64_MAX:
-                raise ValueError(f"row {idx} count {_echo(digits, str)} is not in [0, 2**63 - 1]")
+                raise ValueError(f"row {idx} count {echo(digits, str)} is not in [0, 2**63 - 1]")
             counts.append(int(digits))
             try:
                 # float() would also take "5_0.0" (as 50.0), " 5.0 " and non-ASCII digits
@@ -140,7 +131,7 @@ def read_count_csv(path: Path) -> CountRecord:
                     raise ValueError
                 durations.append(float(duration_s))
             except ValueError:
-                raise ValueError(f"row {idx} duration_s {_echo(duration_s)} is not a plain decimal number") from None
+                raise ValueError(f"row {idx} duration_s {echo(duration_s)} is not a plain decimal number") from None
         duration = durations[0]
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration_s {duration!r} is not finite and positive")
@@ -169,7 +160,7 @@ def _object_of_distinct_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} repeats in one object")
+            raise ValueError(f"key {echo(key)} repeats in one object")
         obj[key] = value
     return obj
 

@@ -193,7 +193,10 @@ def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
             break
         row_d[rows] -= miss / _arc_speed(row_d[rows], row_n[rows])[0]
     else:
-        raise ConvergenceError(f"arc-length inversion misses an angle by {np.max(np.abs(miss)):.3e} for n={row_n[rows]}")
+        missed = np.unique(row_n[rows])  # the exponents with an angle still missed, ascending
+        raise ConvergenceError(
+            f"arc-length inversion misses an angle by {abs(miss).max():.3e} for {missed.size} exponents in [{missed[0]:g}, {missed[-1]:g}]"
+        )
     # numpy 1.24 gives a 0-d theta a (1,) inverse
     tracked, other = (m[:, inverse.reshape(np.shape(theta))] for m in _arc_speed(d, row_n.reshape(d.shape))[1:])
     p_is_tracked = (exponents >= 1).reshape((-1,) + (1,) * np.ndim(theta)) != mirrored

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from envarsim import io as eio
 from envarsim import tomography
 from envarsim.cli import RunConfig, load_config, main
+from envarsim.harness import simulate_grid
 from envarsim.io import read_count_csv, read_json
 from envarsim.measurement import CountRecord, tomography_projectors
 from envarsim.son import COMBOS, combo_axis_and_basis, extract_correlation, son_fit
@@ -123,6 +124,25 @@ class TestSimulate:
         assert len(manifest["cells"]) == 156
         header = files[0].read_text().splitlines()[0]
         assert header == "setting_label,outcome_label,counts,duration_s"
+
+    def test_manifest_holds_each_true_state_under_the_record_tag_of_its_count_file(self, tmp_path):
+        # 0.0205 degrees round-trips through radians to 0.020500000000000004: millidegree 21, not 20
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"axes": ["x", "m"], "angles_deg": [0.0205, 10.0, 20.0]}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["analyze", "--out", str(out)]) == 0
+        cells = read_json(out / "manifest.json")["cells"]
+        tags = {path.stem.removeprefix("counts_") for path in out.glob("counts_*.csv")}
+        assert set(cells) == tags == set(read_json(out / "states.json"))
+        expected = {
+            eio.record_tag(axis, angle_deg, result.stage): eio.density_matrix_to_table(result.rho_true)
+            for (axis, angle_deg), stages in simulate_grid(load_config(str(cfg)).plan()).items()
+            for result in stages
+        }
+        assert cells == expected
+        # a table and nothing else: no stream, entropy or file field beside it
+        assert all(np.shape(table) == (4, 4, 2) for table in cells.values())
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")
@@ -270,6 +290,20 @@ class TestSonFitCommand:
         out = tmp_path / "run"
         main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+LONG = "x" * 140_000
+# config file text and --seed value, each of whose error lines once echoed a whole value
+OVERSIZED_VALUES = {
+    "axis": (json.dumps({"axes": [LONG]}), None),
+    "flux-string": (json.dumps({"flux_hz": LONG}), None),
+    "unknown-key": (json.dumps({LONG: 1}), None),
+    "repeated-key": (f'{{"{LONG}": 1, "{LONG}": 1}}', None),
+    "many-unknown-keys": (json.dumps({f"key{i}": 1 for i in range(20_000)}), None),
+    "many-mistyped-values": (json.dumps({"angles_deg": ["1"] * 50_000}), None),
+    "format": (json.dumps({"formats": [LONG]}), None),
+    "seed": ("{}", "q" * 100_000),
+}
 
 
 class TestUsageAndIoErrors:
@@ -430,6 +464,52 @@ class TestUsageAndIoErrors:
 
         monkeypatch.setattr(cli, "son_fit", boom)
         assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 4
+
+    def test_son_solver_that_misses_its_tolerance_exits_4_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # each arc length is off by 1e-12 with a sign that flips from call to call, and each Newton
+        # pass is one call, so no miss falls below the solver's 1e-13 and son._son_moduli raises
+        from envarsim import son
+
+        cfg = str(CONFIG_DIR / "son_quick.json")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        arc_length, calls = son._arc_length, []
+
+        def off_by_a_flipping_picometre(d, n):
+            calls.append(d.size)
+            # d = 0 (the angle 0) stays exact: a step below it would leave the arc's domain
+            return arc_length(d, n) + (-1) ** len(calls) * 1e-12 * (d > 0)
+
+        monkeypatch.setattr(son, "_arc_length", off_by_a_flipping_picometre)
+        monkeypatch.setattr(son, "_ARC_ROWS", 10**9)
+        capsys.readouterr()
+        assert main(["son-fit", "--config", cfg, "--out", str(out)]) == 4
+        lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("son-fit: warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: arc-length inversion misses an angle by "), lines[:3]
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [("[]", "error: config must be a flat JSON object"), ('{"formats": ["xml"]}', "error: unknown output format 'xml'")],
+        ids=["json-array", "unknown-format"],
+    )
+    def test_config_of_another_shape_or_format_exits_1_before_writing(self, tmp_path, capsys, content, line):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(content)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, seed", OVERSIZED_VALUES.values(), ids=OVERSIZED_VALUES)
+    def test_an_oversized_config_or_seed_value_shows_a_bounded_prefix(self, tmp_path, capsys, content, seed):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(content)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), *(["--seed", seed] if seed else []), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 300, err[:300]
+        assert not out.exists()
 
 
 SUBCOMMAND_HELP = {
@@ -675,6 +755,13 @@ class TestDataKeysAgainstTheManifest:
         cfg.write_text(json.dumps({key: value}))
         err = self._refused(["analyze", "--config", str(cfg), "--out", str(run)], run, capsys)
         assert err.startswith(f"error: {key} = ") and err.count("\n") == 1
+
+    def test_a_disagreeing_value_of_many_items_shows_a_bounded_prefix(self, run, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"angles_deg": [k / 100 for k in range(30_000)]}))
+        err = self._refused(["analyze", "--config", str(cfg), "--out", str(run)], run, capsys)
+        assert err.startswith("error: angles_deg = (0.0, 0.01, ") and err.count("\n") == 1
+        assert len(err) < len(str(run)) + 300, err[:300]
 
     def test_keys_left_unset_come_from_the_manifest(self, run, tmp_path):
         # output keys are no data keys: a config of them alone takes seed 1 and quick's grid from the manifest
