@@ -16,6 +16,7 @@ given config always produces byte-identical outputs. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import errno
 import locale  # noqa: F401  argparse's gettext loads it on first use; load it on import
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -119,6 +120,8 @@ def _config_from_json(raw) -> RunConfig:
 def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
     """The run config from ``path`` and the CLI overrides, checked in full before any file is written."""
     raw = {}
+    if path == "":
+        raise UsageError("--config must name a file, not the empty string")
     if path is not None:
         try:
             raw = eio.read_json(Path(path))
@@ -126,6 +129,8 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
             raise MissingDataError(f"config file not found: {path}") from exc
         except ValueError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        except OverflowError as exc:
+            raise UsageError(f"config file {path}: {exc}") from exc
     config = _config_from_json(raw)
     if seed is not None:
         # an int that is not a bool, or text written as a count is: ASCII decimal
@@ -220,7 +225,7 @@ def _manifest_plan(config: RunConfig) -> ExperimentPlan:
         plan = recorded.plan()
         if manifest.get("grid") != _grid_echo(plan):
             raise UsageError('"grid" disagrees with "config"')
-    except (ValueError, UsageError) as exc:
+    except (ValueError, OverflowError, UsageError) as exc:
         raise MissingDataError(f"malformed manifest {path}: {exc}") from exc
     for key in config.given:
         mine, theirs = getattr(config, key), getattr(recorded, key)
@@ -355,6 +360,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _error_text(exc: Exception) -> str:
+    """``exc`` as its error line shows it: a path the OS refuses as too long is bounded, any other error reads whole."""
+    if isinstance(exc, OSError) and exc.errno == errno.ENAMETOOLONG:
+        return f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -364,7 +376,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.command][0](config)
         return 0
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

@@ -116,9 +116,12 @@ class ExperimentPlan:
         for angle in self.angles_deg:
             if not 0.0 <= angle <= 360.0:
                 raise ValueError("angles must lie in [0, 360] degrees")
-        # count files name their angle in centidegrees
+        # count files name their angle in centidegrees, and stage_rng keys its stream by the
+        # millidegree of the angle _simulate_cells derives, rad2deg(deg2rad(angle))
         if len({round(a * 100) for a in self.angles_deg}) < len(self.angles_deg):
             raise ValueError("angles_deg must be distinct at 0.01-degree resolution")
+        if len({round(float(np.rad2deg(np.deg2rad(a))) * 1000) for a in self.angles_deg}) < len(self.angles_deg):
+            raise ValueError("angles_deg must be distinct at 0.001-degree resolution, which keys each random stream")
         for axis in self.axes:
             if axis not in NAMED_AXES:
                 raise ValueError(f"unknown axis {echo(axis)}")

@@ -12,7 +12,9 @@ is streamed, not held as one string. ``write_json`` refuses NaN and +-inf;
 Each reader is its writer's inverse. ``read_count_csv`` splits lines on
 ``\n`` and fields on ``,``, as ``_write_csv`` joins them: no quoting and
 no ``\r``. ``read_json`` refuses an object that repeats a key, which the
-decoder would otherwise collapse to its last value.
+decoder would otherwise collapse to its last value, and reports an integer
+of more digits than the interpreter converts as an ``OverflowError`` that
+counts them, not as a decode error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -165,12 +168,21 @@ def _object_of_distinct_keys(pairs: list) -> dict:
     return obj
 
 
+def _int_within_limit(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts to an int
+        digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        raise OverflowError(f"a number has {digits} digits, more than the interpreter's limit of {limit}") from None
+
+
 def read_json(path: Path):
     """Parse one JSON file; an object that repeats a key raises ValueError naming the key,
-    nesting too deep for the decoder one naming the file."""
+    nesting too deep for the decoder one naming the file, and an integer of more digits
+    than the interpreter converts OverflowError giving their count."""
     with open(path) as fh:
         try:
-            return json.load(fh, object_pairs_hook=_object_of_distinct_keys)
+            return json.load(fh, object_pairs_hook=_object_of_distinct_keys, parse_int=_int_within_limit)
         except RecursionError:
             raise ValueError(f"{path} nests arrays or objects too deeply to decode") from None
 

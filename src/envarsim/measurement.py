@@ -10,9 +10,10 @@ wave-plate setting errors on the analyzers. The simulation draws first and
 builds stacks after: ``drift_states`` drifts a source once per block of
 normals a stream has drawn (``drift_state`` draws and drifts one), and
 ``simulate_counts_many`` synthesizes a stack of records setting by setting,
-with the perturbed analyzers in closed form and each Poisson count drawn
-as a scalar. Each record draws from its own stream, so it does not depend
-on the rest of the stack; ``simulate_counts`` is the one-record call.
+each perturbed analyzer built as hwp(h) @ qwp(q) from ``optics``' plates
+and each Poisson count drawn as a scalar. Each record draws from its own
+stream, so it does not depend on the rest of the stack; ``simulate_counts``
+is the one-record call.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .linalg import (
     su2_rotation,
     validate_density_matrix,
 )
+from .optics import hwp, qwp
 
 __all__ = [
     "BASES",
@@ -222,22 +224,6 @@ class NoiseModel:
         return cls(werner_v=werner_v, drift_sigma=0.0, waveplate_error_sigma=0.0, poisson=False)
 
 
-def _analyzers(basis: tuple[str, str], errors: np.ndarray) -> np.ndarray:
-    """(B, 2, 2) Jones matrices hwp(h) @ qwp(q) of the analyzer for ``basis``.
-
-    Row b puts the plate-angle errors ``errors[b] = (dq, dh)`` on the nominal
-    angles. Closed form: qwp(q) = ((1+i) I + (1-i) hwp(q)) / 2 and
-    hwp(h) hwp(q) is the real rotation by 2(h - q), so
-    hwp(h) qwp(q) = ((1+i) hwp(h) + (1-i) R(2(h - q))) / 2.
-    """
-    q_nom, h_nom = ANALYZER_PLATES[basis]
-    q, h = q_nom + errors[:, 0], h_nom + errors[:, 1]
-    c, s = np.cos(2 * h), np.sin(2 * h)
-    cd, sd = np.cos(2 * (h - q)), np.sin(2 * (h - q))
-    jones = (1 + 1j) / 2 * np.array([[c, s], [s, -c]]) + (1 - 1j) / 2 * np.array([[cd, -sd], [sd, cd]])
-    return np.moveaxis(jones, -1, 0)
-
-
 def simulate_counts_many(
     rhos: Sequence[np.ndarray],
     flux_hz: float,
@@ -270,12 +256,11 @@ def simulate_counts_many(
     counts = np.empty((batch, 36), dtype=np.int64)
     for k, setting in enumerate(tomography_projectors().settings):
         if sigma > 0:
-            errors = np.stack([rng.normal(0.0, sigma, size=4) for rng in rngs])
-            m = np.einsum(
-                "bik,bjl->bijkl",
-                _analyzers(setting.basis_s, errors[:, :2]),
-                _analyzers(setting.basis_e, errors[:, 2:]),
-            ).reshape(batch, 4, 4)
+            # each arm's analyzer is hwp(h) @ qwp(q), at the nominal (q_s, h_s, q_e, h_e) plus the record's errors
+            nominal = ANALYZER_PLATES[setting.basis_s] + ANALYZER_PLATES[setting.basis_e]
+            angles = nominal + np.stack([rng.normal(0.0, sigma, size=4) for rng in rngs])
+            a = hwp(angles[:, 1::2]) @ qwp(angles[:, ::2])
+            m = np.einsum("bik,bjl->bijkl", a[:, 0], a[:, 1]).reshape(batch, 4, 4)
             probs = np.einsum("bra,bac,brc->br", m, rhos, m.conj()).real
         else:
             # Tr(P rho) on the ideal projectors keeps exact zeros exact: a

@@ -2,8 +2,12 @@
 
 Conventions: qwp(t) = R(t) diag(1, i) R(-t) and hwp(t) = R(t) diag(1, -1)
 R(-t) with R the real 2D rotation by the plate angle t (fast axis measured
-from horizontal). Global phases are ignored throughout; wave-plate angles
-are period pi and stored canonicalized to [0, pi).
+from horizontal); qwp is built entrywise in closed form, bit for bit that
+product, and hwp from cos 2t and sin 2t. Global phases are ignored
+throughout; wave-plate angles are period pi and stored canonicalized to
+[0, pi). These are the only plates: the rotation stacks here and the
+QWP-HWP tomography analyzers of ``measurement`` (James, Kwiat, Munro &
+White, PRA 64, 052312, 2001), hwp(h) @ qwp(q) per arm, are built from them.
 
 A stack of three plates realizes an arbitrary polarization rotation, and
 its plate angles have closed forms: ``rotation_setting`` for rotations
@@ -79,21 +83,24 @@ class WavePlateSetting:
             object.__setattr__(self, name, float(value) % np.pi)
 
 
-def _real_2x2(a, b, c, d) -> np.ndarray:
+def _2x2(a, b, c, d) -> np.ndarray:
     return np.stack([a, b, c, d], axis=-1).reshape(*np.shape(a), 2, 2).astype(complex)
 
 
 def qwp(angle: float | np.ndarray) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate with fast axis at ``angle``; (..., 2, 2) for an array of angles."""
+    """Jones matrix of a quarter-wave plate with fast axis at ``angle``; (..., 2, 2) for an array of angles.
+
+    R(t) diag(1, i) R(-t) in closed form, with c, s the cosine and sine of t.
+    """
     c, s = np.cos(angle), np.sin(angle)
-    r = _real_2x2(c, -s, s, c)
-    return r @ np.diag([1.0, 1.0j]) @ r.conj().swapaxes(-1, -2)
+    cs = c * s
+    return _2x2(c * c + 1j * s * s, cs - 1j * cs, cs - 1j * cs, s * s + 1j * c * c)
 
 
 def hwp(angle: float | np.ndarray) -> np.ndarray:
     """Jones matrix of a half-wave plate with fast axis at ``angle``; (..., 2, 2) for an array of angles."""
     c2, s2 = np.cos(2 * angle), np.sin(2 * angle)
-    return _real_2x2(c2, s2, s2, -c2)
+    return _2x2(c2, s2, s2, -c2)
 
 
 def stack(setting: WavePlateSetting | np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .linalg import su2_rotation
+from .linalg import apply_local, su2_rotation
 from .measurement import CountRecord, tomography_projectors
 from .optics import STACK_ROTATION_SIGN, named_axis_vector
 
@@ -278,9 +278,7 @@ def correlation_operator(combo: str, phi: float) -> np.ndarray:
     axis, _, idx = _combo_entry(combo)
     u = su2_rotation(named_axis_vector(axis), STACK_ROTATION_SIGN * 2 * phi)
     p0, p1, p2, p3 = tomography_projectors().settings[idx].projectors
-    diff_op = p0 - p1 - p2 + p3
-    u_full = np.kron(u, np.eye(2, dtype=complex))
-    return u_full.conj().T @ diff_op @ u_full
+    return apply_local(u.conj().T, np.eye(2), p0 - p1 - p2 + p3)
 
 
 @dataclass(frozen=True)

@@ -511,6 +511,52 @@ class TestUsageAndIoErrors:
         assert len(err) < 300, err[:300]
         assert not out.exists()
 
+    def test_angles_that_share_a_random_stream_exit_1_before_writing(self, tmp_path, capsys):
+        # distinct file tags x_00000 and x_00001, but both streams are keyed by millidegree 5
+        cfg = _write_config(tmp_path / "c.json", angles_deg=[0.0049, 0.0051, 30.0], waveplate_error_sigma=0.0035, poisson=True)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: angles_deg must be distinct at 0.001-degree") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--config", "--out"])
+    def test_a_path_too_long_for_the_os_shows_a_bounded_prefix(self, tmp_path, monkeypatch, capsys, option):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", option, "a" * 100_000]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert len(err) < 300 and "(100000 characters)" in err, err[:300]
+        assert not any(tmp_path.iterdir())
+
+    def test_an_os_error_on_an_ordinary_path_names_it_whole(self, tmp_path, capsys):
+        blocker = tmp_path / ("blocked-" + "b" * 60)
+        blocker.write_text("file, not a directory")
+        out = blocker / "run"
+        assert main(["simulate", "--config", str(_write_config(tmp_path / "c.json")), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {str(out)!r}\n"
+
+    def test_an_empty_config_path_exits_1_before_writing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--config", "", "--out", "o"]) == 1
+        assert capsys.readouterr().err == "error: --config must name a file, not the empty string\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="this interpreter converts any number of digits"
+    )
+    def test_config_number_past_the_interpreters_digit_limit_exits_1_before_writing(self, tmp_path, capsys):
+        # valid JSON, whose decoder refuses the integer before any key is checked
+        digits = sys.get_int_max_str_digits() + 700
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seed": ' + "7" * digits + "}")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        limit = sys.get_int_max_str_digits()
+        expected = f"error: config file {cfg}: a number has {digits} digits, more than the interpreter's limit of {limit}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
 
 SUBCOMMAND_HELP = {
     "simulate": "synthesize count files for the configured grid",
@@ -678,6 +724,20 @@ class TestMalformedData:
             assert err.startswith("error: malformed manifest") and err.count("\n") == 1
             assert "manifest.json" in err
 
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="this interpreter converts any number of digits"
+    )
+    def test_manifest_number_past_the_interpreters_digit_limit_exits_3(self, run, capsys):
+        cfg, out = run
+        text = (out / "manifest.json").read_text()
+        (out / "manifest.json").write_text(text.replace('"seed": 5', '"seed": ' + "7" * 5000, 1))
+        capsys.readouterr()
+        for command in ("analyze", "son-fit"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: malformed manifest {out / 'manifest.json'}: a number has 5000 digits")
+            assert err.count("\n") == 1
 
     def test_manifest_that_repeats_a_key_exits_3(self, run, capsys):
         cfg, out = run

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envarsim import linalg, measurement
+from envarsim import linalg
 from envarsim.measurement import (
-    ANALYZER_PLATES,
     DEFAULT_DRIFT_SIGMA,
     CountRecord,
     NoiseModel,
@@ -21,7 +20,6 @@ from envarsim.measurement import (
     tomography_projectors,
 )
 from helpers import random_density_matrix, random_unitary
-from envarsim.optics import hwp, qwp
 from envarsim.metrics import fidelity
 
 
@@ -172,12 +170,6 @@ class TestSimulateCountsMany:
             alone = simulate_counts(rho, 5400.0, 5.0, noise, np.random.default_rng(seed))
             np.testing.assert_array_equal(record.counts, alone.counts)
             assert record.duration_s == 5.0
-
-    def test_analyzers_match_plate_products(self):
-        errors = np.random.default_rng(3).normal(0.0, 0.05, size=(7, 2))
-        for basis, (q, h) in ANALYZER_PLATES.items():
-            expected = np.stack([hwp(h + dh) @ qwp(q + dq) for dq, dh in errors])
-            np.testing.assert_allclose(measurement._analyzers(basis, errors), expected, rtol=0, atol=1e-15)
 
     def test_argument_checks_and_empty_batch(self):
         rho = linalg.werner(1.0)

@@ -35,6 +35,17 @@ class TestWavePlates:
             h = optics.hwp(angle)
             np.testing.assert_allclose(h @ h, np.eye(2), atol=1e-12)
 
+    def test_qwp_closed_form_equals_the_plate_product_bit_for_bit(self):
+        # R(t) diag(1, i) R(-t) as two complex products, R(-t) = R(t)^T; the draw-order
+        # oracle builds its analyzers from optics.qwp itself, so only this pins its bits
+        t = np.concatenate([[0.0, np.pi / 4, np.pi / 2, np.pi], np.linspace(-2 * np.pi, 2 * np.pi, 100_001)])
+        c, s = np.cos(t), np.sin(t)
+        r = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2).astype(complex)
+        product = r @ np.diag([1.0, 1.0j]) @ r.swapaxes(-1, -2)
+        assert np.array_equal(optics.qwp(t), product)
+        for k in range(4):
+            assert np.array_equal(optics.qwp(t[k]), product[k])
+
     def test_plates_are_unitary(self):
         for angle in np.linspace(0, np.pi, 19):
             for plate in (optics.qwp(angle), optics.hwp(angle)):
