@@ -16,8 +16,10 @@ given config always produces byte-identical outputs. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import ast
 import errno
 import locale  # noqa: F401  argparse's gettext loads it on first use; load it on import
+import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -117,12 +119,19 @@ def _config_from_json(raw) -> RunConfig:
     return RunConfig(**values, given=tuple(values))
 
 
+def _check_path(name: str, path: str, kind: str) -> None:
+    """An empty path, or one holding a NUL, which no OS call takes, is a usage error."""
+    if not path:
+        raise UsageError(f"{name} must name a {kind}, not the empty string")
+    if "\0" in path:
+        raise UsageError(f"{name} must name a {kind}, not a path holding a NUL character: {echo(path)}")
+
+
 def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
     """The run config from ``path`` and the CLI overrides, checked in full before any file is written."""
     raw = {}
-    if path == "":
-        raise UsageError("--config must name a file, not the empty string")
     if path is not None:
+        _check_path("--config", path, "file")
         try:
             raw = eio.read_json(Path(path))
         except FileNotFoundError as exc:
@@ -145,8 +154,7 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         config = replace(config, seed=value, given=(*config.given, "seed"))
     if out is not None:
         config = replace(config, out_dir=out)
-    if not config.out_dir:
-        raise UsageError("out_dir must name a directory, not the empty string")
+    _check_path("out_dir", config.out_dir, "directory")
     if fmt is not None:
         config = replace(config, formats=(fmt,))
     if not config.formats:
@@ -283,12 +291,12 @@ def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
     out = Path(config.out_dir)
     plan = _manifest_plan(config) if grid is None else config.plan()
     fitted = _fit_grid(plan.axes, plan.angles_deg)
-    if 0 < len(fitted) < len(COMBOS):
-        missing = sorted(set(COMBOS) - set(fitted))
-        print(f"son-fit: warning: fitting {len(fitted)}/6 combos (missing {missing})", file=sys.stderr)
     obstacle = fit_obstacle(fitted)
     if obstacle is not None:
         raise MissingDataError(f"son-fit: {obstacle}")
+    if len(fitted) < len(COMBOS):
+        missing = sorted(set(COMBOS) - set(fitted))
+        print(f"son-fit: warning: fitting {len(fitted)}/6 combos (missing {missing})", file=sys.stderr)
 
     # two combos share each axis; each stage-II record is read once, in first-use order
     records = {}
@@ -332,9 +340,25 @@ def cmd_report(config: RunConfig) -> None:
         print(f"report: skipping son-fit ({obstacle})", file=sys.stderr)
 
 
+# where argparse writes an argv value into its message whole: raw, as the
+# unrecognized arguments or an ambiguous option, or quoted as its repr
+_ARGV_VALUE = re.compile(
+    r"(?P<raw>(?<=^unrecognized arguments: ).*|(?<=^ambiguous option: ).*(?= could match ))"
+    r"|(?P<quoted>'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")",
+    re.S,
+)
+# control characters, which would split or garble the one error line, print as their escapes
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _echo_argv(match: re.Match) -> str:
+    return echo(match["raw"], show=str) if match["quoted"] is None else echo(ast.literal_eval(match["quoted"]))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        # every subparser shares this: each argv value in the message reads as errors.echo bounds it
+        raise UsageError(_ARGV_VALUE.sub(_echo_argv, message))
 
 
 _COMMANDS = {
@@ -356,7 +380,8 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="path to a flat JSON config file")
         p.add_argument("--seed", help="override the config seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--format", choices=("csv", "json"), help="restrict output format")
+        # load_config alone decides the value, as it does a config's "formats"
+        p.add_argument("--format", metavar="{csv,json}", help="restrict output format")
     return parser
 
 
@@ -376,7 +401,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.command][0](config)
         return 0
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
+        print("error: " + _CONTROL.sub(lambda m: ascii(m[0])[1:-1], _error_text(exc)), file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

@@ -6,13 +6,16 @@ ECHO = 40  # characters of a value that an error line shows
 def echo(value, show=repr) -> str:
     """``show(value)``, or for a value of more than ``ECHO`` characters ``show`` of its first ``ECHO`` and its length.
 
-    A value that is not a string is bounded as the text ``show`` gives it.
+    A value that is not a string is bounded as the text ``show`` gives it. Escapes and
+    wide characters can show one character in up to ten bytes, so a head that shows in
+    more than ``3 * ECHO`` bytes is shortened until it fits.
     """
     if not isinstance(value, str):
         value, show = show(value), str
-    if len(value) <= ECHO:
-        return show(value)
-    return f"{show(value[:ECHO])}… ({len(value)} characters)"
+    head = value[:ECHO]
+    while len(show(head).encode(errors="surrogatepass")) > 3 * ECHO:
+        head = head[:-1]
+    return show(value) if head == value else f"{show(head)}… ({len(value)} characters)"
 
 
 class ConvergenceError(RuntimeError):

@@ -10,10 +10,11 @@ wave-plate setting errors on the analyzers. The simulation draws first and
 builds stacks after: ``drift_states`` drifts a source once per block of
 normals a stream has drawn (``drift_state`` draws and drifts one), and
 ``simulate_counts_many`` synthesizes a stack of records setting by setting,
-each perturbed analyzer built as hwp(h) @ qwp(q) from ``optics``' plates
-and each Poisson count drawn as a scalar. Each record draws from its own
-stream, so it does not depend on the rest of the stack; ``simulate_counts``
-is the one-record call.
+each perturbed analyzer built as hwp(h) @ qwp(q) from ``optics``' plates,
+its outcome probabilities the diagonal of ``apply_local`` of the two arms'
+analyzers, and each Poisson count drawn as a scalar. Each record draws from
+its own stream, so it does not depend on the rest of the stack;
+``simulate_counts`` is the one-record call.
 """
 
 from __future__ import annotations
@@ -236,12 +237,12 @@ def simulate_counts_many(
     Record b draws from its own stream ``rngs[b]``, per setting in order: the
     4 analyzer plate-angle errors (dq, dh for the system arm, then for the
     environment arm) when ``noise.waveplate_error_sigma`` > 0, then its 4
-    Poisson counts. With plate errors the outcome probabilities are
-    diag(M rho M^dag), M = A_s (x) A_e the two perturbed analyzers, whose
-    rows pull the PBS ports back to the measured kets; without them they are
-    Tr(P rho) on the ideal projectors. Record b depends on no other record,
-    bit for bit. A model that draws nothing (``noise.draws`` false) reads no
-    stream, so its streams may be None.
+    Poisson counts. With plate errors the outcome probabilities are the
+    diagonal of ``apply_local(A_s, A_e, rho)``, A_s and A_e the two perturbed
+    analyzers, whose rows pull the PBS ports back to the measured kets;
+    without them they are Tr(P rho) on the ideal projectors. Record b depends
+    on no other record, bit for bit. A model that draws nothing
+    (``noise.draws`` false) reads no stream, so its streams may be None.
     """
     if flux_hz <= 0 or duration_s <= 0:
         raise ValueError("flux and duration must be positive")
@@ -250,18 +251,16 @@ def simulate_counts_many(
     if not len(rhos):
         return []
     rhos = validate_density_matrix(np.stack(rhos))
-    batch = len(rhos)
     sigma = noise.waveplate_error_sigma
     pairs = flux_hz * duration_s
-    counts = np.empty((batch, 36), dtype=np.int64)
+    counts = np.empty((len(rhos), 36), dtype=np.int64)
     for k, setting in enumerate(tomography_projectors().settings):
         if sigma > 0:
             # each arm's analyzer is hwp(h) @ qwp(q), at the nominal (q_s, h_s, q_e, h_e) plus the record's errors
             nominal = ANALYZER_PLATES[setting.basis_s] + ANALYZER_PLATES[setting.basis_e]
             angles = nominal + np.stack([rng.normal(0.0, sigma, size=4) for rng in rngs])
             a = hwp(angles[:, 1::2]) @ qwp(angles[:, ::2])
-            m = np.einsum("bik,bjl->bijkl", a[:, 0], a[:, 1]).reshape(batch, 4, 4)
-            probs = np.einsum("bra,bac,brc->br", m, rhos, m.conj()).real
+            probs = np.diagonal(apply_local(a[:, 0], a[:, 1], rhos), axis1=1, axis2=2).real
         else:
             # Tr(P rho) on the ideal projectors keeps exact zeros exact: a
             # Poisson draw of mean 0 takes nothing from the stream

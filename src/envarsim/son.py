@@ -73,15 +73,10 @@ _COMBO_TABLE = {
 }
 
 
-def __getattr__(name: str):
-    # bench/tracing.py still looks up son.minimize by name; scipy is imported
-    # only when asked for. Delete this with ROADMAP item 1, when the tracer
-    # stops that lookup.
-    if name == "minimize":
-        from scipy.optimize import minimize
-
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def minimize(*args, **kwargs):
+    # inert: bench/tracing.py resolves son.minimize by name, for a state fit
+    # that no longer exists. ROADMAP item 1 deletes it with that lookup.
+    raise NotImplementedError("son fits no state by a numerical minimizer")
 
 
 def phi_to_theta(phi):

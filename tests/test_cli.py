@@ -1042,3 +1042,90 @@ def test_noise_free_report_scores_lie_in_the_unit_interval(axes, angles_deg, wer
     scores += [summary[key] for summary in summaries for key in ("f_i_iii_mean", "bc_i_iii_mean")]
     assert len(scores) == 8 * len(axes) * len(angles_deg) + 2 * (len(axes) + 1)
     assert all(0.0 <= v <= 1.0 for v in scores)
+
+
+LONG = "a" * 100_000
+
+
+class TestOneBoundedLine:
+    """argparse's own lines, and lines naming a path, stay one short ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv, value, start",
+        [
+            ([LONG], LONG, "error: argument command: invalid choice: "),
+            (["simulate", "--out", "x", LONG], LONG, "error: unrecognized arguments: "),
+            (["simulate", "--=" + LONG], "--=" + LONG, "error: ambiguous option: "),
+            (["simulate", "-h" + LONG], LONG, "error: argument -h/--help: ignored explicit argument "),
+        ],
+        ids=["subcommand", "stray-argument", "ambiguous-option", "explicit-argument"],
+    )
+    def test_an_argparse_line_bounds_the_argv_value(self, tmp_path, monkeypatch, capsys, argv, value, start):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
+        assert len(err.encode()) < 300 and f"({len(value)} characters)" in err, err[:300]
+        assert not any(tmp_path.iterdir())
+
+    def test_a_long_unknown_subcommand_still_names_every_subcommand(self, capsys):
+        assert main([LONG]) == 1
+        err = capsys.readouterr().err
+        assert [name for name in SUBCOMMAND_HELP if repr(name) in err] == list(SUBCOMMAND_HELP)
+
+    def test_format_is_checked_as_a_configs_formats_is(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--format", "xml", "--out", "o"]) == 1
+        assert capsys.readouterr().err == "error: unknown output format 'xml'\n"
+        assert main(["simulate", "--format", LONG, "--out", "o"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unknown output format {'a' * 40!r}… (100000 characters)\n"
+        assert len(err.encode()) == 95
+        assert not any(tmp_path.iterdir())
+
+    def test_a_value_of_wide_or_escaped_characters_is_bounded_in_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for seed in ("\U000e0001" * 100, "\U0001f600" * 100, "\x00" * 40):
+            assert main(["simulate", "--seed", seed, "--out", "o"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: seed must be ") and err.count("\n") == 1
+            assert len(err.encode()) < 300 and f"({len(seed)} characters)" in err, err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["analyze", "son-fit"])
+    def test_a_control_character_in_a_path_is_escaped(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(json.dumps({"out_dir": "x\ny"}))
+        expected = "error: missing manifest: x\\ny/manifest.json (run simulate first)\n"
+        assert main([command, "--config", "c.json"]) == 3
+        assert capsys.readouterr().err == expected
+        assert main([command, "--out", "x\ny"]) == 3
+        assert capsys.readouterr().err == expected
+        assert main([command, "--config", "c\nd.json\x1b\x85\u2028"]) == 3
+        assert capsys.readouterr().err == "error: config file not found: c\\nd.json\\x1b\\x85\\u2028\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_HELP))
+    def test_a_nul_in_a_path_exits_1_before_writing(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(json.dumps({"out_dir": "a\u0000b"}))
+        assert main([command, "--config", "c.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: out_dir must name a directory, not a path holding a NUL character: 'a\\x00b'\n"
+        )
+        assert main([command, "--out", "o\0"]) == 1
+        assert capsys.readouterr().err.startswith("error: out_dir must name a directory, not a path holding a NUL")
+        assert main([command, "--config", "ok\0.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --config must name a file, not a path holding a NUL character: 'ok\\x00.json'\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_son_fit_refusing_a_grid_prints_only_its_error(self, tmp_path, capsys):
+        # the partial-combos warning comes only with a fit
+        cfg = _write_config(tmp_path / "c.json", angles_deg=[0.0, 180.0])
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: son-fit: combo X-RL needs at least 5 rotation angles, not 2\n"

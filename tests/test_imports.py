@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import envarsim
 from envarsim import son
 
 SRC = Path(envarsim.__file__).resolve().parents[1]
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 SON_QUICK = CONFIGS / "son_quick.json"
 LAZY = ("numpy.random", "numpy.polynomial")
 
@@ -134,7 +134,27 @@ def test_report_runs_with_scipy_blocked(tmp_path):
     assert any(line.startswith("son-fit: n = ") for line in runs["blocked"])
 
 
-def test_son_minimize_resolves_on_demand():
-    # bench/tracing.py looks up son.minimize by name
-    assert son.minimize is scipy.optimize.minimize
+def test_tracing_every_traced_name_loads_no_scipy():
+    # bench/tracing.py resolves each function it wraps by name, son.minimize
+    # among them; installing its tracer must not import scipy into the round
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import envarsim.cli\n"
+        "from envarsim import son\n"
+        "import tracing\n"
+        "tracing.Tracer().install()\n"
+        "names = [(m, f) for m, f, *_ in tracing.SPANS + tracing.LEAVES]\n"
+        "try:\n"
+        "    son.minimize()\n"
+        "    inert = False\n"
+        "except NotImplementedError:\n"
+        "    inert = True\n"
+        "print(json.dumps([names, inert, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    proc = _python(code, str(BENCH))
+    assert proc.returncode == 0, proc.stderr
+    names, inert, scipy_modules = json.loads(proc.stdout)
+    assert ["son", "minimize"] in names and inert
+    assert scipy_modules == []
     assert not hasattr(son, "no_such_name")
