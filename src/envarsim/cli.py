@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as eio
-from .errors import ConvergenceError, MissingDataError, echo
+from .errors import ConvergenceError, MissingDataError, echo, echo_path, escape
 from .harness import _SCORE_SERIES, STAGES, ExperimentPlan, assemble_report, calibrated_noise, simulate_grid
 from .measurement import CountRecord, NoiseModel
 from .son import COMBOS, combo_axis_and_basis, extract_correlation, fit_obstacle, fitted_correlation, son_fit
@@ -135,11 +135,11 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
         try:
             raw = eio.read_json(Path(path))
         except FileNotFoundError as exc:
-            raise MissingDataError(f"config file not found: {path}") from exc
+            raise MissingDataError(f"config file not found: {echo_path(path)}") from exc
         except ValueError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+            raise UsageError(f"config file {echo_path(path)} is not valid JSON: {exc}") from exc
         except OverflowError as exc:
-            raise UsageError(f"config file {path}: {exc}") from exc
+            raise UsageError(f"config file {echo_path(path)}: {exc}") from exc
     config = _config_from_json(raw)
     if seed is not None:
         # an int that is not a bool, or text written as a count is: ASCII decimal
@@ -205,7 +205,7 @@ def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stag
     if grid is not None:
         record = grid[axis, angle_deg, stage]
     elif not path.exists():
-        raise MissingDataError(f"missing stage file: {path}")
+        raise MissingDataError(f"missing stage file: {echo_path(path)}")
     else:
         try:
             record = eio.read_count_csv(path)
@@ -214,7 +214,7 @@ def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stag
     empty = np.flatnonzero(record.setting_totals() == 0)
     if empty.size:
         tag = eio.record_tag(axis, angle_deg, stage)
-        source = f"malformed count file {path}" if grid is None else f"simulated count record {tag}"
+        source = f"malformed count file {echo_path(path)}" if grid is None else f"simulated count record {tag}"
         raise MissingDataError(f"{source}: setting {empty[0] + 1} of 9 has no counts")
     return record
 
@@ -224,7 +224,7 @@ def _manifest_plan(config: RunConfig) -> ExperimentPlan:
     its config's, and each data key ``config`` was given must hold the manifest's value."""
     path = Path(config.out_dir) / "manifest.json"
     if not path.exists():
-        raise MissingDataError(f"missing manifest: {path} (run simulate first)")
+        raise MissingDataError(f"missing manifest: {echo_path(path)} (run simulate first)")
     try:
         manifest = eio.read_json(path)
         if not isinstance(manifest, dict) or "config" not in manifest:
@@ -234,11 +234,11 @@ def _manifest_plan(config: RunConfig) -> ExperimentPlan:
         if manifest.get("grid") != _grid_echo(plan):
             raise UsageError('"grid" disagrees with "config"')
     except (ValueError, OverflowError, UsageError) as exc:
-        raise MissingDataError(f"malformed manifest {path}: {exc}") from exc
+        raise MissingDataError(f"malformed manifest {echo_path(path)}: {exc}") from exc
     for key in config.given:
         mine, theirs = getattr(config, key), getattr(recorded, key)
         if key in _DATA_KEYS and mine != theirs:
-            raise UsageError(f"{key} = {echo(mine)} disagrees with {path}, which records {key} = {echo(theirs)}")
+            raise UsageError(f"{key} = {echo(mine)} disagrees with {echo_path(path)}, which records {key} = {echo(theirs)}")
     return plan
 
 
@@ -347,8 +347,6 @@ _ARGV_VALUE = re.compile(
     r"|(?P<quoted>'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")",
     re.S,
 )
-# control characters, which would split or garble the one error line, print as their escapes
-_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def _echo_argv(match: re.Match) -> str:
@@ -401,7 +399,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.command][0](config)
         return 0
     except tuple(_EXIT_CODES) as exc:
-        print("error: " + _CONTROL.sub(lambda m: ascii(m[0])[1:-1], _error_text(exc)), file=sys.stderr)
+        print("error: " + escape(_error_text(exc)), file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

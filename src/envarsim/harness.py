@@ -37,6 +37,8 @@ from .measurement import (
     CountRecord,
     NoiseModel,
     born_probabilities,
+    check_acquisition,
+    check_seed,
     drift_states,
     simulate_counts_many,
     tomography_projectors,
@@ -76,10 +78,6 @@ DEFAULT_SEED = 20140217
 DEFAULT_ANGLES_DEG = tuple(float(a) for a in range(0, 361, 30))
 STAGES = ("I", "II", "III")
 
-# Expected pairs per setting stay below this, so that every Poisson draw and
-# the 9-setting total of a count record fit in int64.
-_MAX_PAIRS_PER_SETTING = 1e18
-
 _I2 = np.eye(2, dtype=complex)
 
 # the four scores of a cell, each for fidelity and BC: stage I against III, II, ideal III and ideal II
@@ -109,6 +107,8 @@ class ExperimentPlan:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        if isinstance(self.axes, str):
+            raise ValueError(f"axes must be a sequence of axis names, not the string {echo(self.axes)}")
         if not self.axes or not self.angles_deg:
             raise ValueError("axes and angles_deg must be non-empty")
         if len(set(self.axes)) < len(self.axes):
@@ -125,12 +125,8 @@ class ExperimentPlan:
         for axis in self.axes:
             if axis not in NAMED_AXES:
                 raise ValueError(f"unknown axis {echo(axis)}")
-        if not (self.flux_hz > 0 and self.duration_s > 0):
-            raise ValueError("flux_hz and duration_s must be positive")
-        if not self.flux_hz * self.duration_s <= _MAX_PAIRS_PER_SETTING:
-            raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, not {echo(self.seed)}")
+        check_acquisition(self.flux_hz, self.duration_s)
+        check_seed(self.seed)
 
     @property
     def cells(self) -> tuple[tuple[str, float], ...]:
@@ -197,6 +193,8 @@ def _simulate_cells(
     that draws nothing gets None in place of each stream.
     """
     noise = plan.noise
+    # first, so that an unknown axis is refused by name before its stream is keyed
+    nominal = _nominal_angles(cells)
     normals = np.zeros((len(cells), 3, 2, 4))  # per record and qubit: three axis normals, one angle normal
     errors = np.zeros((len(cells), 3, 2, 3))  # per record: system, then environment plate-angle errors
     streams = []
@@ -212,7 +210,7 @@ def _simulate_cells(
     base = werner(noise.werner_v)
     sources = drift_states(base, noise, normals) if noise.drift_sigma > 0 else np.broadcast_to(base, (len(cells), 3, 4, 4))
     # (C, 2, 2, 2, 2): the stage II/III stacks of the system and environment photons
-    u = stack(_nominal_angles(cells)[:, None, None] + errors[:, 1:])
+    u = stack(nominal[:, None, None] + errors[:, 1:])
     u[:, 0, 1] = _I2  # stage II leaves the environment photon alone
     states = np.concatenate([sources[:, :1], apply_local(u[:, :, 0], u[:, :, 1], sources[:, 1:])], axis=1).reshape(-1, 4, 4)
     records = simulate_counts_many(states, plan.flux_hz, plan.duration_s, noise, streams)

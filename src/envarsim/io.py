@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import echo
+from .errors import echo, echo_path
 from .harness import EnvarianceReport
 from .measurement import CountRecord, tomography_projectors
 from .son import CorrelationSample, SonFitResult
@@ -145,7 +145,7 @@ def read_count_csv(path: Path) -> CountRecord:
             raise ValueError(f"counts total {total} exceeds 2**63 - 1")
         return CountRecord(counts=counts, duration_s=duration)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{echo_path(path)}: {exc}") from exc
 
 
 def density_matrix_to_table(rho: np.ndarray) -> list[list[list[float]]]:
@@ -184,7 +184,7 @@ def read_json(path: Path):
         try:
             return json.load(fh, object_pairs_hook=_object_of_distinct_keys, parse_int=_int_within_limit)
         except RecursionError:
-            raise ValueError(f"{path} nests arrays or objects too deeply to decode") from None
+            raise ValueError(f"{echo_path(path)} nests arrays or objects too deeply to decode") from None
 
 
 _REPORT_COLUMNS = (

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import echo
 from .linalg import (
     KET_A,
     KET_D,
@@ -73,6 +74,25 @@ ANALYZER_PLATES = {
 # consecutive drifted copies of werner(0.98267) show a fidelity std in the
 # few-1e-4 range (measured 5.8e-4 at 0.025, 8.3e-4 at 0.030).
 DEFAULT_DRIFT_SIGMA = 0.025
+
+# Expected pairs per setting stay below this, so that every Poisson draw and
+# the 9-setting total of a count record fit in int64.
+_MAX_PAIRS_PER_SETTING = 1e18
+
+
+def check_acquisition(flux_hz: float, duration_s: float) -> None:
+    """A ValueError unless flux_hz and duration_s are positive and give at most
+    ``_MAX_PAIRS_PER_SETTING`` expected pairs per setting; nan and inf fail too."""
+    if not (flux_hz > 0 and duration_s > 0):
+        raise ValueError("flux_hz and duration_s must be positive")
+    if not flux_hz * duration_s <= _MAX_PAIRS_PER_SETTING:
+        raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
+
+
+def check_seed(seed) -> None:
+    """A ValueError unless ``seed`` is a non-negative Python or numpy integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {echo(seed)}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +234,7 @@ class NoiseModel:
         for sigma in (self.drift_sigma, self.waveplate_error_sigma):
             if not 0 <= sigma <= 2 * np.pi:
                 raise ValueError("noise sigmas must lie in [0, 2 pi] rad")
+        check_seed(self.seed)
 
     @property
     def draws(self) -> bool:
@@ -241,13 +262,14 @@ def simulate_counts_many(
     diagonal of ``apply_local(A_s, A_e, rho)``, A_s and A_e the two perturbed
     analyzers, whose rows pull the PBS ports back to the measured kets;
     without them they are Tr(P rho) on the ideal projectors. Record b depends
-    on no other record, bit for bit. A model that draws nothing
-    (``noise.draws`` false) reads no stream, so its streams may be None.
+    on no other record, bit for bit. Shot noise and plate errors are its only
+    draws; a model without them reads no stream, so its streams may be None.
     """
-    if flux_hz <= 0 or duration_s <= 0:
-        raise ValueError("flux and duration must be positive")
+    check_acquisition(flux_hz, duration_s)
     if len(rngs) != len(rhos):
         raise ValueError("need one random stream per density matrix")
+    if (noise.poisson or noise.waveplate_error_sigma > 0) and any(rng is None for rng in rngs):
+        raise ValueError("rngs needs a random stream, not None, for a model with shot noise or plate errors")
     if not len(rhos):
         return []
     rhos = validate_density_matrix(np.stack(rhos))

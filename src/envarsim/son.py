@@ -205,7 +205,7 @@ def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
 
     p and q come from ``_son_moduli``, the arc-length inversion the exponent fit reads.
     """
-    if n <= 0:
+    if not n > 0:  # nan too
         raise ValueError("the exponent n must be positive")
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")

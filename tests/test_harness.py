@@ -214,3 +214,17 @@ def test_sub_grid_equals_its_rows_of_the_full_grid(noise, seed):
         records = [3 * k + s for k in rows for s in range(3)]
         assert sub.mle_iterations == tuple(full.mle_iterations[r] for r in records)
         assert sub.mle_converged == tuple(full.mle_converged[r] for r in records)
+
+
+@pytest.mark.parametrize("noise", [harness.calibrated_noise(), NoiseModel.noiseless()], ids=["calibrated", "noiseless"])
+def test_run_three_stages_refuses_an_unknown_axis_by_name(noise):
+    # with a model that draws, the stream was keyed first: tuple.index(x): x not in tuple
+    with pytest.raises(ValueError, match="^unknown axis tag 'q'"):
+        run_three_stages("q", 0.1, ExperimentPlan(noise=noise))
+
+
+@pytest.mark.parametrize("axes", ["z", "xy", ""])
+def test_plan_refuses_axes_given_as_one_string(axes):
+    # a string was read as a sequence of axis names, and .axes came back a str
+    with pytest.raises(ValueError, match=re.escape(f"axes must be a sequence of axis names, not the string {axes!r}")):
+        ExperimentPlan(axes=axes)

@@ -252,3 +252,30 @@ def test_noise_model_rejects_a_poisson_flag_that_is_not_a_bool(poisson):
     with pytest.raises(ValueError, match=re.escape(f"poisson must be a bool, not {poisson!r}")):
         NoiseModel(poisson=poisson)
     assert NoiseModel(poisson=np.False_).poisson == np.False_
+
+
+# nan passed the old flux_hz <= 0 check and inf the missing pair cap; both ended in numpy's cast
+# RuntimeWarning and "counts must be non-negative", or in its Poisson sampler
+@pytest.mark.parametrize(
+    "flux_hz, duration_s", [(float("nan"), 5.0), (float("inf"), 5.0), (1e30, 5.0), (5400.0, float("nan")), (5400.0, float("inf"))]
+)
+@pytest.mark.parametrize("poisson", [True, False])
+def test_simulate_counts_many_refuses_a_flux_that_is_not_finite_or_past_the_pair_cap(flux_hz, duration_s, poisson):
+    rho = linalg.werner(0.9)
+    with pytest.raises(ValueError, match="^flux_hz"):
+        simulate_counts_many([rho], flux_hz, duration_s, NoiseModel(poisson=poisson), [np.random.default_rng(0)])
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(poisson=False, waveplate_error_sigma=0.01)], ids=["poisson", "plate-errors"])
+def test_a_model_that_draws_refuses_a_none_stream_by_name(noise):
+    # a None stream ended in AttributeError: 'NoneType' object has no attribute 'poisson'
+    rho = linalg.werner(0.9)
+    with pytest.raises(ValueError, match="^rngs needs a random stream"):
+        simulate_counts_many([rho, rho], 5400.0, 5.0, noise, [np.random.default_rng(0), None])
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, True, "1", None])
+def test_noise_model_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, not {seed!r}")):
+        NoiseModel(seed=seed)
+    assert NoiseModel(seed=np.uint64(2**63)).seed == 2**63

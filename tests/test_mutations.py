@@ -341,3 +341,66 @@ def test_any_argv_is_run_or_refused(small_run, command, arguments, before):
     code, err = _main_on_a_copy(small_run, argv)
     event(f"{command} exits {code}")
     assert code in (0, 1, 2, 3), err
+
+
+# The path family. Each example names a drawn path of about 100 to 4,000 bytes, under the
+# OS's PATH_MAX of 4,096, in one of the four places a refusal names it: a config file that is
+# not there, an out_dir with no manifest, a run missing a count file, or a run holding an empty
+# one. The path's names repeat a drawn unit of letters, wide characters, control characters
+# and an undecodable byte (as its surrogate escape); each name is 16 to 60 characters, at most
+# 240 bytes, under NAME_MAX.
+PATH_CHARS = st.sampled_from(["d", "x", "é", "水", "😀", "\n", "\x1b", " ", "\udce9"])
+
+
+@st.composite
+def _long_path(draw) -> str:
+    size = draw(st.integers(100, 4_000), label="bytes")
+    unit = draw(st.text(PATH_CHARS, min_size=1, max_size=4))
+    width = draw(st.integers(16, 60))
+    name = (unit * width)[:width]
+    parts, used = [], -1  # the bytes of "/".join(parts)
+    while used + 1 + len(os.fsencode(name)) <= size:
+        parts.append(name)
+        used += 1 + len(os.fsencode(name))
+    # a last name cut to the bytes that are left
+    tail = "".join(c for i, c in enumerate(name) if used + 1 + len(os.fsencode(name[: i + 1])) <= size)
+    return "/".join([*parts, tail] if tail else parts)
+
+
+def _run_at(path: str, counts: bool):
+    """Put the run in ``out`` at ``path``: its manifest alone, or with every count file and
+    the first of them emptied."""
+
+    def mutate(work: Path) -> None:
+        target = work / path
+        if counts:
+            shutil.copytree(work / "out", target)
+            (target / "counts_x_00000_I.csv").write_bytes(b"")
+        else:
+            target.mkdir(parents=True)
+            shutil.copy(work / "out" / "manifest.json", target)
+
+    return mutate
+
+
+PATH_CASES = {
+    # (the argv, its mutation, the start of the error line)
+    "config-file-not-found": (lambda p: ["simulate", "--config", p], None, "config file not found: "),
+    "missing-manifest": (lambda p: ["analyze", "--out", p], None, "missing manifest: "),
+    "missing-stage-file": (lambda p: ["analyze", "--out", p], lambda p: _run_at(p, False), "missing stage file: "),
+    "malformed-count-file": (
+        lambda p: ["analyze", "--out", p],
+        lambda p: _run_at(p, True),
+        "malformed count file ",
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(path=_long_path(), case=st.sampled_from(sorted(PATH_CASES)))
+def test_an_error_line_bounds_the_path_it_names(small_run, path, case):
+    argv, mutate, start = PATH_CASES[case]
+    event(case)
+    code, err = _main_on_a_copy(small_run, argv(path), mutate and mutate(path))
+    assert code == 3, err
+    assert err.startswith("error: " + start), err[:300]

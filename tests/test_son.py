@@ -54,6 +54,11 @@ class TestEQm:
 
 
 class TestSolveSon:
+    def test_refuses_a_nan_exponent_by_name(self):
+        # nan passed n <= 0 and ended in ConvergenceError, the CLI's exit 4
+        with pytest.raises(ValueError, match="^the exponent n must be positive"):
+            solve_son(float("nan"))
+
     def test_n2_reproduces_quantum_mechanics(self):
         curve = solve_son(2.0, 256)
         assert np.max(np.abs(curve.values - (-np.cos(2 * curve.theta_grid)))) < 1e-6
