@@ -26,6 +26,7 @@ loads ``numpy.random``; numpy 2 imports it on first use.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -107,15 +108,16 @@ class ExperimentPlan:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if isinstance(self.axes, str):
-            raise ValueError(f"axes must be a sequence of axis names, not the string {echo(self.axes)}")
+        for name, items in (("axes", "axis names"), ("angles_deg", "angles")):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence of {items}, not the string {echo(getattr(self, name))}")
         if not self.axes or not self.angles_deg:
             raise ValueError("axes and angles_deg must be non-empty")
         if len(set(self.axes)) < len(self.axes):
             raise ValueError("axes must not repeat a value")
         for angle in self.angles_deg:
-            if not 0.0 <= angle <= 360.0:
-                raise ValueError("angles must lie in [0, 360] degrees")
+            if not isinstance(angle, numbers.Real) or not 0.0 <= angle <= 360.0:
+                raise ValueError(f"angles_deg must hold angles in [0, 360] degrees, not {echo(angle)}")
         # count files name their angle in centidegrees, and stage_rng keys its stream by the
         # millidegree of the angle _simulate_cells derives, rad2deg(deg2rad(angle))
         if len({round(a * 100) for a in self.angles_deg}) < len(self.angles_deg):
@@ -153,6 +155,9 @@ def stage_rng(seed: int, axis: str, angle_deg: float, stage: str) -> np.random.G
     Its entropy words are the seed, the axis's index in ``NAMED_AXES``, the
     angle in millidegrees rounded to an integer and the stage's index in ``STAGES``.
     """
+    for name, value, names in (("axis", axis, NAMED_AXES), ("stage", stage, STAGES)):
+        if value not in names:
+            raise ValueError(f"unknown {name} {echo(value)}; expected one of {names}")
     entropy = [
         int(seed),
         NAMED_AXES.index(axis),

@@ -13,8 +13,9 @@ with E(theta, n) = p^n - q^n. The first two lines say that (p, q) runs
 along the superellipse p^n + q^n = 1 at constant speed sqrt(c), so theta is
 its arc length over sqrt(c); ``solve_son`` and the exponent fit read E
 through one quadrature inversion of that arc length, made once per exponent
-and distinct angle. The quadrature rule is built on first use, so a run
-that fits no exponent never imports ``numpy.polynomial``. Ordinary quantum
+and distinct angle. The quadrature rule is built on the first fit by Newton
+steps on the Legendre recurrence, so no run imports ``numpy.polynomial``, and
+the state fit diagonalizes its 2x2 matrix in closed form. Ordinary quantum
 mechanics is the n=2 case, where p = sin(theta), E = -cos(2*theta).
 
 During the experiment's middle stage, rotating one qubit by phi (with the
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, echo
 from .linalg import apply_local, su2_rotation
 from .measurement import CountRecord, tomography_projectors
 from .optics import STACK_ROTATION_SIGN, named_axis_vector
@@ -117,16 +118,39 @@ class CorrelationCurve:
             getattr(self, name).setflags(write=False)
 
 
+def _p96(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Legendre polynomial P_96(u) and its derivative, by k P_k = (2k - 1) u P_(k-1) - (k - 1) P_(k-2)."""
+    p0, p1 = np.ones_like(u), u
+    for k in range(2, 97):
+        p0, p1 = p1, ((2 * k - 1) * u * p1 - (k - 1) * p0) / k
+    return p1, 96 * (u * p1 - p0) / (u * u - 1)
+
+
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 96-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    The nodes are the roots of P_96, by Newton steps from -cos(pi (k - 1/4) / 96.5),
+    and the weights 2 / ((1 - u^2) P_96'(u)^2) at them.
+    """
+    u = -np.cos(np.pi * (np.arange(1, 97) - 0.25) / 96.5)
+    for _ in range(50):  # quadratic: four steps reach rounding from this start
+        step = np.divide(*_p96(u))
+        u = u - step
+        if np.abs(step).max() < 1e-15:
+            break
+    return u, 2 / ((1 - u * u) * _p96(u)[1] ** 2)
+
+
 @functools.cache
 def _arc_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the arc-length quadrature, built on the first son fit.
 
-    A 96-point Gauss-Legendre rule on [0, 1] for the substitution x = d*u**6
+    ``_gauss_legendre`` mapped to [0, 1] for the substitution x = d*u**6
     (dx = 6*d*u**5 du), which smooths the (x/other)**(2n-2) endpoint term of
-    the arc-length integrand; 96 points give c to about 1e-13 up to n = 10.
-    Building it imports ``numpy.polynomial``, which no other path needs.
+    the arc-length integrand. That rule integrates u^(2k), k <= 95, over [-1, 1]
+    to 1.4e-14 relative, where numpy's leggauss(96) misses by up to 3.8e-13.
     """
-    u, w = np.polynomial.legendre.leggauss(96)
+    u, w = _gauss_legendre()
     return ((u + 1) / 2) ** 6, 3 * ((u + 1) / 2) ** 5 * w
 
 
@@ -200,13 +224,19 @@ def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     return p.reshape(shape), q.reshape(shape), float(c) if c.ndim == 0 else c
 
 
+# the exponents where solve_son's curve keeps |E(pi/4)| <= 1e-12, with no overflow (scanned at 12,000 exponents)
+_N_RANGE = (0.1, 1e4)
+
+
 def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
     """E(theta, n) = p^n - q^n at ``grid_size`` uniform nodes over [0, pi/2].
 
     p and q come from ``_son_moduli``, the arc-length inversion the exponent fit reads.
+    n must lie in ``_N_RANGE``: outside it E(pi/4), 0 for every n by symmetry,
+    misses by more than 1e-12 (by 1 at n = inf), or the inversion overflows.
     """
-    if not n > 0:  # nan too
-        raise ValueError("the exponent n must be positive")
+    if not _N_RANGE[0] <= n <= _N_RANGE[1]:  # nan too
+        raise ValueError(f"the exponent n must be positive and in [{_N_RANGE[0]:g}, {_N_RANGE[1]:g}], not {echo(n)}")
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
     theta = np.linspace(0.0, np.pi / 2, grid_size)
@@ -335,6 +365,18 @@ def _secular_root(g: np.ndarray, mu: np.ndarray) -> float:
     return t
 
 
+def _eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a symmetric 2x2 [[a, b], [b, c]] in closed form: ascending eigenvalues, vector columns.
+
+    The larger eigenvalue's vector lies at theta = atan2(2b, a - c) / 2; the
+    smaller is det / larger, with no cancellation in a + c - hypot(a - c, 2b).
+    """
+    (a, _), (b, c) = m  # the lower triangle, as eigh reads it
+    hi, theta = (a + c) / 2 + math.hypot((a - c) / 2, b), math.atan2(2 * b, a - c) / 2
+    cos, sin = math.cos(theta), math.sin(theta)
+    return np.array([(a * c - b * b) / hi, hi]), np.array([[-sin, cos], [cos, sin]])
+
+
 def _state_fit(phis: np.ndarray, values: np.ndarray, weights: np.ndarray):
     """One combo's state fit, set up once: a function of ``_n_shift(n, phis)`` giving (weighted objective, (A, B)).
 
@@ -343,11 +385,11 @@ def _state_fit(phis: np.ndarray, values: np.ndarray, weights: np.ndarray):
     (<O0>, <O1>) fill exactly the unit disk. The fit is a weighted 2x2 least
     squares; a solution outside the disk moves onto the circle, where
     (M + lam I) ab = g with lam > 0 the root of the secular equation
-    |g / (mu + lam)| = 1 in M's eigenbasis (M = V diag(mu) V^T, g = V^T
-    x^T W target). ``_secular_root`` finds it by bracketed Newton steps.
+    |g / (mu + lam)| = 1 in M's eigenbasis (M = V diag(mu) V^T by ``_eigh2``,
+    g = V^T x^T W target). ``_secular_root`` finds it by bracketed Newton steps.
     """
     x = np.stack([np.cos(2 * phis), np.sin(2 * phis)], axis=1)
-    mu, v = np.linalg.eigh(x.T @ (weights[:, None] * x))
+    mu, v = _eigh2(x.T @ (weights[:, None] * x))
     # a direction the angles do not probe (every sin 2phi = 0) stays at 0
     mu = np.where(mu > 1e-12 * mu[-1], mu, np.inf)
 

@@ -223,6 +223,19 @@ def test_run_three_stages_refuses_an_unknown_axis_by_name(noise):
         run_three_stages("q", 0.1, ExperimentPlan(noise=noise))
 
 
+def test_plan_refuses_angles_given_as_one_string():
+    # "30" was read as the angles "3" and "0": TypeError: '<=' not supported
+    with pytest.raises(ValueError, match=re.escape("angles_deg must be a sequence of angles, not the string '30'")):
+        ExperimentPlan(angles_deg="30")
+
+
+@pytest.mark.parametrize("axis, stage, name", [("q", "I", "axis 'q'"), ("x", "IV", "stage 'IV'")])
+def test_stage_rng_refuses_an_unknown_axis_or_stage_by_name(axis, stage, name):
+    # tuple.index(x): x not in tuple
+    with pytest.raises(ValueError, match=re.escape(f"unknown {name}; expected one of")):
+        harness.stage_rng(0, axis, 0.0, stage)
+
+
 @pytest.mark.parametrize("axes", ["z", "xy", ""])
 def test_plan_refuses_axes_given_as_one_string(axes):
     # a string was read as a sequence of axis names, and .axes came back a str

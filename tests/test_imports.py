@@ -85,6 +85,17 @@ def test_run_experiment_leaves_numpy_polynomial_unloaded():
     assert _loaded_after(code) == {"numpy.random": True, "numpy.polynomial": False}
 
 
+@numpy_2
+def test_son_fit_report_leaves_numpy_polynomial_unloaded(tmp_path):
+    # the son fit builds its quadrature rule by Newton steps on P_96, not through numpy.polynomial
+    code = (
+        "import sys\n"
+        "from envarsim.cli import main\n"
+        "assert main(['report', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+    )
+    assert _loaded_after(code, str(SON_QUICK), str(tmp_path / "out")) == {"numpy.random": True, "numpy.polynomial": False}
+
+
 def test_first_son_fit_gives_the_same_n_bits():
     # the first fit in a process builds the quadrature rule; n and its error bar
     # carry the same bits as when the rule is built up front, as import once did

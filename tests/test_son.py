@@ -1,6 +1,8 @@
 """Tests for the generalized-correlation solver and the exponent fit."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from envarsim.son import (
     COMBOS,
     CorrelationSample,
     _arc_length,
+    _eigh2,
+    _gauss_legendre,
     _n_shift,
     _secular_root,
     _son_moduli,
@@ -134,6 +138,28 @@ class TestSolveSon:
         with pytest.raises(ValueError):
             solve_son(2.0, grid_size=8)
 
+    # E(pi/4) is 0 for every n by symmetry; these exponents gave -1 (inf, 1e300, 1e-300),
+    # -0.968 (0.001), -0.045 (0.02), -2.3e-6 (0.03), -3.8e-10 (0.05), -1.4e-10 (2e4), -7e-9 (1e6)
+    @pytest.mark.parametrize("n", [math.inf, 1e300, 1e-300, 0.001, 0.02, 0.03, 0.05, 2e4, 1e6])
+    def test_refuses_an_exponent_with_a_wrong_midpoint_by_name(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"the exponent n must be positive and in [0.1, 10000], not {n!r}")):
+            solve_son(n)
+
+    def test_refuses_an_exponent_whose_inversion_overflows(self):
+        # solve_son(0.005) raised numpy's overflow RuntimeWarning on its way to a curve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("[0.1, 10000], not 0.005")):
+                solve_son(0.005)
+
+    @pytest.mark.parametrize("n", [0.1, 1e4])
+    def test_the_ends_of_the_exponent_range_keep_the_midpoint(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = solve_son(n)
+        assert curve.theta_grid[128] == np.pi / 4
+        assert abs(curve.values[128]) <= 1e-12
+
 
 class TestArcLengthInversion:
     @pytest.mark.parametrize("n", [0.8, 1.0, 1.5, 2.0, 2.555, 5.0])
@@ -177,6 +203,19 @@ class TestArcLengthInversion:
         assert np.ndim(p) == 0 and np.ndim(q) == 0
         p1, q1, c1 = _son_moduli(np.array([theta]), 1.8)
         assert (p, q, c) == (p1[0], q1[0], c1)
+
+
+class TestGaussLegendre:
+    def test_matches_numpy_leggauss(self):
+        u, w = _gauss_legendre()
+        u_np, w_np = np.polynomial.legendre.leggauss(96)
+        assert np.all(np.abs(u - u_np) <= 2 * np.spacing(np.abs(u_np)))
+        assert np.max(np.abs(w / w_np - 1)) <= 2e-12
+
+    def test_integrates_even_powers_to_degree_190(self):
+        u, w = _gauss_legendre()
+        for k in range(96):
+            assert abs(w @ u ** (2 * k) * (2 * k + 1) / 2 - 1) <= 5e-14, k
 
 
 class TestPhiToTheta:
@@ -361,10 +400,10 @@ class TestSonFit:
         assert all(len(set(exponents[k : k + 21])) == 21 for k in (0, 21, 42))
 
     def test_each_combo_disk_fit_is_set_up_once(self, monkeypatch):
-        # M = x^T W x does not depend on n: one eigh per combo, not one per candidate n
+        # M = x^T W x does not depend on n: one eigensystem per combo, not one per candidate n
         calls = []
-        original = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or original(m))
+        original = son._eigh2
+        monkeypatch.setattr(son, "_eigh2", lambda m: calls.append(m) or original(m))
         samples = [
             CorrelationSample(combo=combo, phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
             for combo in COMBOS
@@ -454,6 +493,62 @@ class TestStateFit:
             rho = mix * base + (1 - mix) * random_density_matrix(4, rng)
             e_state = np.einsum("aij,ji->a", ops, rho).real
             assert fitted <= float(weights @ (shift + e_state - values) ** 2) + 1e-9
+
+
+class TestEigh2:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_psd_matrix_matches_eigh(self, seed):
+        x = np.random.default_rng(seed).normal(size=(3, 2)) * [1.0, 10.0 ** -(seed % 5)]
+        m = x.T @ x
+        mu, v = _eigh2(m)
+        mu_np, _ = np.linalg.eigh(m)
+        np.testing.assert_allclose(mu, mu_np, rtol=1e-13, atol=1e-15 * mu_np[-1])
+        np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(v @ np.diag(mu) @ v.T, m, atol=1e-15 * mu_np[-1])
+
+    @pytest.mark.parametrize("m", [[[3.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]]], ids=["unprobed", "equal"])
+    def test_degenerate_matrices(self, m):
+        mu, v = _eigh2(np.array(m))
+        np.testing.assert_array_equal(mu, np.linalg.eigh(np.array(m))[0])
+        np.testing.assert_allclose(v @ np.diag(mu) @ v.T, m, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "phis",
+        [
+            np.deg2rad(np.arange(5.0, 120.0, 15.0)),  # a general M
+            np.deg2rad(np.arange(0.0, 181.0, 90.0)),  # sin 2phi = 0: b = c = 0, the unprobed direction
+            np.deg2rad(np.arange(0.0, 180.0, 45.0)),  # a = c, b = 0: equal eigenvalues
+        ],
+        ids=["general", "unprobed", "equal"],
+    )
+    @pytest.mark.parametrize("scale", [0.5, 1.5], ids=["inside", "outside"])
+    def test_state_fit_equals_the_eigh_fit(self, monkeypatch, phis, scale):
+        # inside the disk the least squares stands, outside it the secular root moves it onto the circle
+        rng = np.random.default_rng(3)
+        values = np.clip(scale * -np.cos(2 * phis - 0.3) + rng.normal(0, 0.01, phis.size), -1, 1)
+        weights = np.full(phis.size, 1e4)  # equal weights, or a != c in the equal case
+        objective, ab = _state_fit(phis, values, weights)(_n_shift(2.1, phis))
+        monkeypatch.setattr(son, "_eigh2", np.linalg.eigh)
+        objective_np, ab_np = _state_fit(phis, values, weights)(_n_shift(2.1, phis))
+        assert np.max(np.abs(ab - ab_np)) <= 1e-14
+        assert objective == pytest.approx(objective_np, rel=1e-12)
+
+
+def test_son_calls_no_library_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg eigensolver called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    son._arc_rule.cache_clear()  # the quadrature rule is rebuilt under the patch
+    samples = [
+        CorrelationSample(combo=combo, phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
+        for combo in COMBOS
+        for phi in PHI_GRID
+    ]
+    result = son_fit(samples)
+    fitted_correlation(result, COMBOS, PHI_GRID)
+    solve_son(result.n)
 
 
 def _magnitudes(lo_exp, hi_exp):
