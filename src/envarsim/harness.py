@@ -26,7 +26,9 @@ loads ``numpy.random``; numpy 2 imports it on first use.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
+from collections.abc import Collection
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -109,14 +111,16 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         for name, items in (("axes", "axis names"), ("angles_deg", "angles")):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a sequence of {items}, not the string {echo(getattr(self, name))}")
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Collection):
+                shown = f"the string {echo(value)}" if isinstance(value, str) else echo(value)
+                raise ValueError(f"{name} must be a sequence of {items}, not {shown}")
         if not self.axes or not self.angles_deg:
             raise ValueError("axes and angles_deg must be non-empty")
         if len(set(self.axes)) < len(self.axes):
             raise ValueError("axes must not repeat a value")
         for angle in self.angles_deg:
-            if not isinstance(angle, numbers.Real) or not 0.0 <= angle <= 360.0:
+            if isinstance(angle, bool) or not isinstance(angle, numbers.Real) or not 0.0 <= angle <= 360.0:
                 raise ValueError(f"angles_deg must hold angles in [0, 360] degrees, not {echo(angle)}")
         # count files name their angle in centidegrees, and stage_rng keys its stream by the
         # millidegree of the angle _simulate_cells derives, rad2deg(deg2rad(angle))
@@ -158,6 +162,8 @@ def stage_rng(seed: int, axis: str, angle_deg: float, stage: str) -> np.random.G
     for name, value, names in (("axis", axis, NAMED_AXES), ("stage", stage, STAGES)):
         if value not in names:
             raise ValueError(f"unknown {name} {echo(value)}; expected one of {names}")
+    if type(angle_deg) is bool or not isinstance(angle_deg, numbers.Real) or not math.isfinite(angle_deg):
+        raise ValueError(f"angle_deg must be a finite number of degrees, not {echo(angle_deg)}")
     entropy = [
         int(seed),
         NAMED_AXES.index(axis),

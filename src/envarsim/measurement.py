@@ -20,6 +20,7 @@ its own stream, so it does not depend on the rest of the stack;
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -83,8 +84,9 @@ _MAX_PAIRS_PER_SETTING = 1e18
 def check_acquisition(flux_hz: float, duration_s: float) -> None:
     """A ValueError unless flux_hz and duration_s are positive and give at most
     ``_MAX_PAIRS_PER_SETTING`` expected pairs per setting; nan and inf fail too."""
-    if not (flux_hz > 0 and duration_s > 0):
-        raise ValueError("flux_hz and duration_s must be positive")
+    for name, value in (("flux_hz", flux_hz), ("duration_s", duration_s)):
+        if type(value) is bool or not isinstance(value, numbers.Real) or not value > 0:
+            raise ValueError(f"flux_hz and duration_s must be positive numbers, not {name}={echo(value)}")
     if not flux_hz * duration_s <= _MAX_PAIRS_PER_SETTING:
         raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
 

@@ -13,9 +13,9 @@ with E(theta, n) = p^n - q^n. The first two lines say that (p, q) runs
 along the superellipse p^n + q^n = 1 at constant speed sqrt(c), so theta is
 its arc length over sqrt(c); ``solve_son`` and the exponent fit read E
 through one quadrature inversion of that arc length, made once per exponent
-and distinct angle. The quadrature rule is built on the first fit by Newton
-steps on the Legendre recurrence, so no run imports ``numpy.polynomial``, and
-the state fit diagonalizes its 2x2 matrix in closed form. Ordinary quantum
+and distinct angle. The quadrature is a tanh-sinh rule with closed-form nodes
+and weights, built on the first fit, so no run imports ``numpy.polynomial``,
+and the state fit diagonalizes its 2x2 matrix in closed form. Ordinary quantum
 mechanics is the n=2 case, where p = sin(theta), E = -cos(2*theta).
 
 During the experiment's middle stage, rotating one qubit by phi (with the
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,40 +119,24 @@ class CorrelationCurve:
             getattr(self, name).setflags(write=False)
 
 
-def _p96(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Legendre polynomial P_96(u) and its derivative, by k P_k = (2k - 1) u P_(k-1) - (k - 1) P_(k-2)."""
-    p0, p1 = np.ones_like(u), u
-    for k in range(2, 97):
-        p0, p1 = p1, ((2 * k - 1) * u * p1 - (k - 1) * p0) / k
-    return p1, 96 * (u * p1 - p0) / (u * u - 1)
-
-
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 96-point Gauss-Legendre rule on [-1, 1], nodes ascending.
-
-    The nodes are the roots of P_96, by Newton steps from -cos(pi (k - 1/4) / 96.5),
-    and the weights 2 / ((1 - u^2) P_96'(u)^2) at them.
-    """
-    u = -np.cos(np.pi * (np.arange(1, 97) - 0.25) / 96.5)
-    for _ in range(50):  # quadratic: four steps reach rounding from this start
-        step = np.divide(*_p96(u))
-        u = u - step
-        if np.abs(step).max() < 1e-15:
-            break
-    return u, 2 / ((1 - u * u) * _p96(u)[1] ** 2)
-
-
 @functools.cache
 def _arc_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the arc-length quadrature, built on the first son fit.
+    """Nodes and weights of the arc-length quadrature on (0, 1), built on the first son fit.
 
-    ``_gauss_legendre`` mapped to [0, 1] for the substitution x = d*u**6
-    (dx = 6*d*u**5 du), which smooths the (x/other)**(2n-2) endpoint term of
-    the arc-length integrand. That rule integrates u^(2k), k <= 95, over [-1, 1]
-    to 1.4e-14 relative, where numpy's leggauss(96) misses by up to 3.8e-13.
+    The tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 721, 1974) with step
+    h = 1/12 at t = k h, |k| <= 39: x = 1 / (1 + exp(-2 s)), s = (pi/2) sinh t,
+    and w = pi h cosh t x (1 - x). Its nodes crowd both ends, where the
+    (tracked/other)^(2n-2) term of the arc-length integrand is singular (at 0)
+    or turns sharply (at the midpoint, for large n), so the arc length holds
+    to 1e-15 relative for n in [0.2, 10] and 5e-11 over [0.1, 10000]. A node
+    that rounds to 1 is dropped, leaving 77 whose weights sum to 1 within 4e-16.
     """
-    u, w = _gauss_legendre()
-    return ((u + 1) / 2) ** 6, 3 * ((u + 1) / 2) ** 5 * w
+    # exp only: a process's first np.sinh call pages in 128 kB more of numpy's code (numpy 2.4.6, x86_64)
+    u = np.exp(np.arange(-39, 40) / 12)
+    e = np.exp(-np.pi / 2 * (u - 1 / u))
+    x = 1 / (1 + e)
+    w = np.pi / 24 * (u + 1 / u) * x * e * x
+    return x[x < 1], w[x < 1]
 
 
 _ARC_ROWS = 128  # rows per arc-length call: its (rows, nodes) temporaries stay about 100 kB
@@ -187,7 +172,7 @@ def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
 
     theta is arc length over sqrt(c), and the midpoint p = q = 2^(-1/n) lies
     at theta = pi/4, which fixes c. Angles up to pi/4 invert the arc length by
-    Newton steps over Gauss-Legendre quadrature; larger ones fold through the
+    Newton steps over ``_arc_rule``'s quadrature; larger ones fold through the
     mirror q(theta) = p(pi/2 - theta). An array n prepends its axes to p and q
     and gives one c per exponent. Each (exponent, distinct folded angle) row
     leaves the Newton loop once it misses its arc length by at most 1e-13, so
@@ -224,7 +209,8 @@ def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     return p.reshape(shape), q.reshape(shape), float(c) if c.ndim == 0 else c
 
 
-# the exponents where solve_son's curve keeps |E(pi/4)| <= 1e-12, with no overflow (scanned at 12,000 exponents)
+# the exponents where solve_son's curve keeps |E(pi/4)| <= 1e-12, with no overflow (scanned at
+# 12,000 exponents), and matches adaptive quadrature to 4e-9 in E (at 1e4; 1.7e-11 at 0.1)
 _N_RANGE = (0.1, 1e4)
 
 
@@ -234,11 +220,13 @@ def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
     p and q come from ``_son_moduli``, the arc-length inversion the exponent fit reads.
     n must lie in ``_N_RANGE``: outside it E(pi/4), 0 for every n by symmetry,
     misses by more than 1e-12 (by 1 at n = inf), or the inversion overflows.
+    Inside it E is within 4e-9 of an adaptive-quadrature reference on a
+    4097-node grid, and within 7e-13 for n in [0.2, 10].
     """
-    if not _N_RANGE[0] <= n <= _N_RANGE[1]:  # nan too
+    if type(n) is bool or not isinstance(n, numbers.Real) or not _N_RANGE[0] <= n <= _N_RANGE[1]:  # nan too
         raise ValueError(f"the exponent n must be positive and in [{_N_RANGE[0]:g}, {_N_RANGE[1]:g}], not {echo(n)}")
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
+    if not isinstance(grid_size, numbers.Integral) or grid_size < 16:
+        raise ValueError(f"grid_size must be an integer of at least 16, not {echo(grid_size)}")
     theta = np.linspace(0.0, np.pi / 2, grid_size)
     p, q, c = _son_moduli(theta, n)
     return CorrelationCurve(theta_grid=theta, values=p**n - q**n, n=float(n), p=p, q=q, c=c)
@@ -255,10 +243,12 @@ class CorrelationSample:
 
     def __post_init__(self) -> None:
         _combo_entry(self.combo)
-        if abs(self.value) > 1.0:
-            raise ValueError("correlation value must lie in [-1, 1]")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, not {echo(self.phi)}")
+        if not abs(self.value) <= 1.0:
+            raise ValueError(f"correlation value must lie in [-1, 1], not {echo(self.value)}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, not {echo(self.sigma)}")
 
 
 def _combo_entry(combo: str) -> tuple[str, tuple[str, str], int]:

@@ -1,5 +1,6 @@
 """Tests for the three-stage protocol orchestration and reporting."""
 
+import math
 import re
 from pathlib import Path
 
@@ -234,6 +235,30 @@ def test_stage_rng_refuses_an_unknown_axis_or_stage_by_name(axis, stage, name):
     # tuple.index(x): x not in tuple
     with pytest.raises(ValueError, match=re.escape(f"unknown {name}; expected one of")):
         harness.stage_rng(0, axis, 0.0, stage)
+
+
+# each ended in a TypeError, or was taken as 1.0 (True)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"angles_deg": 30}, "angles_deg must be a sequence of angles, not 30"),
+        ({"axes": 3}, "axes must be a sequence of axis names, not 3"),
+        ({"flux_hz": "5"}, "flux_hz and duration_s must be positive numbers, not flux_hz='5'"),
+        ({"duration_s": None}, "flux_hz and duration_s must be positive numbers, not duration_s=None"),
+        ({"flux_hz": True}, "flux_hz and duration_s must be positive numbers, not flux_hz=True"),
+        ({"angles_deg": (30, True)}, "angles_deg must hold angles in [0, 360] degrees, not True"),
+    ],
+)
+def test_plan_refuses_an_argument_of_the_wrong_kind_by_name(kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ExperimentPlan(**kwargs)
+
+
+# 'a' raised a TypeError, nan "cannot convert float NaN to integer", inf an OverflowError; True was 1 degree
+@pytest.mark.parametrize("angle", ["a", math.nan, math.inf, True])
+def test_stage_rng_refuses_an_angle_that_is_not_a_finite_number_by_name(angle):
+    with pytest.raises(ValueError, match="^" + re.escape(f"angle_deg must be a finite number of degrees, not {angle!r}")):
+        harness.stage_rng(0, "x", angle, "I")
 
 
 @pytest.mark.parametrize("axes", ["z", "xy", ""])

@@ -87,7 +87,7 @@ def test_run_experiment_leaves_numpy_polynomial_unloaded():
 
 @numpy_2
 def test_son_fit_report_leaves_numpy_polynomial_unloaded(tmp_path):
-    # the son fit builds its quadrature rule by Newton steps on P_96, not through numpy.polynomial
+    # the son fit builds its quadrature rule in closed form, not through numpy.polynomial
     code = (
         "import sys\n"
         "from envarsim.cli import main\n"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from envarsim import linalg, son
@@ -18,7 +19,6 @@ from envarsim.son import (
     CorrelationSample,
     _arc_length,
     _eigh2,
-    _gauss_legendre,
     _n_shift,
     _secular_root,
     _son_moduli,
@@ -138,6 +138,19 @@ class TestSolveSon:
         with pytest.raises(ValueError):
             solve_son(2.0, grid_size=8)
 
+    # "2" and 20.5 ended in a TypeError, and True gave the n = 1 curve
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("2",), "the exponent n must be positive and in [0.1, 10000], not '2'"),
+            ((True,), "the exponent n must be positive and in [0.1, 10000], not True"),
+            ((2.0, 20.5), "grid_size must be an integer of at least 16, not 20.5"),
+        ],
+    )
+    def test_refuses_an_argument_that_is_not_a_number_by_name(self, args, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            solve_son(*args)
+
     # E(pi/4) is 0 for every n by symmetry; these exponents gave -1 (inf, 1e300, 1e-300),
     # -0.968 (0.001), -0.045 (0.02), -2.3e-6 (0.03), -3.8e-10 (0.05), -1.4e-10 (2e4), -7e-9 (1e6)
     @pytest.mark.parametrize("n", [math.inf, 1e300, 1e-300, 0.001, 0.02, 0.03, 0.05, 2e4, 1e6])
@@ -205,17 +218,53 @@ class TestArcLengthInversion:
         assert (p, q, c) == (p1[0], q1[0], c1)
 
 
-class TestGaussLegendre:
-    def test_matches_numpy_leggauss(self):
-        u, w = _gauss_legendre()
-        u_np, w_np = np.polynomial.legendre.leggauss(96)
-        assert np.all(np.abs(u - u_np) <= 2 * np.spacing(np.abs(u_np)))
-        assert np.max(np.abs(w / w_np - 1)) <= 2e-12
+def _oracle_speed(t, n):
+    """The arc-length integrand at distance t from theta = 0, written apart from ``son._arc_speed``."""
+    log_tracked = math.log(t) if n >= 1 else math.log1p(-t)
+    ratio = math.exp(n * log_tracked) / -math.expm1(n * log_tracked)  # (tracked / other)^n
+    return math.sqrt(1 + ratio ** (2 - 2 / n))
 
-    def test_integrates_even_powers_to_degree_190(self):
-        u, w = _gauss_legendre()
-        for k in range(96):
-            assert abs(w @ u ** (2 * k) * (2 * k + 1) / 2 - 1) <= 5e-14, k
+
+def _oracle_arc(d, n):
+    # breakpoints where the integrand turns sharply for large n; at the tested d and n it
+    # agreed with a 40-digit mpmath reference within 7.6e-16 relative (1.2e-16 for n >= 100)
+    return quad(_oracle_speed, 0, d, args=(n,), points=[0.5 * d, 0.99 * d, 0.9999 * d], epsrel=1e-13, epsabs=0, limit=200)[0]
+
+
+def _d_mid(n):
+    return 2 ** (-1 / n) if n >= 1 else 1 - 2 ** (-1 / n)
+
+
+class TestArcRule:
+    def test_nodes_ascend_inside_the_interval_and_weights_sum_to_one(self):
+        x, w = son._arc_rule()
+        assert 0 < x[0] and x[-1] < 1 and np.all(np.diff(x) > 0)
+        assert np.all(w > 0) and abs(w.sum() - 1) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "n, tol", [(n, 2e-15) for n in (1.0, 1.5, 2.0, 2.5, 3.0)] + [(n, 1e-10) for n in (0.1, 0.3, 10.0, 100.0, 1000.0, 1e4)]
+    )
+    def test_arc_length_matches_adaptive_quadrature(self, n, tol):
+        d = np.array([0.05, 0.3, 0.7, 0.95, 1.0]) * _d_mid(n)
+        reference = np.array([_oracle_arc(x, n) for x in d])
+        assert np.max(np.abs(_arc_length(d, n) / reference - 1)) <= tol
+
+    # the 96-point Gauss-Legendre rule over x = d u^6 missed by 3.3e-3, 6.4e-6, 2.6e-2 and 8.6e-6
+    @pytest.mark.parametrize("n", [0.1, 100.0, 1000.0, 1e4])
+    def test_solve_son_matches_the_curve_of_adaptive_quadrature(self, n):
+        # each node's modulus d moves by Newton steps on the oracle's arc length onto the
+        # node's angle; there E = p^n - q^n is 2 d^n - 1 (p = d) or 1 - 2 (1 - d)^n (q = 1 - d)
+        curve = solve_son(n, 2049)
+        s_mid = _oracle_arc(_d_mid(n), n)
+        half = (curve.theta_grid > 0) & (curve.theta_grid <= np.pi / 4)
+        for theta, value, p, q in zip(curve.theta_grid[half], curve.values[half], curve.p[half], curve.q[half]):
+            d = p if n >= 1 else 1 - q
+            for _ in range(10):
+                step = (_oracle_arc(d, n) - s_mid * theta / (np.pi / 4)) / _oracle_speed(d, n)
+                d -= step
+                if abs(step) <= 2e-16 * d:
+                    break
+            assert abs(value - (2 * d**n - 1 if n >= 1 else 1 - 2 * (1 - d) ** n)) <= 1e-8, theta
 
 
 class TestPhiToTheta:
@@ -286,6 +335,23 @@ class TestExtractCorrelation:
         assert sample.value == ((n1 + n4) - (n2 + n3)) / total
         assert sample.sigma == pytest.approx(2 * math.sqrt((n1 + n4) * (n2 + n3) / total**3), rel=1e-12)
         assert combo_axis_and_basis(combo) == (combo[0].lower(), tuple(pair))
+
+
+# nan value or sigma gave n = 2.0 with objective nan; nan phi a ConvergenceError,
+# inf phi numpy's RuntimeWarning; inf sigma was taken as weight 0
+@pytest.mark.parametrize(
+    "phi, value, sigma, message",
+    [
+        (math.nan, 0.5, 0.1, "phi must be finite, not nan"),
+        (math.inf, 0.5, 0.1, "phi must be finite, not inf"),
+        (0.1, math.nan, 0.1, "correlation value must lie in [-1, 1], not nan"),
+        (0.1, 0.5, math.nan, "sigma must be positive and finite, not nan"),
+        (0.1, 0.5, math.inf, "sigma must be positive and finite, not inf"),
+    ],
+)
+def test_correlation_sample_refuses_a_field_that_is_not_finite_by_name(phi, value, sigma, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        CorrelationSample(combo="Z-DA", phi=phi, value=value, sigma=sigma)
 
 
 class TestSonFit:
