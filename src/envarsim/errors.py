@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the bounded echo of a value in an error line."""
+"""Exception types shared across the package, the bounded echo of a value in an error line, and
+the two rules every numeric argument of the library is checked by: a finite real number in an
+interval, and an integer at or above a bound. Neither takes a bool, Python's or numpy's, for a number."""
 
+import math
+import numbers
 import os
 import re
 
@@ -34,6 +38,29 @@ def echo_path(path) -> str:
     """``path`` as an error line names it: whole, as ``escape`` prints it, if that takes at most
     ``PATH_ECHO`` bytes, else its head and its length."""
     return echo(os.fspath(path), show=escape, width=PATH_ECHO, size=PATH_ECHO)
+
+
+def check_real(value, message: str, *, ge=-math.inf, gt=None, le=math.inf, lt=None, name=None) -> None:
+    """A ValueError ``<message>, not <value>`` unless ``value`` is a finite real number, not a bool,
+    above ``gt`` (if given, else at least ``ge``) and below ``lt`` (if given, else at most ``le``).
+
+    The bounds are checked on ``float(value)``, so nan, an infinity and an integer that no float
+    holds all fail. With ``name`` the value shows as ``<name>=<value>``, for a message that speaks
+    of several arguments. numpy's bool is not a ``numbers.Real``.
+    """
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer or a fraction past the float range
+        x = math.nan
+    if not (math.isfinite(x) and (x > gt if gt is not None else x >= ge) and (x < lt if lt is not None else x <= le)):
+        raise ValueError(f"{message}, not {echo(value) if name is None else f'{name}={echo(value)}'}")
+
+
+def check_integer(value, message: str, ge: int) -> None:
+    """A ValueError ``<message>, not <value>`` unless ``value`` is a Python or numpy integer, not a
+    bool, of at least ``ge``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= ge):
+        raise ValueError(f"{message}, not {echo(value)}")
 
 
 class ConvergenceError(RuntimeError):

@@ -20,20 +20,22 @@ two-qubit rotation goes through ``linalg.apply_local``. Per-cell
 randomness derives from (seed, axis, angle, stage) by value, so cells are
 reproducible in any execution order. A noise model that draws nothing
 (``NoiseModel.draws`` false) gets no stream, so a noise-free run never
-loads ``numpy.random``; numpy 2 imports it on first use.
+loads ``numpy.random``; numpy 2 imports it on first use. The plan,
+``stage_rng`` and ``run_three_stages`` check each numeric argument by
+``errors.check_real`` or ``errors.check_integer``, which name it in their
+ValueError; a stream is keyed by a non-negative angle only, so theta must not
+be negative.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from collections.abc import Collection
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import echo
+from .errors import check_integer, check_real, echo
 from .linalg import apply_local, su2_rotation, validate_density_matrix, werner
 from .measurement import (
     DEFAULT_DRIFT_SIGMA,
@@ -41,7 +43,6 @@ from .measurement import (
     NoiseModel,
     born_probabilities,
     check_acquisition,
-    check_seed,
     drift_states,
     simulate_counts_many,
     tomography_projectors,
@@ -112,7 +113,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         for name, items in (("axes", "axis names"), ("angles_deg", "angles")):
             value = getattr(self, name)
-            if isinstance(value, str) or not isinstance(value, Collection):
+            # an array is refused too: the truth value the checks below take is ambiguous for it
+            if isinstance(value, (str, np.ndarray)) or not isinstance(value, Collection):
                 shown = f"the string {echo(value)}" if isinstance(value, str) else echo(value)
                 raise ValueError(f"{name} must be a sequence of {items}, not {shown}")
         if not self.axes or not self.angles_deg:
@@ -120,8 +122,7 @@ class ExperimentPlan:
         if len(set(self.axes)) < len(self.axes):
             raise ValueError("axes must not repeat a value")
         for angle in self.angles_deg:
-            if isinstance(angle, bool) or not isinstance(angle, numbers.Real) or not 0.0 <= angle <= 360.0:
-                raise ValueError(f"angles_deg must hold angles in [0, 360] degrees, not {echo(angle)}")
+            check_real(angle, "angles_deg must hold angles in [0, 360] degrees", ge=0, le=360)
         # count files name their angle in centidegrees, and stage_rng keys its stream by the
         # millidegree of the angle _simulate_cells derives, rad2deg(deg2rad(angle))
         if len({round(a * 100) for a in self.angles_deg}) < len(self.angles_deg):
@@ -132,7 +133,9 @@ class ExperimentPlan:
             if axis not in NAMED_AXES:
                 raise ValueError(f"unknown axis {echo(axis)}")
         check_acquisition(self.flux_hz, self.duration_s)
-        check_seed(self.seed)
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, not {echo(self.noise)}")
+        check_integer(self.seed, "seed must be a non-negative integer", 0)
 
     @property
     def cells(self) -> tuple[tuple[str, float], ...]:
@@ -162,8 +165,10 @@ def stage_rng(seed: int, axis: str, angle_deg: float, stage: str) -> np.random.G
     for name, value, names in (("axis", axis, NAMED_AXES), ("stage", stage, STAGES)):
         if value not in names:
             raise ValueError(f"unknown {name} {echo(value)}; expected one of {names}")
-    if type(angle_deg) is bool or not isinstance(angle_deg, numbers.Real) or not math.isfinite(angle_deg):
-        raise ValueError(f"angle_deg must be a finite number of degrees, not {echo(angle_deg)}")
+    check_integer(seed, "seed must be a non-negative integer", 0)
+    check_real(angle_deg, "angle_deg must be a finite number of degrees")
+    # numpy's SeedSequence takes no negative entropy word
+    check_real(angle_deg, "angle_deg must be a non-negative number of degrees", ge=0)
     entropy = [
         int(seed),
         NAMED_AXES.index(axis),
@@ -240,6 +245,7 @@ def run_three_stages(
     The three stage streams derive from (plan.seed, axis, angle, stage).
     No state is reconstructed here; see ``StageResult.rho``.
     """
+    check_real(theta, "theta must be a finite, non-negative number of radians", ge=0)
     return _simulate_cells([(axis, theta)], plan)[0]
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import echo, echo_path
+from .errors import check_real, echo, echo_path
 from .harness import EnvarianceReport
 from .measurement import CountRecord, tomography_projectors
 from .son import CorrelationSample, SonFitResult
@@ -136,8 +136,8 @@ def read_count_csv(path: Path) -> CountRecord:
             except ValueError:
                 raise ValueError(f"row {idx} duration_s {echo(duration_s)} is not a plain decimal number") from None
         duration = durations[0]
-        if not (math.isfinite(duration) and duration > 0):
-            raise ValueError(f"duration_s {duration!r} is not finite and positive")
+        # CountRecord's check, made before the rows are compared: nan differs from itself
+        check_real(duration, "duration_s must be finite and positive", gt=0)
         if any(d != duration for d in durations):
             raise ValueError("rows disagree on duration_s")
         total = sum(counts)  # exact, where the int64 sums downstream would wrap

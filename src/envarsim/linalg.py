@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_real
+
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
@@ -154,8 +156,7 @@ def werner(v: float) -> np.ndarray:
 
     Its fidelity with the singlet is (1+3v)/4 exactly.
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError("Werner parameter must lie in [0, 1]")
+    check_real(v, "Werner parameter v must lie in [0, 1]", ge=0, le=1)
     return v * projector(singlet()) + (1 - v) * np.eye(4, dtype=complex) / 4
 
 

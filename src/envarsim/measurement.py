@@ -15,18 +15,22 @@ its outcome probabilities the diagonal of ``apply_local`` of the two arms'
 analyzers, and each Poisson count drawn as a scalar. Each record draws from
 its own stream, so it does not depend on the rest of the stack;
 ``simulate_counts`` is the one-record call.
+Count records, acquisitions and noise models check their numbers by the two
+rules of ``errors``: ``check_real`` for a finite real number in a range, which
+takes no bool and no nan, and ``check_integer`` for an integer such as a seed.
+A count record's counts must be an integer array; floats, integral or not, are
+refused rather than truncated.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import echo
+from .errors import check_integer, check_real
 from .linalg import (
     KET_A,
     KET_D,
@@ -85,16 +89,9 @@ def check_acquisition(flux_hz: float, duration_s: float) -> None:
     """A ValueError unless flux_hz and duration_s are positive and give at most
     ``_MAX_PAIRS_PER_SETTING`` expected pairs per setting; nan and inf fail too."""
     for name, value in (("flux_hz", flux_hz), ("duration_s", duration_s)):
-        if type(value) is bool or not isinstance(value, numbers.Real) or not value > 0:
-            raise ValueError(f"flux_hz and duration_s must be positive numbers, not {name}={echo(value)}")
+        check_real(value, "flux_hz and duration_s must be positive numbers", gt=0, name=name)
     if not flux_hz * duration_s <= _MAX_PAIRS_PER_SETTING:
         raise ValueError(f"flux_hz * duration_s must not exceed {_MAX_PAIRS_PER_SETTING:.0e} pairs")
-
-
-def check_seed(seed) -> None:
-    """A ValueError unless ``seed`` is a non-negative Python or numpy integer, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, not {echo(seed)}")
 
 
 @dataclass(frozen=True)
@@ -194,11 +191,14 @@ class CountRecord:
     duration_s: float
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (36,):
-            raise ValueError("counts must have exactly 36 entries")
+        counts = np.asarray(self.counts)
+        # a float, string, bool or object array, or a Python int past uint64, holds no counts
+        if counts.shape != (36,) or counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be 36 integers, not an array of shape {counts.shape} and dtype {counts.dtype}")
+        counts = counts.astype(np.int64)  # an unsigned count past 2**63 - 1 turns negative
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
+        check_real(self.duration_s, "duration_s must be finite and positive", gt=0)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -231,12 +231,10 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not isinstance(self.poisson, (bool, np.bool_)):
             raise ValueError(f"poisson must be a bool, not {self.poisson!r}")
-        if not 0.0 <= self.werner_v <= 1.0:
-            raise ValueError("werner_v must lie in [0, 1]")
-        for sigma in (self.drift_sigma, self.waveplate_error_sigma):
-            if not 0 <= sigma <= 2 * np.pi:
-                raise ValueError("noise sigmas must lie in [0, 2 pi] rad")
-        check_seed(self.seed)
+        check_real(self.werner_v, "werner_v must lie in [0, 1]", ge=0, le=1)
+        for name in ("drift_sigma", "waveplate_error_sigma"):
+            check_real(getattr(self, name), "noise sigmas must lie in [0, 2 pi] rad", ge=0, le=2 * np.pi, name=name)
+        check_integer(self.seed, "seed must be a non-negative integer", 0)
 
     @property
     def draws(self) -> bool:

@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, echo
+from .errors import ConvergenceError, check_integer, check_real
 from .linalg import apply_local, su2_rotation
 from .measurement import CountRecord, tomography_projectors
 from .optics import STACK_ROTATION_SIGN, named_axis_vector
@@ -223,10 +222,8 @@ def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
     Inside it E is within 4e-9 of an adaptive-quadrature reference on a
     4097-node grid, and within 7e-13 for n in [0.2, 10].
     """
-    if type(n) is bool or not isinstance(n, numbers.Real) or not _N_RANGE[0] <= n <= _N_RANGE[1]:  # nan too
-        raise ValueError(f"the exponent n must be positive and in [{_N_RANGE[0]:g}, {_N_RANGE[1]:g}], not {echo(n)}")
-    if not isinstance(grid_size, numbers.Integral) or grid_size < 16:
-        raise ValueError(f"grid_size must be an integer of at least 16, not {echo(grid_size)}")
+    check_real(n, f"the exponent n must be positive and in [{_N_RANGE[0]:g}, {_N_RANGE[1]:g}]", ge=_N_RANGE[0], le=_N_RANGE[1])
+    check_integer(grid_size, "grid_size must be an integer of at least 16", 16)
     theta = np.linspace(0.0, np.pi / 2, grid_size)
     p, q, c = _son_moduli(theta, n)
     return CorrelationCurve(theta_grid=theta, values=p**n - q**n, n=float(n), p=p, q=q, c=c)
@@ -243,12 +240,9 @@ class CorrelationSample:
 
     def __post_init__(self) -> None:
         _combo_entry(self.combo)
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, not {echo(self.phi)}")
-        if not abs(self.value) <= 1.0:
-            raise ValueError(f"correlation value must lie in [-1, 1], not {echo(self.value)}")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, not {echo(self.sigma)}")
+        check_real(self.phi, "phi must be finite")
+        check_real(self.value, "correlation value must lie in [-1, 1]", ge=-1, le=1)
+        check_real(self.sigma, "sigma must be positive and finite", gt=0)
 
 
 def _combo_entry(combo: str) -> tuple[str, tuple[str, str], int]:

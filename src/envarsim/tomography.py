@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_integer, check_real
 from .linalg import trace_distance_below
 from .measurement import CountRecord, ProjectorSet
 
@@ -186,10 +187,8 @@ def mle_reconstruct_many(
     exact fixed point truncates small eigenvalues to zero and measurably
     degrades fidelity to the true state at realistic count levels.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, not {max_iter!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    check_integer(max_iter, "max_iter must be a positive integer", 1)
+    check_real(tol, "tol must be finite and positive", gt=0)
     if not records:
         return []
     # the projectors as (36, 32) floats: real and imaginary parts interleaved
