@@ -190,6 +190,8 @@ def cmd_simulate(config: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     plan = config.plan()
     results = {(*cell, result.stage): result for cell, stages in simulate_grid(plan).items() for result in stages}
+    # a run that fails past here leaves no earlier run's manifest beside its count files
+    (out / "manifest.json").unlink(missing_ok=True)
     for key, result in results.items():
         eio.write_count_csv(out / eio.count_file_name(*key), result.counts)
     true_states = {key: result.rho_true for key, result in results.items()}
@@ -314,7 +316,7 @@ def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
         raise MissingDataError(f"son-fit: {exc}") from exc
     at_edge = [combo for combo, edge in zip(result.per_combo, result.per_combo_at_edge) if edge]
     if at_edge:
-        print(f"son-fit: warning: best n at an end of the searched lattice for {at_edge}", file=sys.stderr)
+        print(f"son-fit: warning: n settled on a bound of its fit range for {at_edge}", file=sys.stderr)
     if "csv" in config.formats:
         eio.write_correlation_csv(out / "correlations.csv", samples)
         _write_fit_curves(out, result)

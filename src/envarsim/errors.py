@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the bounded echo of a value in an error line, and
-the two rules every numeric argument of the library is checked by: a finite real number in an
-interval, and an integer at or above a bound. Neither takes a bool, Python's or numpy's, for a number."""
+"""Exception types shared across the package, the bounded echo of a value in an error line, the
+two rules every numeric argument of the library is checked by: a finite real number in an
+interval, and an integer at or above a bound, neither of which takes a bool, Python's or numpy's,
+for a number; and the rule a plan, a noise model, a record or a projector set is checked by."""
 
 import math
 import numbers
@@ -60,6 +61,12 @@ def check_integer(value, message: str, ge: int) -> None:
     """A ValueError ``<message>, not <value>`` unless ``value`` is a Python or numpy integer, not a
     bool, of at least ``ge``."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= ge):
+        raise ValueError(f"{message}, not {echo(value)}")
+
+
+def check_instance(value, kind: type, message: str) -> None:
+    """A ValueError ``<message>, not <value>`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
         raise ValueError(f"{message}, not {echo(value)}")
 
 

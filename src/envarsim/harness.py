@@ -22,9 +22,10 @@ reproducible in any execution order. A noise model that draws nothing
 (``NoiseModel.draws`` false) gets no stream, so a noise-free run never
 loads ``numpy.random``; numpy 2 imports it on first use. The plan,
 ``stage_rng`` and ``run_three_stages`` check each numeric argument by
-``errors.check_real`` or ``errors.check_integer``, which name it in their
-ValueError; a stream is keyed by a non-negative angle only, so theta must not
-be negative.
+``errors.check_real`` or ``errors.check_integer``, and the plan's noise model
+and the plan given to ``simulate_grid`` or ``run_three_stages`` by
+``errors.check_instance``, which name it in their ValueError; a stream is
+keyed by a non-negative angle only, so theta must not be negative.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import check_integer, check_real, echo
+from .errors import check_instance, check_integer, check_real, echo
 from .linalg import apply_local, su2_rotation, validate_density_matrix, werner
 from .measurement import (
     DEFAULT_DRIFT_SIGMA,
@@ -119,6 +120,10 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must be a sequence of {items}, not {shown}")
         if not self.axes or not self.angles_deg:
             raise ValueError("axes and angles_deg must be non-empty")
+        # before the repeat test, which hashes each axis: a list-valued one is refused by name
+        for axis in self.axes:
+            if axis not in NAMED_AXES:
+                raise ValueError(f"unknown axis {echo(axis)}")
         if len(set(self.axes)) < len(self.axes):
             raise ValueError("axes must not repeat a value")
         for angle in self.angles_deg:
@@ -129,12 +134,8 @@ class ExperimentPlan:
             raise ValueError("angles_deg must be distinct at 0.01-degree resolution")
         if len({round(float(np.rad2deg(np.deg2rad(a))) * 1000) for a in self.angles_deg}) < len(self.angles_deg):
             raise ValueError("angles_deg must be distinct at 0.001-degree resolution, which keys each random stream")
-        for axis in self.axes:
-            if axis not in NAMED_AXES:
-                raise ValueError(f"unknown axis {echo(axis)}")
         check_acquisition(self.flux_hz, self.duration_s)
-        if not isinstance(self.noise, NoiseModel):
-            raise ValueError(f"noise must be a NoiseModel, not {echo(self.noise)}")
+        check_instance(self.noise, NoiseModel, "noise must be a NoiseModel")
         check_integer(self.seed, "seed must be a non-negative integer", 0)
 
     @property
@@ -246,6 +247,7 @@ def run_three_stages(
     No state is reconstructed here; see ``StageResult.rho``.
     """
     check_real(theta, "theta must be a finite, non-negative number of radians", ge=0)
+    check_instance(plan, ExperimentPlan, "plan must be an ExperimentPlan")
     return _simulate_cells([(axis, theta)], plan)[0]
 
 
@@ -255,6 +257,7 @@ def simulate_grid(plan: ExperimentPlan) -> dict[tuple[str, float], tuple[StageRe
     Each cell equals ``run_three_stages(axis, np.deg2rad(angle_deg), plan)``
     bit for bit; the records of the whole grid are drawn in one batch.
     """
+    check_instance(plan, ExperimentPlan, "plan must be an ExperimentPlan")
     return dict(zip(plan.cells, _simulate_cells([(axis, np.deg2rad(a)) for axis, a in plan.cells], plan)))
 
 

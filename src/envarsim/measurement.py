@@ -17,7 +17,8 @@ its own stream, so it does not depend on the rest of the stack;
 ``simulate_counts`` is the one-record call.
 Count records, acquisitions and noise models check their numbers by the two
 rules of ``errors``: ``check_real`` for a finite real number in a range, which
-takes no bool and no nan, and ``check_integer`` for an integer such as a seed.
+takes no bool and no nan, and ``check_integer`` for an integer such as a seed;
+``simulate_counts_many`` checks its noise model by ``check_instance``.
 A count record's counts must be an integer array; floats, integral or not, are
 refused rather than truncated.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integer, check_real
+from .errors import check_instance, check_integer, check_real
 from .linalg import (
     KET_A,
     KET_D,
@@ -266,6 +267,7 @@ def simulate_counts_many(
     draws; a model without them reads no stream, so its streams may be None.
     """
     check_acquisition(flux_hz, duration_s)
+    check_instance(noise, NoiseModel, "noise must be a NoiseModel")
     if len(rngs) != len(rhos):
         raise ValueError("need one random stream per density matrix")
     if (noise.poisson or noise.waveplate_error_sigma > 0) and any(rng is None for rng in rngs):

@@ -58,7 +58,7 @@ def named_axis_vector(tag: str) -> np.ndarray:
     """Unit vector for an axis tag in {x, y, z, m}; m = (x+y+z)/sqrt(3)."""
     try:
         return _AXIS_VECTORS[tag]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError for an unhashable tag, a list say
         raise ValueError(f"unknown axis tag {tag!r}; expected one of {NAMED_AXES}") from None
 
 

@@ -29,8 +29,9 @@ sample and ``son_fit`` estimates n from several such data sets, using the
 near-ideal model E(phi,n,rho) ~ E(phi,n,singlet) + E(phi,2,rho) - E(phi,2,singlet),
 valid for states close to the singlet and n close to 2. The state enters
 only through E(phi,2,rho) = A cos(2*phi) + B sin(2*phi) with A^2 + B^2 <= 1,
-so each candidate n costs one weighted 2x2 least-squares solve on a disk,
-and one inversion per lattice stage serves every combo that profiles it.
+so for a given n the state is one weighted 2x2 least-squares solve on a disk,
+and n takes a few Gauss-Newton steps on what it leaves (variable projection,
+Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).
 """
 
 from __future__ import annotations
@@ -294,8 +295,8 @@ def correlation_operator(combo: str, phi: float) -> np.ndarray:
 class SonFitResult:
     """Fitted exponent; ``state_ab`` holds each combo's fitted (A, B) with
     E(phi, 2, rho) = A cos(2 phi) + B sin(2 phi). ``per_combo_at_edge`` says
-    whether a combo's best n was an end point of some stage's lattice, where
-    the profile may still fall beyond the searched range."""
+    whether a combo's n settled on a bound of [1, 3], past which the profile
+    may still fall."""
 
     n: float
     n_uncertainty: float
@@ -310,8 +311,8 @@ class SonFitResult:
             raise ValueError("objective must be non-negative")
 
 
-# Exponent lattice of the fit, (half width, step) per refinement stage
-_N_STAGES = ((0.5, 0.05), (0.05, 0.005), (0.005, 5e-4))
+# the exponent fit's range of n, half step of dS/dn, settling step and step limit
+_N_BOUNDS, _N_DIFF, _N_TOL, _N_MAX_STEPS = (1.0, 3.0), 1e-4, 1e-9, 50
 
 
 def _n_shift(n, phis: np.ndarray) -> np.ndarray:
@@ -387,11 +388,6 @@ def _state_fit(phis: np.ndarray, values: np.ndarray, weights: np.ndarray):
     return fit
 
 
-def _n_lattice(center: float, half_width: float, step: float) -> np.ndarray:
-    lo, hi = max(1.0, center - half_width), min(3.0, center + half_width)
-    return np.array([k * step for k in range(int(round(lo / step)), int(round(hi / step)) + 1)])
-
-
 def n_sensitive(phis) -> np.ndarray:
     """Which rotation angles phi carry information about the exponent n.
 
@@ -418,15 +414,15 @@ def fit_obstacle(phis_by_combo) -> str | None:
 def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     """Weighted fit of the Born-rule exponent n to correlation samples.
 
-    Samples are grouped by combo and each combo is fitted independently:
-    the exponent is profiled over a lattice refined down to 5e-4 around the
-    best coarse value, and for every candidate n the state enters through the
-    closed-form disk least squares of ``_state_fit``. The combos are evaluated
-    together, one lattice stage at a time, with one stacked ``_n_shift`` for
-    the stage's exponents; each combo gets the bits it gets alone. The
-    reported n is the mean of the per-combo estimates and its uncertainty
-    their sample standard deviation. The model linearization holds for states
-    near the singlet and n near 2, so the coarse search spans [1.5, 2.5].
+    Each combo is fitted alone: (A, B) by ``_state_fit`` at n, and n by
+    Gauss-Newton steps -sum(w J r) / sum(w J^2) from 2, clamped to [1, 3],
+    with J the central difference over n -+ 1e-4 of the residual r of that
+    fit, which is dS/dn projected off the (A, B) columns. A combo stops once
+    a step would move n by at most 1e-9; ConvergenceError after 50 steps.
+    Each step inverts the moving combos' exponents in one ``_n_shift``, and
+    each combo gets the bits it gets alone. The reported n is the mean of the
+    per-combo estimates and its uncertainty their sample standard deviation.
+    The model linearization holds for states near the singlet and n near 2.
     Samples that ``fit_obstacle`` rejects raise ValueError.
     """
     by_combo = {combo: sorted((s for s in samples if s.combo == combo), key=lambda s: s.phi) for combo in COMBOS}
@@ -441,30 +437,33 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
     all_phis, ends = np.concatenate(phis), np.cumsum([len(p) for p in phis])
     spans = [slice(end - len(p), end) for end, p in zip(ends, phis)]
     state_fits = [_state_fit(p, v, w) for p, v, w in zip(phis, values, weights)]
-    best_n, at_edge = [2.0] * len(phis), [False] * len(phis)
-    for half_width, step in _N_STAGES:
-        lattices = [_n_lattice(center, half_width, step) for center in best_n]
-        # every exponent of the stage in one inversion call
-        union = sorted(set().union(*lattices))
-        shifts = dict(zip(union, _n_shift(np.array(union), all_phis)))
-        fits = []
-        for i, lattice in enumerate(lattices):
-            # nearest the center first, so an exact tie keeps the closer n
-            nearest_first = sorted(lattice, key=lambda n: abs(n - best_n[i]))
-            combo_fits = {n: state_fits[i](shifts[n][spans[i]]) for n in nearest_first}
-            best_n[i] = min(combo_fits, key=lambda n: combo_fits[n][0])
-            at_edge[i] = at_edge[i] or best_n[i] in (lattice[0], lattice[-1])
-            fits.append(combo_fits[best_n[i]])
+    n, fits, active = [2.0] * len(phis), [None] * len(phis), list(range(len(phis)))
+    for _ in range(_N_MAX_STEPS):
+        moved = list(n)
+        # every moving combo's n and n -+ h in one inversion
+        for i, rows in zip(active, _n_shift(np.array([(n[i], n[i] - _N_DIFF, n[i] + _N_DIFF) for i in active]), all_phis)):
+            fitted = [(state_fits[i](shift), shift) for shift in rows[:, spans[i]]]
+            cos, sin, fits[i] = np.cos(2 * phis[i]), np.sin(2 * phis[i]), fitted[0][0]
+            # the residuals of the (A, B) fits: their slope in n is dS/dn projected off the (A, B) columns
+            residual, lower, upper = (a * cos + b * sin + shift - values[i] for (_, (a, b)), shift in fitted)
+            slope = (upper - lower) / (2 * _N_DIFF)
+            moved[i] = min(max(float(n[i] - weights[i] @ (slope * residual) / (weights[i] @ slope**2)), _N_BOUNDS[0]), _N_BOUNDS[1])
+        # a settled combo keeps the n it was fitted at
+        active = [i for i in active if abs(moved[i] - n[i]) > _N_TOL]
+        n = [moved[i] if i in active else x for i, x in enumerate(n)]
+        if not active:
+            break
+    else:
+        raise ConvergenceError(f"the exponent of combos {[list(groups)[i] for i in active]} still moves after {_N_MAX_STEPS} steps")
 
-    n_arr = np.array(best_n)
     return SonFitResult(
-        n=float(n_arr.mean()),
-        n_uncertainty=float(n_arr.std(ddof=1)) if len(n_arr) > 1 else 0.0,
-        per_combo_n=tuple(float(n) for n in best_n),
+        n=float(np.mean(n)),
+        n_uncertainty=float(np.std(n, ddof=1)) if len(n) > 1 else 0.0,
+        per_combo_n=tuple(n),
         per_combo=tuple(groups),
         state_ab={combo: (float(ab[0]), float(ab[1])) for combo, (_, ab) in zip(groups, fits)},
         objective=sum(objective for objective, _ in fits),
-        per_combo_at_edge=tuple(at_edge),
+        per_combo_at_edge=tuple(x in _N_BOUNDS for x in n),
     )
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_integer, check_real
+from .errors import check_instance, check_integer, check_real
 from .linalg import trace_distance_below
 from .measurement import CountRecord, ProjectorSet
 
@@ -189,6 +189,9 @@ def mle_reconstruct_many(
     """
     check_integer(max_iter, "max_iter must be a positive integer", 1)
     check_real(tol, "tol must be finite and positive", gt=0)
+    check_instance(projectors, ProjectorSet, "projectors must be a ProjectorSet")
+    for record in records:
+        check_instance(record, CountRecord, "records must hold CountRecords")
     if not records:
         return []
     # the projectors as (36, 32) floats: real and imaginary parts interleaved

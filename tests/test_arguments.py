@@ -164,6 +164,38 @@ def test_each_root_name_returns_or_refuses_a_bad_argument_by_name(data, root):
         assert not bad, f"{root} took the invalid {sorted(bad)}"
 
 
+_PLAN = harness.ExperimentPlan(axes=("x",), angles_deg=(30.0,), flux_hz=100.0, duration_s=0.5)
+_PLANS_OF_WRONG_TYPE = st.sampled_from([None, NoiseModel.noiseless(), "plan"])
+_NOISES_OF_WRONG_TYPE = st.sampled_from([None, _PLAN])
+# root name -> {non-numeric argument: its invalid values}; each name's text pattern and every
+# valid value come from ROOT_NAMES
+WRONG_TYPES = {
+    "ExperimentPlan": {"axes": st.sampled_from([(["x"],), ("x", ["y"]), [["z"]]]), "noise": _NOISES_OF_WRONG_TYPE},
+    "run_experiment": {"plan": _PLANS_OF_WRONG_TYPE},
+    "run_three_stages": {"axis": st.sampled_from([["x"], ("z",)]), "plan": _PLANS_OF_WRONG_TYPE},
+    "simulate_grid": {"plan": _PLANS_OF_WRONG_TYPE},
+    "simulate_counts_many": {"noise": _NOISES_OF_WRONG_TYPE},
+    "mle_reconstruct_many": {
+        "records": st.sampled_from([[None], [_PLAN], [CountRecord(counts=np.full(36, 10), duration_s=1.0), "record"]]),
+        "projectors": st.sampled_from([None, _PLAN]),
+    },
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), root=st.sampled_from(sorted(WRONG_TYPES)))
+def test_each_root_name_refuses_a_non_numeric_argument_of_the_wrong_type_by_name(data, root):
+    func, spec = ROOT_NAMES[root]
+    bad = data.draw(st.sets(st.sampled_from(sorted(WRONG_TYPES[root])), min_size=1, max_size=2), label="bad")
+    kwargs = {name: data.draw(WRONG_TYPES[root][name] if name in bad else valid, label=name) for name, (valid, _, _) in spec.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as exc:
+            func(**kwargs)
+    names = [spec[name][2] for name in bad]
+    assert any(re.search(text, str(exc.value)) for text in names), f"{root}: {exc.value!s} names none of {sorted(bad)}"
+
+
 # --- the two rules --------------------------------------------------------------------------
 
 
@@ -207,6 +239,34 @@ def test_plan_refuses_angles_given_as_an_array_by_name():
         harness.ExperimentPlan(angles_deg=np.array([0.0, 30.0]))
     with pytest.raises(ValueError, match="^axes must be a sequence of axis names, not array"):
         harness.ExperimentPlan(axes=np.array(["x", "y"]))
+
+
+@pytest.mark.parametrize("axes", [(["x"],), ("x", ["y"])])
+def test_plan_refuses_list_valued_axes_by_name(axes):
+    # the repeat test hashed each axis first: TypeError: unhashable type: 'list'
+    with pytest.raises(ValueError, match="^" + re.escape(f"unknown axis {axes[-1]!r}")):
+        harness.ExperimentPlan(axes=axes)
+
+
+@pytest.mark.parametrize("plan", [None, NoiseModel.noiseless()], ids=["None", "noise-model"])
+def test_run_experiment_refuses_a_plan_that_is_not_a_plan_by_name(plan):
+    # AttributeError: 'NoneType' object has no attribute 'cells'
+    with pytest.raises(ValueError, match="^plan must be an ExperimentPlan, not "):
+        envarsim.run_experiment(plan)
+
+
+@pytest.mark.parametrize("noise", [None, harness.ExperimentPlan()], ids=["None", "plan"])
+def test_simulate_counts_many_refuses_a_noise_that_is_not_a_noise_model_by_name(noise):
+    # AttributeError: 'NoneType' object has no attribute 'poisson'
+    with pytest.raises(ValueError, match="^noise must be a NoiseModel, not "):
+        envarsim.simulate_counts_many([werner(0.9)], 100.0, 1.0, noise, [None])
+
+
+@pytest.mark.parametrize("records", [[None], [harness.ExperimentPlan()]], ids=["None", "plan"])
+def test_mle_refuses_records_that_are_not_count_records_by_name(records):
+    # AttributeError: 'NoneType' object has no attribute 'counts'
+    with pytest.raises(ValueError, match="^records must hold CountRecords, not "):
+        envarsim.mle_reconstruct_many(records, tomography_projectors())
 
 
 @pytest.mark.parametrize("noise", [None, "calibrated"])

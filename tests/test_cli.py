@@ -159,6 +159,28 @@ class TestSimulate:
         b = read_count_csv(tmp_path / "hi" / "counts_x_00000_I.csv")
         assert b.total() / a.total() == pytest.approx(1e6 / 5400, rel=1e-3)
 
+    def test_a_failed_rerun_leaves_no_manifest_for_analyze_to_read(self, tmp_path, monkeypatch, capsys):
+        # the second run's count files are written, its manifest is not: the first run's
+        # manifest would describe the second run's counts
+        cfg = _write_config(tmp_path / "c.json")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        original = eio.write_json
+
+        def failing(path, data):
+            if Path(path).name == "manifest.json":
+                raise OSError("forced for test")
+            return original(path, data)
+
+        monkeypatch.setattr(eio, "write_json", failing)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 2
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: missing manifest") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_seed_override_changes_counts(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json", poisson=True, werner_v=0.9)
         main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s1"), "--seed", "1"])
@@ -259,8 +281,8 @@ class TestSonFitCommand:
         row90 = [r for r in curve if r.startswith("90.0,")][0]
         assert float(row90.split(",")[1]) == pytest.approx(1.0, abs=0.05)
 
-    def test_best_n_at_a_lattice_end_warns_once(self, tmp_path, capsys):
-        # E = +1 at every angle of Z-DA: the fit ends on its lattice's edge
+    def test_best_n_at_a_bound_warns_once(self, tmp_path, capsys):
+        # E = +1 at every angle of Z-DA: the fit settles on the upper bound of n
         cfg = _write_config(tmp_path / "c.json", axes=["z"], angles_deg=[float(a) for a in range(0, 361, 30)])
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -275,11 +297,11 @@ class TestSonFitCommand:
         assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("son-fit: n = ") and captured.out.count("\n") == 1
-        warnings = [line for line in captured.err.splitlines() if "lattice" in line]
-        assert warnings == ["son-fit: warning: best n at an end of the searched lattice for ['Z-DA']"]
+        warnings = [line for line in captured.err.splitlines() if "bound" in line]
+        assert warnings == ["son-fit: warning: n settled on a bound of its fit range for ['Z-DA']"]
         result = read_json(out / "son_fit.json")
         assert sorted(result) == ["n", "n_uncertainty", "objective", "per_combo", "per_combo_n"]
-        assert result["per_combo_n"][0] == pytest.approx(2.555, abs=1e-12)
+        assert result["per_combo_n"][0] == 3.0
 
     def test_without_simulation_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from envarsim import linalg, son
+from envarsim.errors import ConvergenceError
+from envarsim.harness import ExperimentPlan, calibrated_noise, simulate_grid
 from envarsim.measurement import CountRecord, NoiseModel, simulate_counts, tomography_projectors
 from envarsim.optics import STACK_ROTATION_SIGN, named_axis_vector
 from envarsim.son import (
@@ -41,6 +43,17 @@ PHI_GRID = np.deg2rad(np.arange(0, 181, 15))
 BOUNDARY_CASES = [pytest.param(n, 257, id=str(n)) for n in (1.0, 1.5, 2.0, 5.0, 10.0)] + [
     pytest.param(n, 721, id=f"{n}-721") for n in (0.8, 1.01, 1.2)
 ]
+
+
+def _calibrated_samples(seed):
+    """The stage-II correlation samples of the default grid under calibrated noise, as son-fit reads them."""
+    plan = ExperimentPlan(noise=calibrated_noise(seed), seed=seed)
+    grid = simulate_grid(plan)
+    return [
+        extract_correlation(grid[combo_axis_and_basis(combo)[0], angle][1].counts, combo, float(np.deg2rad(angle) / 2))
+        for combo in COMBOS
+        for angle in plan.angles_deg
+    ]
 
 
 def _stage2_counts(combo, phi, base, noise, rng):
@@ -449,21 +462,19 @@ class TestSonFit:
         for combo, row in zip(result.per_combo, curves):
             np.testing.assert_array_equal(row, fitted_correlation(result, combo, phis))
 
-    def test_each_exponent_is_inverted_once_per_stage(self, monkeypatch):
-        # six combos on one angle grid with one best n: 21 exponents a stage
-        exponents = []
+    def test_each_step_inverts_every_moving_exponent_once(self, monkeypatch):
+        # one inversion a step, of n, n - h and n + h for each combo still moving; a combo
+        # leaves the stack at an n it was fitted at, once its next step would move it by 1e-9 or less
+        calls = []
         original = son._son_moduli
-        monkeypatch.setattr(
-            son, "_son_moduli", lambda theta, n: exponents.extend(np.atleast_1d(n).tolist()) or original(theta, n)
-        )
-        samples = [
-            CorrelationSample(combo=combo, phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
-            for combo in COMBOS
-            for phi in PHI_GRID
-        ]
-        son_fit(samples)
-        assert len(exponents) == 3 * 21
-        assert all(len(set(exponents[k : k + 21])) == 21 for k in (0, 21, 42))
+        monkeypatch.setattr(son, "_son_moduli", lambda theta, n: calls.append(np.array(n)) or original(theta, n))
+        samples = _calibrated_samples(3)
+        result = son_fit(samples)
+        moving = [len(n) for n in calls]
+        assert moving[0] == 6 and moving == sorted(moving, reverse=True) and 1 < len(calls) <= 15
+        for n in calls:
+            np.testing.assert_array_equal(n[:, 1:], n[:, :1] + [-1e-4, 1e-4])
+        assert set(result.per_combo_n) <= {centre for n in calls for centre in n[:, 0]}
 
     def test_each_combo_disk_fit_is_set_up_once(self, monkeypatch):
         # M = x^T W x does not depend on n: one eigensystem per combo, not one per candidate n
@@ -478,9 +489,9 @@ class TestSonFit:
         son_fit(samples)
         assert len(calls) == 6
 
-    def test_best_n_at_a_lattice_end_is_flagged(self):
-        # no state gives E = +1 at every angle: the profile falls past the
-        # coarse stage's edge at 2.5 and every stage ends on its last node
+    def test_best_n_at_a_bound_is_flagged(self):
+        # no state gives E = +1 at every angle: the profile falls past
+        # the upper bound 3, where the fit stops
         probe = [CorrelationSample(combo="Z-DA", phi=float(phi), value=1.0, sigma=0.01) for phi in PHI_GRID]
         singlet = [
             CorrelationSample(combo="X-HV", phi=float(phi), value=float(-np.cos(2 * phi)), sigma=0.01)
@@ -488,8 +499,35 @@ class TestSonFit:
         ]
         result = son_fit(probe + singlet)
         assert result.per_combo == ("Z-DA", "X-HV")
-        assert result.per_combo_n[0] == pytest.approx(2.555, abs=1e-12)
+        assert result.per_combo_n == (3.0, 2.0)
         assert result.per_combo_at_edge == (True, False)
+
+    def test_best_n_at_the_lower_bound_is_flagged(self):
+        # E = -1 at every angle: the profile falls past the lower bound 1
+        probe = [CorrelationSample(combo="Y-HV", phi=float(phi), value=-1.0, sigma=0.01) for phi in PHI_GRID]
+        result = son_fit(probe)
+        assert result.per_combo_n == (1.0,)
+        assert result.per_combo_at_edge == (True,)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_n_is_the_minimum_of_its_profile(self, seed):
+        # the profile objective f(n) = min over (A, B), minimized by a bracketing oracle
+        samples = _calibrated_samples(seed)
+        result = son_fit(samples)
+        for combo, n in zip(result.per_combo, result.per_combo_n):
+            group = sorted((s for s in samples if s.combo == combo), key=lambda s: s.phi)
+            phis = np.array([s.phi for s in group])
+            fit = _state_fit(phis, np.array([s.value for s in group]), np.array([1 / s.sigma**2 for s in group]))
+            oracle = minimize_scalar(
+                lambda x: fit(_n_shift(x, phis))[0], bounds=(1, 3), method="bounded", options={"xatol": 1e-10}
+            )
+            assert n == pytest.approx(oracle.x, abs=1e-7)
+
+    def test_a_combo_still_moving_after_the_step_limit_raises(self, monkeypatch):
+        # seed 3 takes more than two steps on every combo
+        monkeypatch.setattr(son, "_N_MAX_STEPS", 2)
+        with pytest.raises(ConvergenceError, match=r"^the exponent of combos \['Z-DA', .*'X-HV'\] still moves"):
+            son_fit(_calibrated_samples(3))
 
     def test_too_few_samples_rejected(self):
         samples = [
