@@ -64,8 +64,8 @@ def check_integer(value, message: str, ge: int) -> None:
         raise ValueError(f"{message}, not {echo(value)}")
 
 
-def check_instance(value, kind: type, message: str) -> None:
-    """A ValueError ``<message>, not <value>`` unless ``value`` is a ``kind``."""
+def check_instance(value, kind: type | tuple[type, ...], message: str) -> None:
+    """A ValueError ``<message>, not <value>`` unless ``value`` is a ``kind``, or one of a tuple of kinds."""
     if not isinstance(value, kind):
         raise ValueError(f"{message}, not {echo(value)}")
 

@@ -11,10 +11,14 @@ is streamed, not held as one string. ``write_json`` refuses NaN and +-inf;
 
 Each reader is its writer's inverse. ``read_count_csv`` splits lines on
 ``\n`` and fields on ``,``, as ``_write_csv`` joins them: no quoting and
-no ``\r``. ``read_json`` refuses an object that repeats a key, which the
-decoder would otherwise collapse to its last value, and reports an integer
-of more digits than the interpreter converts as an ``OverflowError`` that
-counts them, not as a decode error.
+no ``\r``. It checks only the text: the header, 36 rows with their labels in
+canonical order, each count as decimal digits within int64 and each duration
+as a plain decimal. ``CountRecord``, built from row 0's duration, checks the
+counts' total and that duration before the rows' durations are compared.
+``read_json`` refuses an object that repeats a key, which the decoder would
+otherwise collapse to its last value, and reports an integer of more digits
+than the interpreter converts as an ``OverflowError`` that counts them, not
+as a decode error.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_real, echo, echo_path
+from .errors import echo, echo_path
 from .harness import EnvarianceReport
-from .measurement import CountRecord, tomography_projectors
+from .measurement import INT64_MAX, CountRecord, tomography_projectors
 from .son import CorrelationSample, SonFitResult
 
 __all__ = [
@@ -53,8 +57,6 @@ __all__ = [
 ]
 
 COUNT_CSV_HEADER = ("setting_label", "outcome_label", "counts", "duration_s")
-
-INT64_MAX = 2**63 - 1
 
 
 def is_decimal(text: str) -> bool:
@@ -100,8 +102,9 @@ def write_count_csv(path: Path, record: CountRecord) -> None:
 
 
 def read_count_csv(path: Path) -> CountRecord:
-    """Parse one count file as ``_write_csv`` writes it; malformed content raises ValueError naming the file
-    and showing at most ``ECHO`` characters of a field."""
+    """Parse one count file as ``_write_csv`` writes it; malformed content, or counts or a duration
+    ``CountRecord`` refuses, raises ValueError naming the file and showing at most ``ECHO`` characters
+    of a field."""
     labels = tomography_projectors().flat_labels
     counts = []
     durations = []
@@ -135,15 +138,12 @@ def read_count_csv(path: Path) -> CountRecord:
                 durations.append(float(duration_s))
             except ValueError:
                 raise ValueError(f"row {idx} duration_s {echo(duration_s)} is not a plain decimal number") from None
-        duration = durations[0]
-        # CountRecord's check, made before the rows are compared: nan differs from itself
-        check_real(duration, "duration_s must be finite and positive", gt=0)
-        if any(d != duration for d in durations):
+        # the record checks the total and row 0's duration before the rows are compared:
+        # nan differs from itself
+        record = CountRecord(counts=counts, duration_s=durations[0])
+        if any(d != record.duration_s for d in durations):
             raise ValueError("rows disagree on duration_s")
-        total = sum(counts)  # exact, where the int64 sums downstream would wrap
-        if total > INT64_MAX:
-            raise ValueError(f"counts total {total} exceeds 2**63 - 1")
-        return CountRecord(counts=counts, duration_s=duration)
+        return record
     except ValueError as exc:
         raise ValueError(f"{echo_path(path)}: {exc}") from exc
 

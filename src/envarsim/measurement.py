@@ -15,12 +15,17 @@ its outcome probabilities the diagonal of ``apply_local`` of the two arms'
 analyzers, and each Poisson count drawn as a scalar. Each record draws from
 its own stream, so it does not depend on the rest of the stack;
 ``simulate_counts`` is the one-record call.
-Count records, acquisitions and noise models check their numbers by the two
-rules of ``errors``: ``check_real`` for a finite real number in a range, which
-takes no bool and no nan, and ``check_integer`` for an integer such as a seed;
-``simulate_counts_many`` checks its noise model by ``check_instance``.
-A count record's counts must be an integer array; floats, integral or not, are
-refused rather than truncated.
+Each input value type owns its field rules and checks them through the
+shared rules of ``errors``: ``check_real`` for a finite real number in a range,
+which takes no bool and no nan, ``check_integer`` for an integer such as a seed,
+and ``check_instance`` for a type, such as a noise model's ``poisson`` bool.
+A count record's counts must be an integer array of 36 counts in int64 whose
+exact total is at most ``INT64_MAX``, so ``total()`` cannot wrap; floats,
+integral or not, are refused rather than truncated. The count-file reader
+leaves these rules to the record. ``simulate_counts_many`` checks its noise
+model by type, takes ``rhos`` as a sequence or an array and ``rngs`` as a
+sequence of generators or None, and tests a stream's type only when it is not
+None, so a noise-free run never loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -184,6 +189,10 @@ def born_probabilities(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
     return np.clip(probs.real, 0.0, 1.0)
 
 
+# the largest count, and count total, a record holds: the int64 range
+INT64_MAX = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Coincidence counts over the 36 projectors, index-aligned with ProjectorSet."""
@@ -199,6 +208,8 @@ class CountRecord:
         counts = counts.astype(np.int64)  # an unsigned count past 2**63 - 1 turns negative
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
+        if (total := sum(counts.tolist())) > INT64_MAX:  # summed exactly: numpy's int64 sum wraps
+            raise ValueError(f"counts total {total} exceeds 2**63 - 1")
         check_real(self.duration_s, "duration_s must be finite and positive", gt=0)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
@@ -230,8 +241,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.poisson, (bool, np.bool_)):
-            raise ValueError(f"poisson must be a bool, not {self.poisson!r}")
+        check_instance(self.poisson, (bool, np.bool_), "poisson must be a bool")
         check_real(self.werner_v, "werner_v must lie in [0, 1]", ge=0, le=1)
         for name in ("drift_sigma", "waveplate_error_sigma"):
             check_real(getattr(self, name), "noise sigmas must lie in [0, 2 pi] rad", ge=0, le=2 * np.pi, name=name)
@@ -268,6 +278,11 @@ def simulate_counts_many(
     """
     check_acquisition(flux_hz, duration_s)
     check_instance(noise, NoiseModel, "noise must be a NoiseModel")
+    check_instance(rhos, (Sequence, np.ndarray), "rhos must be a sequence or an array")
+    streams = "rngs must be a sequence whose entries are each a numpy.random.Generator or None"
+    check_instance(rngs, Sequence, streams)
+    for rng in (rng for rng in rngs if rng is not None):  # so a noise-free run never loads numpy.random
+        check_instance(rng, np.random.Generator, streams)
     if len(rngs) != len(rhos):
         raise ValueError("need one random stream per density matrix")
     if (noise.poisson or noise.waveplate_error_sigma > 0) and any(rng is None for rng in rngs):

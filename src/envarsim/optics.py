@@ -17,6 +17,9 @@ unitary (the m axis among them). The settings of ``rotation_setting`` realize
 with one uniform sign for all axes and angles (asserted by the test suite).
 ``qwp``, ``hwp`` and ``stack`` broadcast over arrays of angles, so a grid's
 perturbed stacks are built in one call, each equal to its one-plate call.
+A ``WavePlateSetting`` checks each angle by the shared real-number rule of
+``errors``, so a bool, a string, None or an integer past the float range is
+refused by name.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_real
 from .linalg import axis_vector, validate_unitary
 
 __all__ = [
@@ -78,8 +82,7 @@ class WavePlateSetting:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+            check_real(value, f"{name} must be a finite number of radians")
             object.__setattr__(self, name, float(value) % np.pi)
 
 

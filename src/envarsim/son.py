@@ -56,7 +56,6 @@ __all__ = [
     "phi_to_theta",
     "extract_correlation",
     "correlation_operator",
-    "n_sensitive",
     "fit_obstacle",
     "son_fit",
     "fitted_correlation",
@@ -388,17 +387,6 @@ def _state_fit(phis: np.ndarray, values: np.ndarray, weights: np.ndarray):
     return fit
 
 
-def n_sensitive(phis) -> np.ndarray:
-    """Which rotation angles phi carry information about the exponent n.
-
-    At a multiple of pi/4, phi_to_theta gives theta in {0, pi/4, pi/2},
-    where p = 1, p = q or q = 1 and every E(theta, n) is -1, 0 or +1
-    whatever n; only angles off that lattice can tell exponents apart.
-    """
-    quarter_turns = 4 * np.asarray(phis, dtype=float) / np.pi
-    return np.abs(quarter_turns - np.round(quarter_turns)) > 1e-9
-
-
 def fit_obstacle(phis_by_combo) -> str | None:
     """Why these angles phi per combo cannot fix the exponent n, or None when they can."""
     if not phis_by_combo:
@@ -406,7 +394,10 @@ def fit_obstacle(phis_by_combo) -> str | None:
     for combo, phis in phis_by_combo.items():
         if len(phis) < 5:
             return f"combo {combo} needs at least 5 rotation angles, not {len(phis)}"
-        if not n_sensitive(phis).any():
+        # at a multiple of pi/4, phi_to_theta gives theta in {0, pi/4, pi/2}, where p = 1, p = q
+        # or q = 1 and every E(theta, n) is -1, 0 or +1 whatever n: only angles off it tell n apart
+        quarter_turns = 4 * np.asarray(phis, dtype=float) / np.pi
+        if not np.any(np.abs(quarter_turns - np.round(quarter_turns)) > 1e-9):
             return f"combo {combo} has no angle phi off a multiple of 45 degrees, where E is the same for every n"
     return None
 

@@ -190,6 +190,7 @@ def mle_reconstruct_many(
     check_integer(max_iter, "max_iter must be a positive integer", 1)
     check_real(tol, "tol must be finite and positive", gt=0)
     check_instance(projectors, ProjectorSet, "projectors must be a ProjectorSet")
+    check_instance(records, Sequence, "records must be a sequence")
     for record in records:
         check_instance(record, CountRecord, "records must hold CountRecords")
     if not records:

@@ -21,9 +21,10 @@ from hypothesis.extra.numpy import arrays
 
 import envarsim
 from envarsim import harness, io as eio
-from envarsim.errors import check_integer, check_real
+from envarsim.errors import check_integer, check_real, echo
 from envarsim.linalg import werner
 from envarsim.measurement import CountRecord, NoiseModel, tomography_projectors
+from envarsim.optics import WavePlateSetting
 from envarsim.son import CorrelationSample
 
 # values no numeric argument takes: bools, text, None, nan and arrays
@@ -339,6 +340,50 @@ def test_stage_rng_refuses_a_negative_angle_by_name():
         harness.stage_rng(0, "x", -1.0, "I")
 
 
+_STREAMS = "rngs must be a sequence whose entries are each a numpy.random.Generator or None"
+
+
+@pytest.mark.parametrize(
+    "rhos, rngs, noise, message",
+    [
+        # each raised TypeError: object of type 'NoneType' has no len()
+        (None, [None], NoiseModel.noiseless(), "rhos must be a sequence or an array, not None"),
+        ([werner(0.9)], None, NoiseModel.noiseless(), f"{_STREAMS}, not None"),
+        # AttributeError: 'int' object has no attribute 'normal'
+        ([werner(0.9)], [1], harness.calibrated_noise(), f"{_STREAMS}, not 1"),
+    ],
+    ids=["rhos-None", "rngs-None", "rngs-int"],
+)
+def test_simulate_counts_many_refuses_arguments_that_are_not_sequences_by_name(rhos, rngs, noise, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        envarsim.simulate_counts_many(rhos, 100.0, 1.0, noise, rngs)
+
+
+def test_mle_refuses_records_that_are_not_a_sequence_by_name():
+    record = CountRecord(counts=np.full(36, 10), duration_s=1.0)
+    # None raised a TypeError; a generator was consumed by the type checks and returned []
+    for records in (None, (record for _ in range(2))):
+        with pytest.raises(ValueError, match="^records must be a sequence, not "):
+            envarsim.mle_reconstruct_many(records, tomography_projectors())
+
+
+@pytest.mark.parametrize("angle", [True, "x", None, 10**400], ids=["True", "str", "None", "10**400"])
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_wave_plate_setting_refuses_an_angle_that_is_no_finite_number_by_name(name, angle):
+    # True was taken as 1.0 rad; "x", None and 10**400 raised numpy's TypeError
+    angles = {"alpha": 0.1, "beta": 0.2, "gamma": 0.3, name: angle}
+    message = f"{name} must be a finite number of radians, not {echo(angle)}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        WavePlateSetting(**angles)
+
+
+def test_noise_model_echoes_a_long_poisson_flag_shortened():
+    poisson = "y" * 100
+    with pytest.raises(ValueError, match="^" + re.escape(f"poisson must be a bool, not {echo(poisson)}") + "$"):
+        NoiseModel(poisson=poisson)
+    assert echo(poisson) == f"'{'y' * 40}'… (100 characters)"
+
+
 # --- CountRecord -----------------------------------------------------------------------------
 
 
@@ -361,6 +406,12 @@ def test_count_record_refuses_counts_that_are_not_integers_by_name(counts, dtype
         CountRecord(counts=counts, duration_s=1.0)
 
 
+def test_count_record_refuses_counts_whose_total_passes_int64_by_name():
+    # each count fits int64, but the total wrapped: total() read 2**62, and normalize_counts summed to 5.0
+    with pytest.raises(ValueError, match="^" + re.escape(f"counts total {5 * 2**62} exceeds 2**63 - 1") + "$"):
+        CountRecord(counts=[2**62] * 5 + [0] * 31, duration_s=1.0)
+
+
 def test_count_record_refuses_a_count_past_int64_by_name():
     # a Python int past 2**63 - 1 raised an OverflowError; an unsigned one turns negative
     with pytest.raises(ValueError, match="^counts must be 36 integers, not an array of shape \\(36,\\) and dtype object"):
@@ -378,6 +429,8 @@ def test_count_record_refuses_a_duration_that_is_not_finite_and_positive_by_name
 
 count_rows = st.one_of(
     arrays(st.sampled_from([np.int8, np.uint16, np.int32, np.int64, np.uint64]), 36),
+    # non-negative int64 rows, whose total often passes 2**63 - 1
+    arrays(np.int64, 36, elements=st.integers(0, 2**63 - 1)),
     st.lists(st.integers(-5, 2**64), min_size=36, max_size=36),
     arrays(np.float64, 36),
 )
@@ -392,18 +445,21 @@ durations = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(counts=count_rows, duration=durations)
 def test_every_record_count_record_takes_survives_a_count_file(tmp_path_factory, counts, duration):
+    rows = np.asarray(counts)
+    if rows.shape == (36,) and rows.dtype.kind in "iu" and all(0 <= int(c) <= eio.INT64_MAX for c in rows):
+        total = sum(int(c) for c in rows)
+        if total > eio.INT64_MAX:
+            # counts that each fit int64 but whose total does not: the record refuses them by name,
+            # whatever the duration
+            with pytest.raises(ValueError, match=rf"^counts total {total} exceeds 2\*\*63 - 1$"):
+                CountRecord(counts=counts, duration_s=duration)
+            return
     try:
         record = CountRecord(counts=counts, duration_s=duration)
     except ValueError:
         return
     path = Path(tmp_path_factory.mktemp("record")) / "counts.csv"
     eio.write_count_csv(path, record)
-    total = sum(int(c) for c in record.counts)
-    if total > eio.INT64_MAX:
-        # rows that each fit int64 whose total does not are taken, and the reader refuses them by name
-        with pytest.raises(ValueError, match="counts total .* exceeds 2\\*\\*63 - 1$"):
-            eio.read_count_csv(path)
-        return
     back = eio.read_count_csv(path)
     np.testing.assert_array_equal(back.counts, record.counts)
     # the file holds the duration as a float

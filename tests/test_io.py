@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from envarsim import io as eio
-from envarsim.measurement import CountRecord
+from envarsim.measurement import CountRecord, tomography_projectors
 from envarsim.son import CorrelationSample
 
 count_arrays = arrays(np.int64, 36, elements=st.integers(0, 2**63 - 1)).filter(lambda c: c.any())
@@ -22,26 +22,26 @@ durations = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_in
 @given(counts=count_arrays, duration=durations)
 def test_count_csv_round_trip(counts, duration):
     total = sum(int(c) for c in counts)
+    if total > eio.INT64_MAX:
+        # counts that each fit int64 but whose total does not: no record holds them
+        with pytest.raises(ValueError, match=rf"^counts total {total} exceeds 2\*\*63 - 1$"):
+            CountRecord(counts=counts, duration_s=duration)
+        return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
         eio.write_count_csv(path, CountRecord(counts=counts, duration_s=duration))
-        if total > eio.INT64_MAX:
-            # rows that each fit int64 but whose total does not are refused
-            with pytest.raises(ValueError, match=rf"counts total {total} exceeds 2\*\*63 - 1$"):
-                eio.read_count_csv(path)
-            return
         record = eio.read_count_csv(path)
     np.testing.assert_array_equal(record.counts, counts)
     assert record.duration_s == duration
 
 
 def test_count_total_past_int64_is_refused(tmp_path):
-    # numpy's int64 sum of these counts wraps to a negative total
-    counts = np.ones(36, dtype=np.int64)
-    counts[[5, 6]] = 2**62
-    assert CountRecord(counts=counts, duration_s=5.0).total() < 0
+    # each count fits int64, but numpy's int64 sum of them would wrap to a negative total
+    counts = [2**62 if idx in (5, 6) else 1 for idx in range(36)]
+    labels = tomography_projectors().flat_labels
     path = tmp_path / "counts.csv"
-    eio.write_count_csv(path, CountRecord(counts=counts, duration_s=5.0))
+    rows = [",".join(eio.COUNT_CSV_HEADER)] + [f"{s},{o},{c},5.0" for (s, o), c in zip(labels, counts)]
+    path.write_text("".join(row + "\n" for row in rows))
     with pytest.raises(ValueError) as exc:
         eio.read_count_csv(path)
     assert str(exc.value) == f"{path}: counts total {2**63 + 34} exceeds 2**63 - 1"
