@@ -1,7 +1,8 @@
 """Exception types shared across the package, the bounded echo of a value in an error line, the
 two rules every numeric argument of the library is checked by: a finite real number in an
-interval, and an integer at or above a bound, neither of which takes a bool, Python's or numpy's,
-for a number; and the rule a plan, a noise model, a record or a projector set is checked by."""
+interval, and an integer in a range closed below and, if given, above, neither of which takes a
+bool, Python's or numpy's, for a number; and the rule a plan, a noise model, a record or a
+projector set is checked by."""
 
 import math
 import numbers
@@ -57,10 +58,10 @@ def check_real(value, message: str, *, ge=-math.inf, gt=None, le=math.inf, lt=No
         raise ValueError(f"{message}, not {echo(value) if name is None else f'{name}={echo(value)}'}")
 
 
-def check_integer(value, message: str, ge: int) -> None:
+def check_integer(value, message: str, ge: int, le: int | None = None) -> None:
     """A ValueError ``<message>, not <value>`` unless ``value`` is a Python or numpy integer, not a
-    bool, of at least ``ge``."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= ge):
+    bool, of at least ``ge`` and, if ``le`` is given, at most ``le``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and ge <= value and (le is None or value <= le)):
         raise ValueError(f"{message}, not {echo(value)}")
 
 

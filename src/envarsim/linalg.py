@@ -34,6 +34,7 @@ __all__ = [
     "psd_sqrt",
     "trace_distance",
     "trace_distance_below",
+    "trace_distance_below_norms",
     "validate_unitary",
     "validate_density_matrix",
 ]
@@ -198,29 +199,43 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return float(dist) if dist.ndim == 0 else dist
 
 
+def trace_distance_below_norms(frob_sq: np.ndarray, trace: np.ndarray, n: int, tol: float, exact) -> np.ndarray:
+    """``trace_distance < tol`` of Hermitian n x n differences d given only by ||d||_F^2 and Tr d.
+
+    For Hermitian d of dimension n with t = Tr d,
+    max(||d||_F^2, 2 ||d||_F^2 - t^2) <= ||d||_1^2 <= n ||d||_F^2. The middle term: with P
+    the sum of d's positive eigenvalues and N that of the moduli of its negative ones,
+    ||d||_1 = P + N, t = P - N and ||d||_F^2 <= P^2 + N^2 = (||d||_1^2 + t^2) / 2. For the step
+    between two unit-trace iterates (t = 0) it is sqrt(2) tighter than ||d||_F; the max keeps
+    it never weaker. Both take only squares of d's entries, so they underflow no sooner than
+    ||d||_F^2. Each bound is applied with a 1e-9 relative margin for rounding. So two numbers
+    per difference decide most of them, with no eigenvalues; ``exact(rows)`` gives the trace
+    distances of the open ones, by their flat indices into ``frob_sq``, and only those are
+    taken apart. The MLE's stop test reads these two numbers per step as a block runs, so it
+    holds no stack of the block's differences.
+    """
+    below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(n)) ** 2
+    lower_sq = np.maximum(frob_sq, 2 * frob_sq - trace * trace)
+    rows = np.flatnonzero((lower_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below)
+    if rows.size:
+        below.flat[rows] = exact(rows) < tol
+    return below
+
+
 def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> bool | np.ndarray:
     """``trace_distance(a, b) < tol`` for Hermitian matrices, broadcast as ``trace_distance`` is.
 
-    For Hermitian d = a - b of dimension n with t = Tr d,
-    max(||d||_F^2, 2 ||d||_F^2 - t^2) <= ||d||_1^2 <= n ||d||_F^2. The middle term:
-    with P the sum of d's positive eigenvalues and N that of the moduli of its
-    negative ones, ||d||_1 = P + N, t = P - N and ||d||_F^2 <= P^2 + N^2 =
-    (||d||_1^2 + t^2) / 2. For the step between two unit-trace iterates (t = 0) it
-    is sqrt(2) tighter than ||d||_F; the max keeps it never weaker. Both take only
-    squares of d's entries, so they underflow no sooner than ||d||_F^2. Each bound
-    is applied with a 1e-9 relative margin for rounding; only the rows they leave
-    open go through ``trace_distance``.
+    Decided by ``trace_distance_below_norms`` from two numbers per d = a - b, ||d||_F^2 and
+    Tr d: eigenvalues are taken, through ``trace_distance``, only of the differences its norm
+    bounds leave open. This call forms every d at once; the MLE's stop test instead passes
+    the two numbers it took per step, and holds no stack of differences.
     """
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     shape, d = d.shape[:-2], d.reshape((-1,) + d.shape[-2:])
     flat = d.reshape(len(d), d.shape[-2] * d.shape[-1]).view(float)
     frob_sq = np.einsum("bk,bk->b", flat, flat)
     t = np.trace(d, axis1=1, axis2=2).real
-    below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(d.shape[-1])) ** 2
-    lower_sq = np.maximum(frob_sq, 2 * frob_sq - t * t)
-    rows = np.flatnonzero((lower_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below)
-    if rows.size:
-        # d - 0 is d: the same matrices trace_distance(a, b) takes apart
-        below[rows] = trace_distance(d[rows], 0.0) < tol
+    # d - 0 is d: the same matrices trace_distance(a, b) takes apart
+    below = trace_distance_below_norms(frob_sq, t, d.shape[-1], tol, lambda rows: trace_distance(d[rows], 0.0))
     below = below.reshape(shape)
     return bool(below) if below.ndim == 0 else below

@@ -19,7 +19,8 @@ with one uniform sign for all axes and angles (asserted by the test suite).
 perturbed stacks are built in one call, each equal to its one-plate call.
 A ``WavePlateSetting`` checks each angle by the shared real-number rule of
 ``errors``, so a bool, a string, None or an integer past the float range is
-refused by name.
+refused by name; ``stack`` checks angles given as a tuple or an array by the
+same rule.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
 STACK_ROTATION_SIGN = -1.0
 
 NAMED_AXES = ("x", "y", "z", "m")
+_ANGLES = ("alpha", "beta", "gamma")
 
 _AXIS_VECTORS = {
     "x": axis_vector(1, 0, 0),
@@ -80,7 +82,7 @@ class WavePlateSetting:
     gamma: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
+        for name in _ANGLES:
             value = getattr(self, name)
             check_real(value, f"{name} must be a finite number of radians")
             object.__setattr__(self, name, float(value) % np.pi)
@@ -109,15 +111,21 @@ def hwp(angle: float | np.ndarray) -> np.ndarray:
 def stack(setting: WavePlateSetting | np.ndarray) -> np.ndarray:
     """Composite unitary of the three-plate stack, alpha-plate first.
 
-    Also takes a (..., 3) array of (alpha, beta, gamma) angles, checked and canonicalized
-    as ``WavePlateSetting`` does, for (..., 2, 2) stacks equal to their one-setting calls.
+    Also takes (alpha, beta, gamma) angles as a tuple or a (..., 3) array, checked and
+    canonicalized as ``WavePlateSetting`` does, for (..., 2, 2) stacks equal to their
+    one-setting calls. An integer or float array is checked at once; any other array, and a
+    tuple or list, angle by angle, so a bool, a string, None or an integer past the float
+    range is refused by the name of its angle.
     """
     if isinstance(setting, WavePlateSetting):
-        setting = (setting.alpha, setting.beta, setting.gamma)
-    angles = np.asarray(setting, dtype=float)
-    if angles.shape[-1:] != (3,) or not np.all(np.isfinite(angles)):
-        raise ValueError("plate angles must be finite (alpha, beta, gamma) triples")
-    alpha, beta, gamma = np.moveaxis(angles % np.pi, -1, 0)
+        setting = np.array([setting.alpha, setting.beta, setting.gamma])
+    angles = setting if isinstance(setting, np.ndarray) else np.asarray(setting, dtype=object)
+    if angles.shape[-1:] != (3,):
+        raise ValueError("plate angles must be (alpha, beta, gamma) triples")
+    if angles.dtype.kind not in "fiu" or not np.all(np.isfinite(angles)):
+        for index in np.ndindex(angles.shape):
+            check_real(angles[index], f"{_ANGLES[index[-1]]} must be a finite number of radians")
+    alpha, beta, gamma = np.moveaxis(np.asarray(angles, dtype=float) % np.pi, -1, 0)
     return qwp(gamma) @ hwp(beta) @ qwp(alpha)
 
 

@@ -211,6 +211,7 @@ def _son_moduli(theta, n) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
 # the exponents where solve_son's curve keeps |E(pi/4)| <= 1e-12, with no overflow (scanned at
 # 12,000 exponents), and matches adaptive quadrature to 4e-9 in E (at 1e4; 1.7e-11 at 0.1)
 _N_RANGE = (0.1, 1e4)
+_MAX_GRID = int(np.iinfo(np.intp).max)  # nodes of the longest array numpy can index
 
 
 def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
@@ -223,7 +224,7 @@ def solve_son(n: float, grid_size: int = 257) -> CorrelationCurve:
     4097-node grid, and within 7e-13 for n in [0.2, 10].
     """
     check_real(n, f"the exponent n must be positive and in [{_N_RANGE[0]:g}, {_N_RANGE[1]:g}]", ge=_N_RANGE[0], le=_N_RANGE[1])
-    check_integer(grid_size, "grid_size must be an integer of at least 16", 16)
+    check_integer(grid_size, f"grid_size must be an integer of at least 16 and at most {_MAX_GRID}", 16, _MAX_GRID)
     theta = np.linspace(0.0, np.pi / 2, grid_size)
     p, q, c = _son_moduli(theta, n)
     return CorrelationCurve(theta_grid=theta, values=p**n - q**n, n=float(n), p=p, q=q, c=c)

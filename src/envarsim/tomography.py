@@ -7,12 +7,14 @@ decreases the log-likelihood L(rho) = sum_j n_j log Tr(P_j rho) for this
 measurement structure and converges to its physical (PSD, unit-trace)
 maximum; R's scale cancels in the normalization N. Every record starts at
 I/4 and leaves the stack at the iteration where its own trace-distance step
-drops below ``tol``. The stops are
-decided once per block of ``_BLOCK`` steps, in one ``trace_distance_below``
-call over the block's steps, which decides most of them from norm bounds
-(Frobenius, then a trace-corrected Frobenius bound) and takes eigenvalues only
-of the rest; a record keeps the iterate and the iteration of its first step
-below ``tol``, and the steps it ran past that are dropped.
+drops below ``tol``. The stop test reads two numbers per step, ||d||_F^2 and
+Tr d of the step d, taken as the block of ``_BLOCK`` steps runs; a block holds
+no stack of its differences. The stops are decided once per block, in one
+``trace_distance_below_norms`` call, whose norm bounds (Frobenius, then a
+trace-corrected Frobenius bound) decide most steps; eigenvalues are taken only
+of the open steps, gathered from the block's iterates. A record keeps the
+iterate and the iteration of its first step below ``tol``, and the steps it
+ran past that are dropped.
 Each step takes R rho R in real arithmetic. A complex product a @ m equals
 a.view(float) @ E(m), with E(m) the real 8x8 matrix of right-multiplication
 by m. So a step builds E(R) from R's 36 weights through one (36, 64) map,
@@ -45,13 +47,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_instance, check_integer, check_real
-from .linalg import trace_distance_below
+from .linalg import trace_distance, trace_distance_below_norms
 from .measurement import CountRecord, ProjectorSet
 
 __all__ = ["TomographyResult", "mle_reconstruct", "mle_reconstruct_many"]
 
 _PROB_FLOOR = 1e-12
 _BLOCK = 12  # R-rho-R steps between two stopping tests
+# matrices per norm call: a block of B active rows takes the norms of max(1, 512 // B) steps
+# at once, so a small batch pays few calls and no difference stack passes 128 kB unless one step does
+_NORM_MATRICES = 512
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,26 @@ def _step(flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, rho: np.ndarra
     return probs
 
 
+def _difference_norms(after: np.ndarray, before: np.ndarray, frob_sq: np.ndarray, trace: np.ndarray) -> None:
+    """||d||_F^2 and Tr d of each step d = after - before of two (g, B, 4, 4) Hermitian stacks,
+    into the contiguous (g, B) arrays ``frob_sq`` and ``trace``."""
+    f = (after - before).view(float).reshape(-1, 32)
+    np.einsum("bk,bk->b", f, f, out=frob_sq.reshape(-1))
+    # the real diagonal is float entries 0, 10, 20 and 30, paired as np.trace pairs a complex diagonal
+    tr = np.add(f[:, 0], f[:, 10], out=trace.reshape(-1))
+    tr += f[:, 20] + f[:, 30]
+
+
 def _run_blocks(
     flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, max_iter: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R-rho-R from I/4 on every (1, 36) row of counts ``raw``, in blocks of ``_BLOCK`` steps: each
-    row's final iterate, iterations and convergence."""
+    row's final iterate, iterations and convergence.
+
+    A block keeps its iterates and two numbers per step, ||d||_F^2 and Tr d, taken as it runs,
+    a few steps per call when the batch is small; it never holds a stack of its differences.
+    Its stops are decided at its end from those numbers, and only the steps their bounds leave
+    open are gathered from its iterates for eigenvalues."""
     batch = len(raw)
     # row k of raw and rho belongs to input row active[k]; its rows leave when it stops
     active = np.arange(batch)
@@ -150,23 +170,30 @@ def _run_blocks(
     final = np.empty((batch, 4, 4), dtype=complex)
     iterations = np.full(batch, max_iter)
     converged = np.zeros(batch, dtype=bool)
-    # a block runs k steps on the B active rows; traj[j, :B] is iterate it0 + j, the block starts at traj[0]
-    traj = np.empty((min(_BLOCK, max_iter) + 1, batch, 4, 4), dtype=complex)
+    traj = np.empty(((min(_BLOCK, max_iter) + 1) * batch, 4, 4), dtype=complex)
     it0 = 0
     while active.size and it0 < max_iter:
         k, b = min(_BLOCK, max_iter - it0), active.size
-        traj[0, :b] = rho
-        for j in range(k):
-            _step(flat_re, mult, raw, traj[j, :b], traj[j + 1, :b])
+        # a block runs k steps on the B active rows; blk[j] is iterate it0 + j, so in traj the
+        # iterates before and after the step of flat index j * B + r lie B matrices apart
+        blk = traj[: (k + 1) * b].reshape(k + 1, b, 4, 4)
+        blk[0] = rho
+        frob_sq, trace = np.empty((k, b)), np.empty((k, b))
+        g = max(1, _NORM_MATRICES // b)
+        for j0 in range(0, k, g):
+            j1 = min(j0 + g, k)
+            for j in range(j0, j1):
+                _step(flat_re, mult, raw, blk[j], blk[j + 1])
+            _difference_norms(blk[j0 + 1 : j1 + 1], blk[j0:j1], frob_sq[j0:j1], trace[j0:j1])
         # one stopping test per block: a row stops at its first step below tol, and the
         # steps it ran past that, on its own data alone, are dropped
-        done = trace_distance_below(traj[1 : k + 1, :b], traj[:k, :b], tol)
+        done = trace_distance_below_norms(frob_sq, trace, 4, tol, lambda rows: trace_distance(traj[rows + b], traj[rows]))
         keep, first = ~done.any(axis=0), done.argmax(axis=0)
         rows = np.flatnonzero(~keep)
-        final[active[rows]] = traj[first[rows] + 1, rows]
+        final[active[rows]] = blk[first[rows] + 1, rows]
         iterations[active[rows]] = it0 + first[rows] + 1
         converged[active[rows]] = True
-        active, raw, rho = active[keep], raw[keep], traj[k, :b][keep]
+        active, raw, rho = active[keep], raw[keep], blk[k][keep]
         it0 += k
     final[active] = rho
     return final, iterations, converged

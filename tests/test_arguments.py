@@ -24,7 +24,7 @@ from envarsim import harness, io as eio
 from envarsim.errors import check_integer, check_real, echo
 from envarsim.linalg import werner
 from envarsim.measurement import CountRecord, NoiseModel, tomography_projectors
-from envarsim.optics import WavePlateSetting
+from envarsim.optics import WavePlateSetting, stack
 from envarsim.son import CorrelationSample
 
 # values no numeric argument takes: bools, text, None, nan and arrays
@@ -130,7 +130,7 @@ ROOT_NAMES = {
         envarsim.solve_son,
         {
             "n": (st.one_of(st.floats(0.1, 1e4), st.sampled_from([2, np.float64(3.0)])), _bad(0.0, 0.05, -2.0, 2e4, math.inf, "2"), "exponent n"),
-            "grid_size": (st.one_of(st.integers(16, 40), st.just(np.int64(17))), _bad_int(15, 0, -16, "20", np.array(20)), "grid_size"),
+            "grid_size": (st.one_of(st.integers(16, 40), st.just(np.int64(17))), _bad_int(15, 0, -16, "20", np.array(20), 10**400), "grid_size"),
         },
     ),
     "mle_reconstruct_many": (
@@ -222,6 +222,14 @@ def test_the_integer_rule_refuses_what_is_no_integer_at_the_bound(value):
         check_integer(value, "k must be a non-negative integer", 0)
     check_integer(np.uint64(2**63), "k", 0)
     check_integer(2**70, "k", 0)
+
+
+def test_the_integer_rule_has_an_upper_end_if_given():
+    for value in (3, np.int64(5), np.uint64(5)):
+        check_integer(value, "k", 3, 5)
+    for value in (6, np.uint64(2**64 - 1), 10**400):
+        with pytest.raises(ValueError, match=re.escape(f"k must be in [3, 5], not {echo(value)}")):
+            check_integer(value, "k must be in [3, 5]", 3, 5)
 
 
 # --- probes of the root names and their helpers ---------------------------------------------
@@ -375,6 +383,29 @@ def test_wave_plate_setting_refuses_an_angle_that_is_no_finite_number_by_name(na
     message = f"{name} must be a finite number of radians, not {echo(angle)}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         WavePlateSetting(**angles)
+
+
+# stack((True, 0.0, 0.0)) was the stack of WavePlateSetting(1.0, 0.0, 0.0); "x" raised numpy's
+# "could not convert string to float" and 10**400 an OverflowError
+@pytest.mark.parametrize("angles", [(True, 0.0, 0.0), ("x", 0, 0), (10**400, 0, 0)], ids=["True", "str", "10**400"])
+def test_stack_refuses_an_angle_that_is_no_finite_number_by_name(angles):
+    message = f"alpha must be a finite number of radians, not {echo(angles[0])}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        stack(angles)
+
+
+@pytest.mark.parametrize("angle", [True, np.True_, "x", None, 10**400, math.nan], ids=["True", "np.True_", "str", "None", "10**400", "nan"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_stack_checks_every_angle_of_a_list_or_an_array_by_name(position, angle):
+    angles = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
+    angles[1][position] = angle
+    name = ("alpha", "beta", "gamma")[position]
+    for given in (angles, np.array(angles, dtype=object)):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number of radians, not "):
+            stack(given)
+    # an array of one such angle: bool, str, object or float, each refused at its first angle
+    with pytest.raises(ValueError, match="^alpha must be a finite number of radians, not "):
+        stack(np.array([angle] * 3))
 
 
 def test_noise_model_echoes_a_long_poisson_flag_shortened():

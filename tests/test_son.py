@@ -157,12 +157,18 @@ class TestSolveSon:
         [
             (("2",), "the exponent n must be positive and in [0.1, 10000], not '2'"),
             ((True,), "the exponent n must be positive and in [0.1, 10000], not True"),
-            ((2.0, 20.5), "grid_size must be an integer of at least 16, not 20.5"),
+            ((2.0, 20.5), f"grid_size must be an integer of at least 16 and at most {np.iinfo(np.intp).max}, not 20.5"),
         ],
     )
     def test_refuses_an_argument_that_is_not_a_number_by_name(self, args, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             solve_son(*args)
+
+    def test_refuses_a_grid_longer_than_numpy_can_index_by_name(self):
+        # numpy's "Maximum allowed size exceeded", which does not name grid_size
+        for grid_size in (10**400, int(np.iinfo(np.intp).max) + 1):
+            with pytest.raises(ValueError, match=f"^grid_size must be an integer of at least 16 and at most {np.iinfo(np.intp).max}, not "):
+                solve_son(2.0, grid_size)
 
     # E(pi/4) is 0 for every n by symmetry; these exponents gave -1 (inf, 1e300, 1e-300),
     # -0.968 (0.001), -0.045 (0.02), -2.3e-6 (0.03), -3.8e-10 (0.05), -1.4e-10 (2e4), -7e-9 (1e6)

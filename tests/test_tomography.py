@@ -216,11 +216,11 @@ class TestMleReconstructMany:
     def test_equal_records_are_reconstructed_once(self, monkeypatch):
         calls = []
 
-        def counting(a, b, tol):
-            calls.append(a.shape[:2])
-            return linalg.trace_distance_below(a, b, tol)
+        def counting(frob_sq, trace, n, tol, exact):
+            calls.append(frob_sq.shape[:2])
+            return linalg.trace_distance_below_norms(frob_sq, trace, n, tol, exact)
 
-        monkeypatch.setattr(tomography, "trace_distance_below", counting)
+        monkeypatch.setattr(tomography, "trace_distance_below_norms", counting)
         rng = np.random.default_rng(7)
         a, b = (simulate_counts(linalg.werner(v), 5400.0, 5.0, NoiseModel(werner_v=v), rng) for v in (0.9, 0.6))
         projs = tomography_projectors()
@@ -402,11 +402,11 @@ def test_block_edges_match_the_oracle_and_each_record_alone(max_iter, stop):
 def test_stops_are_tested_once_per_block(monkeypatch, max_iter):
     calls = []
 
-    def counting(a, b, tol):
-        calls.append(a.shape[:2])
-        return linalg.trace_distance_below(a, b, tol)
+    def counting(frob_sq, trace, n, tol, exact):
+        calls.append(frob_sq.shape[:2])
+        return linalg.trace_distance_below_norms(frob_sq, trace, n, tol, exact)
 
-    monkeypatch.setattr(tomography, "trace_distance_below", counting)
+    monkeypatch.setattr(tomography, "trace_distance_below_norms", counting)
     records, tol = _edge_records(2 * K + 1)
     many = mle_reconstruct_many(records, tomography_projectors(), max_iter=max_iter, tol=tol)
     last = max(r.iterations for r in many)
@@ -436,8 +436,10 @@ def test_the_likelihood_gap_bound_closes_at_a_tight_tol():
 
 def test_one_grid_call_stays_within_its_memory_bounds():
     """One warm call over the default grid's 156 records, traced by tracemalloc: the loop
-    keeps no likelihood history, so its peak and the results it returns stay small
-    (1.37 and 0.16 MiB on numpy 2.4; 1.83 and 0.73 MiB when the loop kept the histories)."""
+    keeps no likelihood history and its stop test no stack of a block's differences, so its
+    peak and the results it returns stay small (0.95 and 0.16 MiB on numpy 2.4; a 1.37 MiB
+    peak when the stop test formed the (12, 156) difference stack, and 1.83 and 0.73 MiB
+    when the loop also kept the histories)."""
     records = [stage.counts for stages in simulate_grid(ExperimentPlan(noise=calibrated_noise())).values() for stage in stages]
     assert len(records) == 156
     projs = tomography_projectors()
@@ -450,5 +452,5 @@ def test_one_grid_call_stays_within_its_memory_bounds():
     finally:
         tracemalloc.stop()
     assert len(results) == 156
-    assert (peak - entry) / 2**20 < 1.6
+    assert (peak - entry) / 2**20 < 1.2
     assert (held - entry) / 2**20 < 0.3
