@@ -14,7 +14,7 @@ from .harness import ExperimentPlan, calibrated_noise, run_experiment, run_three
 from .linalg import singlet, werner
 from .measurement import NoiseModel, simulate_counts_many, tomography_projectors
 from .metrics import fidelity
-from .son import solve_son
+from .son import fit_exponent, solve_son
 from .tomography import mle_reconstruct_many
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from . import io as eio
 from .errors import ConvergenceError, MissingDataError, echo, echo_path, escape
 from .harness import _SCORE_SERIES, STAGES, ExperimentPlan, assemble_report, calibrated_noise, simulate_grid
 from .measurement import CountRecord, NoiseModel
-from .son import COMBOS, combo_axis_and_basis, extract_correlation, fit_obstacle, fitted_correlation, son_fit
+from .son import COMBOS, fit_exponent, fitted_correlation
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -283,37 +283,30 @@ def _write_plot_files(out: Path, report) -> None:
                 eio.write_plot_series(out / f"plot_{metric}_{summary.axis}_{tag}.csv", rows)
 
 
-def _fit_grid(axes, angles_deg) -> dict:
-    """Combo -> the angles phi it is fitted at: each combo whose axis the grid rotates about, at phi = angle / 2."""
-    phis = np.deg2rad(angles_deg) / 2
-    return {combo: phis for combo in COMBOS if combo_axis_and_basis(combo)[0] in axes}
+class _StageII:
+    """The run's stage-II records by (axis, angle_deg), each read by ``_read_counts`` when it is looked up."""
+
+    def __init__(self, out: Path, grid: dict | None):
+        self.out, self.grid = out, grid
+
+    def __getitem__(self, key: tuple[str, float]) -> CountRecord:
+        return _read_counts(self.out, self.grid, *key, "II")
 
 
 def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
+    """Fit n to the run's count files, or to report's ``grid``, where a grid the fit refuses is skipped."""
     out = Path(config.out_dir)
     plan = _manifest_plan(config) if grid is None else config.plan()
-    fitted = _fit_grid(plan.axes, plan.angles_deg)
-    obstacle = fit_obstacle(fitted)
-    if obstacle is not None:
-        raise MissingDataError(f"son-fit: {obstacle}")
-    if len(fitted) < len(COMBOS):
-        missing = sorted(set(COMBOS) - set(fitted))
-        print(f"son-fit: warning: fitting {len(fitted)}/6 combos (missing {missing})", file=sys.stderr)
-
-    # two combos share each axis; each stage-II record is read once, in first-use order
-    records = {}
-    samples = []
-    for combo, phis in fitted.items():
-        axis, _ = combo_axis_and_basis(combo)
-        for angle_deg, phi in zip(plan.angles_deg, phis):
-            if (axis, angle_deg) not in records:
-                records[axis, angle_deg] = _read_counts(out, grid, axis, angle_deg, "II")
-            samples.append(extract_correlation(records[axis, angle_deg], combo, float(phi)))
-
     try:
-        result = son_fit(samples)
+        samples, result = fit_exponent(plan.axes, plan.angles_deg, _StageII(out, grid))
     except ValueError as exc:
-        raise MissingDataError(f"son-fit: {exc}") from exc
+        if grid is None:
+            raise MissingDataError(f"son-fit: {exc}") from exc
+        print(f"report: skipping son-fit ({exc})", file=sys.stderr)
+        return
+    if len(result.per_combo) < len(COMBOS):
+        missing = sorted(set(COMBOS) - set(result.per_combo))
+        print(f"son-fit: warning: fitting {len(result.per_combo)}/6 combos (missing {missing})", file=sys.stderr)
     at_edge = [combo for combo, edge in zip(result.per_combo, result.per_combo_at_edge) if edge]
     if at_edge:
         print(f"son-fit: warning: n settled on a bound of its fit range for {at_edge}", file=sys.stderr)
@@ -322,7 +315,7 @@ def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
         _write_fit_curves(out, result)
     if "json" in config.formats:
         eio.write_json(out / "son_fit.json", eio.son_result_to_dict(result))
-    print(f"son-fit: n = {result.n:.3f} +- {result.n_uncertainty:.3f} over {len(fitted)} combos")
+    print(f"son-fit: n = {result.n:.3f} +- {result.n_uncertainty:.3f} over {len(result.per_combo)} combos")
 
 
 def _write_fit_curves(out: Path, result) -> None:
@@ -335,11 +328,7 @@ def _write_fit_curves(out: Path, result) -> None:
 def cmd_report(config: RunConfig) -> None:
     grid = cmd_simulate(config)
     cmd_analyze(config, grid)
-    obstacle = fit_obstacle(_fit_grid(config.axes, config.angles_deg))
-    if obstacle is None:
-        cmd_son_fit(config, grid)
-    else:
-        print(f"report: skipping son-fit ({obstacle})", file=sys.stderr)
+    cmd_son_fit(config, grid)
 
 
 # where argparse writes an argv value into its message whole: raw, as the

@@ -40,7 +40,6 @@ from .son import CorrelationSample, SonFitResult
 
 __all__ = [
     "COUNT_CSV_HEADER",
-    "INT64_MAX",
     "is_decimal",
     "record_tag",
     "count_file_name",

@@ -33,7 +33,6 @@ __all__ = [
     "eig_hermitian",
     "psd_sqrt",
     "trace_distance",
-    "trace_distance_below",
     "trace_distance_below_norms",
     "validate_unitary",
     "validate_density_matrix",
@@ -220,22 +219,3 @@ def trace_distance_below_norms(frob_sq: np.ndarray, trace: np.ndarray, n: int, t
     if rows.size:
         below.flat[rows] = exact(rows) < tol
     return below
-
-
-def trace_distance_below(a: np.ndarray, b: np.ndarray, tol: float) -> bool | np.ndarray:
-    """``trace_distance(a, b) < tol`` for Hermitian matrices, broadcast as ``trace_distance`` is.
-
-    Decided by ``trace_distance_below_norms`` from two numbers per d = a - b, ||d||_F^2 and
-    Tr d: eigenvalues are taken, through ``trace_distance``, only of the differences its norm
-    bounds leave open. This call forms every d at once; the MLE's stop test instead passes
-    the two numbers it took per step, and holds no stack of differences.
-    """
-    d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    shape, d = d.shape[:-2], d.reshape((-1,) + d.shape[-2:])
-    flat = d.reshape(len(d), d.shape[-2] * d.shape[-1]).view(float)
-    frob_sq = np.einsum("bk,bk->b", flat, flat)
-    t = np.trace(d, axis1=1, axis2=2).real
-    # d - 0 is d: the same matrices trace_distance(a, b) takes apart
-    below = trace_distance_below_norms(frob_sq, t, d.shape[-1], tol, lambda rows: trace_distance(d[rows], 0.0))
-    below = below.reshape(shape)
-    return bool(below) if below.ndim == 0 else below

@@ -31,7 +31,10 @@ valid for states close to the singlet and n close to 2. The state enters
 only through E(phi,2,rho) = A cos(2*phi) + B sin(2*phi) with A^2 + B^2 <= 1,
 so for a given n the state is one weighted 2x2 least-squares solve on a disk,
 and n takes a few Gauss-Newton steps on what it leaves (variable projection,
-Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).
+Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973). The library and the CLI
+share one path from a grid's stage-II records to n: ``fit_exponent`` picks the
+combos, decides by ``fit_obstacle`` whether the grid can fix n, extracts the
+samples and calls ``son_fit``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "correlation_operator",
     "fit_obstacle",
     "son_fit",
+    "fit_exponent",
     "fitted_correlation",
 ]
 
@@ -138,7 +142,7 @@ def _arc_rule() -> tuple[np.ndarray, np.ndarray]:
     return x[x < 1], w[x < 1]
 
 
-_ARC_ROWS = 128  # rows per arc-length call: its (rows, nodes) temporaries stay about 100 kB
+_ARC_ROWS = 64  # rows per arc-length call: each (rows, nodes) temporary stays about 40 kB, and a fit's traced peak about 0.33 MiB
 
 
 def _arc_speed(d: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -457,6 +461,32 @@ def son_fit(samples: list[CorrelationSample]) -> SonFitResult:
         objective=sum(objective for objective, _ in fits),
         per_combo_at_edge=tuple(x in _N_BOUNDS for x in n),
     )
+
+
+def fit_exponent(axes, angles_deg, records) -> tuple[list[CorrelationSample], SonFitResult]:
+    """Fit n to a grid's stage-II records: the correlation samples and ``son_fit``'s result.
+
+    Each combo whose rotation axis is in ``axes`` is fitted at phi = angle / 2 for every angle of
+    ``angles_deg``. ``records`` maps (axis, angle_deg), as ``simulate_grid``'s cells are keyed, to
+    that cell's stage-II count record. A grid that ``fit_obstacle`` rejects raises its reason as a
+    ValueError before any record is looked up. Two combos share each axis, and each record is
+    looked up once, in first-use order; the samples run combo-major, each combo in grid order.
+    """
+    for angle in angles_deg:
+        check_real(angle, "angles_deg must hold finite angles in degrees")
+    phis = np.deg2rad(angles_deg) / 2
+    combos = [combo for combo in COMBOS if _COMBO_TABLE[combo][0] in axes]
+    obstacle = fit_obstacle(dict.fromkeys(combos, phis))
+    if obstacle is not None:
+        raise ValueError(obstacle)
+    read, samples = {}, []
+    for combo in combos:
+        axis = _COMBO_TABLE[combo][0]
+        for angle_deg, phi in zip(angles_deg, phis):
+            if (axis, angle_deg) not in read:
+                read[axis, angle_deg] = records[axis, angle_deg]
+            samples.append(extract_correlation(read[axis, angle_deg], combo, float(phi)))
+    return samples, son_fit(samples)
 
 
 def fitted_correlation(result: SonFitResult, combos, phis) -> np.ndarray:

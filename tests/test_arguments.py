@@ -1,4 +1,4 @@
-"""The argument contract of the package root's 13 names, and the probes it was built from.
+"""The argument contract of the package root's 14 names, and the probes it was built from.
 
 A bool is not a number, an integer argument takes only integers, nan lies in no range, and a
 bad argument raises a ValueError that names it. ``errors.check_real`` and
@@ -23,7 +23,7 @@ import envarsim
 from envarsim import harness, io as eio
 from envarsim.errors import check_integer, check_real, echo
 from envarsim.linalg import werner
-from envarsim.measurement import CountRecord, NoiseModel, tomography_projectors
+from envarsim.measurement import INT64_MAX, CountRecord, NoiseModel, tomography_projectors
 from envarsim.optics import WavePlateSetting, stack
 from envarsim.son import CorrelationSample
 
@@ -59,6 +59,12 @@ _PLANS = st.builds(
 _RECORDS = st.lists(arrays(np.int64, 36, elements=st.integers(1, 200)), min_size=1, max_size=2).map(
     lambda rows: [CountRecord(counts=row, duration_s=1.0) for row in rows]
 )
+
+# a z-axis grid whose stage-II records fix n, deterministic and off the singlet
+_FIT_PLAN = harness.ExperimentPlan(
+    axes=("z",), angles_deg=(0.0, 30.0, 60.0, 90.0, 120.0), flux_hz=400.0, duration_s=1.0, noise=NoiseModel(werner_v=0.9, poisson=False)
+)
+_FIT_RECORDS = {cell: stages[1].counts for cell, stages in harness.simulate_grid(_FIT_PLAN).items()}
 
 # root name -> (function, {argument: (valid values, invalid values, a pattern of the text that names
 # it)}); a pattern of None marks an array argument, whose refusal need only be a ValueError
@@ -131,6 +137,18 @@ ROOT_NAMES = {
         {
             "n": (st.one_of(st.floats(0.1, 1e4), st.sampled_from([2, np.float64(3.0)])), _bad(0.0, 0.05, -2.0, 2e4, math.inf, "2"), "exponent n"),
             "grid_size": (st.one_of(st.integers(16, 40), st.just(np.int64(17))), _bad_int(15, 0, -16, "20", np.array(20), 10**400), "grid_size"),
+        },
+    ),
+    "fit_exponent": (
+        envarsim.fit_exponent,
+        {
+            "axes": (st.sampled_from([("z",), ("m", "z"), ["z"]]), st.nothing(), "axes"),
+            "angles_deg": (
+                st.sampled_from([_FIT_PLAN.angles_deg, (0, 30, 60, 90, 120), tuple(map(np.float64, _FIT_PLAN.angles_deg))]),
+                _bad(math.inf, -math.inf).map(lambda angle: (*_FIT_PLAN.angles_deg, angle)),
+                "angles_deg",
+            ),
+            "records": (st.just(_FIT_RECORDS), st.nothing(), "records"),
         },
     ),
     "mle_reconstruct_many": (
@@ -477,9 +495,9 @@ durations = st.one_of(
 @given(counts=count_rows, duration=durations)
 def test_every_record_count_record_takes_survives_a_count_file(tmp_path_factory, counts, duration):
     rows = np.asarray(counts)
-    if rows.shape == (36,) and rows.dtype.kind in "iu" and all(0 <= int(c) <= eio.INT64_MAX for c in rows):
+    if rows.shape == (36,) and rows.dtype.kind in "iu" and all(0 <= int(c) <= INT64_MAX for c in rows):
         total = sum(int(c) for c in rows)
-        if total > eio.INT64_MAX:
+        if total > INT64_MAX:
             # counts that each fit int64 but whose total does not: the record refuses them by name,
             # whatever the duration
             with pytest.raises(ValueError, match=rf"^counts total {total} exceeds 2\*\*63 - 1$"):

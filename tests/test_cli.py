@@ -472,7 +472,7 @@ class TestUsageAndIoErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(blocker)]) == 2
 
     def test_convergence_failure_exits_4(self, tmp_path, monkeypatch):
-        from envarsim import cli
+        from envarsim import son
         from envarsim.errors import ConvergenceError
 
         cfg = _write_config(
@@ -484,7 +484,7 @@ class TestUsageAndIoErrors:
         def boom(*args, **kwargs):
             raise ConvergenceError("forced for test")
 
-        monkeypatch.setattr(cli, "son_fit", boom)
+        monkeypatch.setattr(son, "son_fit", boom)
         assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == 4
 
     def test_son_solver_that_misses_its_tolerance_exits_4_with_one_error_line(self, tmp_path, monkeypatch, capsys):
@@ -641,7 +641,7 @@ def test_the_exit_code_table_is_unambiguous_and_documented():
 
 @pytest.mark.parametrize("exc_type, code", _exit_cases(), ids=lambda v: getattr(v, "__name__", str(v)))
 def test_each_error_type_exits_with_its_code_and_one_error_line(tmp_path, monkeypatch, capsys, exc_type, code):
-    from envarsim import cli
+    from envarsim import son
 
     # all three axes: no partial-combo warning comes before the error line
     cfg = _write_config(tmp_path / "c.json", axes=["x", "y", "z"], angles_deg=[float(a) for a in range(0, 181, 30)])
@@ -652,7 +652,7 @@ def test_each_error_type_exits_with_its_code_and_one_error_line(tmp_path, monkey
     def boom(*args, **kwargs):
         raise exc_type("forced for test")
 
-    monkeypatch.setattr(cli, "son_fit", boom)
+    monkeypatch.setattr(son, "son_fit", boom)
     assert main(["son-fit", "--config", str(cfg), "--out", str(out)]) == code
     captured = capsys.readouterr()
     assert captured.err == "error: forced for test\n"
@@ -997,6 +997,57 @@ def test_report_son_fit_and_library_give_one_infeasibility_reason(tmp_path, caps
         son_fit(samples)
     assert skipped == f"report: skipping son-fit ({exc.value})"
     assert failed == f"error: son-fit: {exc.value}"
+
+
+@pytest.mark.parametrize("config", [None, "son_quick.json"], ids=["default", "son_quick"])
+def test_the_library_fit_of_a_simulated_grid_is_reports_son_fit(tmp_path, config):
+    from envarsim import cli, fit_exponent
+
+    cfg = None if config is None else str(CONFIG_DIR / config)
+    out = tmp_path / "report"
+    assert main(["report", *(["--config", cfg] if cfg else []), "--out", str(out)]) == 0
+    plan = load_config(cfg).plan()
+    records = {cell: stages[1].counts for cell, stages in simulate_grid(plan).items()}
+    samples, result = fit_exponent(plan.axes, plan.angles_deg, records)
+    reported = read_json(out / "son_fit.json")
+    assert result.per_combo == tuple(reported["per_combo"])
+    assert (result.n, result.n_uncertainty, list(result.per_combo_n), result.objective) == (
+        reported["n"],
+        reported["n_uncertainty"],
+        reported["per_combo_n"],
+        reported["objective"],
+    )
+    # state_ab reaches report's files through the fitted curves alone: the library's are report's, byte for byte
+    lib = tmp_path / "library"
+    lib.mkdir()
+    cli._write_fit_curves(lib, result)
+    eio.write_correlation_csv(lib / "correlations.csv", samples)
+    assert len(list(lib.iterdir())) == len(result.per_combo) + 1
+    for path in lib.iterdir():
+        assert path.read_bytes() == (out / path.name).read_bytes(), path.name
+
+
+class _NoLookup(dict):
+    """Stage-II records that fail the test when one is looked up."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"record {key} was looked up")
+
+
+@pytest.mark.parametrize("axes", [None, ["m"]], ids=["quick", "m-axis-only"])
+def test_a_grid_the_library_fit_refuses_raises_reports_skip_reason_before_any_lookup(tmp_path, capsys, axes):
+    from envarsim import fit_exponent
+
+    quick = read_json(CONFIG_DIR / "quick.json")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(quick if axes is None else {**quick, "axes": axes}))
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    skipped = capsys.readouterr().err.splitlines()[-1]
+    plan = load_config(str(cfg)).plan()
+    assert len(plan.angles_deg) == 4
+    with pytest.raises(ValueError) as exc:
+        fit_exponent(plan.axes, plan.angles_deg, _NoLookup())
+    assert skipped == f"report: skipping son-fit ({exc.value})"
 
 
 @pytest.mark.parametrize("config_path", BUNDLED, ids=lambda p: p.stem)

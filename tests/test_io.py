@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from envarsim import io as eio
-from envarsim.measurement import CountRecord, tomography_projectors
+from envarsim.measurement import INT64_MAX, CountRecord, tomography_projectors
 from envarsim.son import CorrelationSample
 
 count_arrays = arrays(np.int64, 36, elements=st.integers(0, 2**63 - 1)).filter(lambda c: c.any())
@@ -22,7 +22,7 @@ durations = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_in
 @given(counts=count_arrays, duration=durations)
 def test_count_csv_round_trip(counts, duration):
     total = sum(int(c) for c in counts)
-    if total > eio.INT64_MAX:
+    if total > INT64_MAX:
         # counts that each fit int64 but whose total does not: no record holds them
         with pytest.raises(ValueError, match=rf"^counts total {total} exceeds 2\*\*63 - 1$"):
             CountRecord(counts=counts, duration_s=duration)

@@ -246,6 +246,21 @@ step_rows = st.lists(
 )
 
 
+def _below(a, b, tol):
+    """``trace_distance(a, b) < tol`` by ``trace_distance_below_norms``, from ||d||_F^2 and Tr d of each
+    d = a - b, in d's leading shape, as the MLE's stop test passes its (steps, records) arrays; its
+    exact rule takes ``linalg.trace_distance`` of the open differences, by their flat indices."""
+    d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    flat = d.reshape(d.shape[:-2] + (d.shape[-2] * d.shape[-1],)).view(float)
+    # at least 1-d: the rule writes its exact decisions into its answer by flat index
+    frob_sq = np.atleast_1d(np.einsum("...k,...k->...", flat, flat))
+    trace = np.atleast_1d(np.trace(d, axis1=-2, axis2=-1).real)
+    stack = d.reshape((-1,) + d.shape[-2:])
+    # d - 0 is d: the same matrices trace_distance(a, b) takes apart
+    below = linalg.trace_distance_below_norms(frob_sq, trace, d.shape[-1], tol, lambda rows: linalg.trace_distance(stack[rows], 0.0))
+    return below.reshape(d.shape[:-2])
+
+
 class TestTraceDistanceBelow:
     @settings(max_examples=200, deadline=None)
     @given(rows=step_rows, tol=st.sampled_from([1e-3, 1e-6]))
@@ -257,7 +272,7 @@ class TestTraceDistanceBelow:
             b.append(base)
             a.append(base + scale * tol * _unit_step(rng, shape))
         a, b = np.stack(a), np.stack(b)
-        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, tol), linalg.trace_distance(a, b) < tol)
+        np.testing.assert_array_equal(_below(a, b, tol), linalg.trace_distance(a, b) < tol)
 
     def test_decides_far_rows_without_eigenvalues(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -267,29 +282,31 @@ class TestTraceDistanceBelow:
         seen = []
         original = linalg.trace_distance
         monkeypatch.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
-        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, 1e-6), original(a, b) < 1e-6)
+        np.testing.assert_array_equal(_below(a, b, 1e-6), original(a, b) < 1e-6)
         assert seen == []
 
     def test_two_matrices_give_one_bool(self):
         # each row of a 4x4 matrix was taken for a matrix, and 4 bools came back
         rng = np.random.default_rng(5)
         a = random_density_matrix(4, rng)
-        assert linalg.trace_distance_below(a, a, 1e-6) is True
+        below = _below(a, a, 1e-6)
+        assert below.shape == () and bool(below) is True
         b = a + 3e-6 * _unit_step(rng, "random")
-        assert linalg.trace_distance_below(a, b, 1e-6) is (linalg.trace_distance(a, b) < 1e-6) is False
+        below = _below(a, b, 1e-6)
+        assert below.shape == () and bool(below) is (linalg.trace_distance(a, b) < 1e-6) is False
 
     def test_broadcasts_over_leading_axes_as_trace_distance_does(self):
         rng = np.random.default_rng(6)
         b = random_density_matrix(4, rng)
         scales = np.array([[0.5, 1.5, 3.0], [1.2, 1.9, 0.1]])[..., None, None]
         a = b + scales * 1e-6 * np.stack([_unit_step(rng, "random") for _ in range(6)]).reshape(2, 3, 4, 4)
-        below = linalg.trace_distance_below(a, b, 1e-6)
+        below = _below(a, b, 1e-6)
         assert below.shape == (2, 3)
         np.testing.assert_array_equal(below, linalg.trace_distance(a, b) < 1e-6)
 
     def test_empty_stack_gives_an_empty_array(self):
         empty = np.zeros((0, 4, 4), dtype=complex)
-        assert linalg.trace_distance_below(empty, empty, 1e-6).shape == linalg.trace_distance(empty, empty).shape == (0,)
+        assert _below(empty, empty, 1e-6).shape == linalg.trace_distance(empty, empty).shape == (0,)
 
 
 def _rank2_step(rng: np.random.Generator, eps: float) -> np.ndarray:
@@ -364,7 +381,7 @@ class TestTraceDistanceBelowHolder:
             b.append(base)
             a.append(base + scale * tol * _rank2_step(rng, eps))
         a, b = np.stack(a), np.stack(b)
-        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, tol), linalg.trace_distance(a, b) < tol)
+        np.testing.assert_array_equal(_below(a, b, tol), linalg.trace_distance(a, b) < tol)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-80])
     def test_rank2_step_is_decided_without_eigenvalues(self, monkeypatch, tol):
@@ -376,7 +393,7 @@ class TestTraceDistanceBelowHolder:
         original = linalg.trace_distance
         monkeypatch.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
         # ... and its trace distance, 1.9 tol / sqrt(2) or more, is above tol by the trace-corrected bound
-        np.testing.assert_array_equal(linalg.trace_distance_below(a, b, tol), [False, False])
+        np.testing.assert_array_equal(_below(a, b, tol), [False, False])
         assert seen == []
         assert np.all(original(a, b) >= tol)
 
@@ -395,6 +412,6 @@ class TestTraceDistanceBelowHolder:
         original = linalg.trace_distance
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
-            below = linalg.trace_distance_below(a, b, tol)
+            below = _below(a, b, tol)
         np.testing.assert_array_equal(below, original(a, b) < tol)
         assert seen == []

@@ -28,6 +28,7 @@ from envarsim.son import (
     combo_axis_and_basis,
     correlation_operator,
     extract_correlation,
+    fit_exponent,
     fit_obstacle,
     fitted_correlation,
     phi_to_theta,
@@ -562,6 +563,24 @@ class TestFitObstacle:
         assert "multiple of 45 degrees" in fit_obstacle({"Y-HV": np.deg2rad([0, 45, 90, 135, 180])})
         assert fit_obstacle({}).startswith("no correlation combo")
         assert fit_obstacle({combo: PHI_GRID for combo in COMBOS}) is None
+
+
+class TestFitExponent:
+    def test_reads_each_record_once_in_first_use_order_and_fits_the_samples_son_fit_reads(self):
+        plan = ExperimentPlan(noise=calibrated_noise(0), seed=0)
+        grid = simulate_grid(plan)
+        looked_up = []
+
+        class Logged(dict):
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return grid[key][1].counts
+
+        samples, result = fit_exponent(plan.axes, plan.angles_deg, Logged())
+        # two combos per axis, in COMBOS order: z, then y, then x; the m axis serves none
+        assert looked_up == [(axis, a) for axis in ("z", "y", "x") for a in plan.angles_deg]
+        assert samples == _calibrated_samples(0)
+        assert result == son_fit(samples)
 
 
 class TestStateFit:
