@@ -19,6 +19,12 @@ counts' total and that duration before the rows' durations are compared.
 otherwise collapse to its last value, and reports an integer of more digits
 than the interpreter converts as an ``OverflowError`` that counts them, not
 as a decode error.
+
+An output directory holds one run. ``OWNED_FILES`` lists the names each
+subcommand writes; ``remove_owned`` removes a subcommand's names, and for
+``simulate`` those of the two subcommands that read its files, before it
+writes, so no earlier run's file stays beside the new ones. No other name
+is touched.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from .son import CorrelationSample, SonFitResult
 
 __all__ = [
     "COUNT_CSV_HEADER",
+    "OWNED_FILES",
+    "remove_owned",
     "is_decimal",
     "record_tag",
     "count_file_name",
@@ -73,6 +81,25 @@ def record_tag(axis: str, angle_deg: float, stage: str) -> str:
 
 def count_file_name(axis: str, angle_deg: float, stage: str) -> str:
     return f"counts_{record_tag(axis, angle_deg, stage)}.csv"
+
+
+# the names each subcommand writes into its output directory, as patterns, each removed in
+# turn: simulate's manifest first, so a run that fails part-way leaves none beside its count files
+OWNED_FILES = {
+    "simulate": ("manifest.json", "counts_*.csv"),
+    "analyze": ("report.*", "states.json", "plot_*.csv"),
+    "son-fit": ("son_fit.json", "correlations.csv", "curve_*.csv"),
+}
+
+
+def remove_owned(out: Path, command: str) -> None:
+    """Remove the files in ``out`` that ``command`` owns, and for ``simulate`` those of
+    ``analyze`` and ``son-fit``, which read its files."""
+    entries = list(out.iterdir())
+    for pattern in (p for c in (OWNED_FILES if command == "simulate" else (command,)) for p in OWNED_FILES[c]):
+        for path in entries:
+            if path.match(pattern):
+                path.unlink()
 
 
 def _write_text(path: Path, chunks) -> None:

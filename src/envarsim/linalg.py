@@ -4,7 +4,9 @@ Everything operates on plain numpy arrays: pure states are complex vectors
 of length 2 or 4 (basis order HH, HV, VH, VV for two qubits) and density
 matrices are 4x4 complex Hermitian arrays. Validation helpers raise
 ``ValueError`` when a contract is violated; numerical tolerances follow the
-conventions used throughout the package.
+conventions used throughout the package. This module holds the algebra that
+several modules share; a rule with one caller lives beside it: the
+fidelity's square roots in ``metrics``, the MLE's stop rule in ``tomography``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ __all__ = [
     "su2_rotation",
     "apply_local",
     "werner",
-    "eig_hermitian",
-    "psd_sqrt",
     "trace_distance",
-    "trace_distance_below_norms",
     "validate_unitary",
     "validate_density_matrix",
 ]
@@ -160,33 +159,6 @@ def werner(v: float) -> np.ndarray:
     return v * projector(singlet()) + (1 - v) * np.eye(4, dtype=complex) / 4
 
 
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Raises if the
-    input deviates from Hermiticity by more than 1e-8 entrywise.
-    """
-    m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - _dagger(m))) > 1e-8:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
-    return w, v
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix, or of a stack of them.
-
-    Eigenvalues in [-1e-8, 0] are clamped to 0 (MLE outputs are PSD only
-    numerically); anything below -1e-8 raises.
-    """
-    w, v = eig_hermitian(m)
-    if w.min() < -1e-8:
-        raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)[..., None, :]) @ _dagger(v)
-    return (root + _dagger(root)) / 2
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Trace distance (1/2)*||a - b||_1 between Hermitian matrices.
 
@@ -197,25 +169,3 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh((d + _dagger(d)) / 2)), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 
-
-def trace_distance_below_norms(frob_sq: np.ndarray, trace: np.ndarray, n: int, tol: float, exact) -> np.ndarray:
-    """``trace_distance < tol`` of Hermitian n x n differences d given only by ||d||_F^2 and Tr d.
-
-    For Hermitian d of dimension n with t = Tr d,
-    max(||d||_F^2, 2 ||d||_F^2 - t^2) <= ||d||_1^2 <= n ||d||_F^2. The middle term: with P
-    the sum of d's positive eigenvalues and N that of the moduli of its negative ones,
-    ||d||_1 = P + N, t = P - N and ||d||_F^2 <= P^2 + N^2 = (||d||_1^2 + t^2) / 2. For the step
-    between two unit-trace iterates (t = 0) it is sqrt(2) tighter than ||d||_F; the max keeps
-    it never weaker. Both take only squares of d's entries, so they underflow no sooner than
-    ||d||_F^2. Each bound is applied with a 1e-9 relative margin for rounding. So two numbers
-    per difference decide most of them, with no eigenvalues; ``exact(rows)`` gives the trace
-    distances of the open ones, by their flat indices into ``frob_sq``, and only those are
-    taken apart. The MLE's stop test reads these two numbers per step as a block runs, so it
-    holds no stack of the block's differences.
-    """
-    below = frob_sq < (2 * tol * (1 - 1e-9) / np.sqrt(n)) ** 2
-    lower_sq = np.maximum(frob_sq, 2 * frob_sq - trace * trace)
-    rows = np.flatnonzero((lower_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below)
-    if rows.size:
-        below.flat[rows] = exact(rows) < tol
-    return below

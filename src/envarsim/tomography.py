@@ -9,10 +9,10 @@ maximum; R's scale cancels in the normalization N. Every record starts at
 I/4 and leaves the stack at the iteration where its own trace-distance step
 drops below ``tol``. The stop test reads two numbers per step, ||d||_F^2 and
 Tr d of the step d, taken as the block of ``_BLOCK`` steps runs; a block holds
-no stack of its differences. The stops are decided once per block, in one
-``trace_distance_below_norms`` call, whose norm bounds (Frobenius, then a
+no stack of its differences. The stops are decided once per block, by the
+stop rule ``_steps_below``, whose norm bounds (Frobenius, then a
 trace-corrected Frobenius bound) decide most steps; eigenvalues are taken only
-of the open steps, gathered from the block's iterates. A record keeps the
+of the open steps, read from two views of the block's iterates. A record keeps the
 iterate and the iteration of its first step below ``tol``, and the steps it
 ran past that are dropped.
 Each step takes R rho R in real arithmetic. A complex product a @ m equals
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_instance, check_integer, check_real
-from .linalg import trace_distance, trace_distance_below_norms
+from .linalg import trace_distance
 from .measurement import CountRecord, ProjectorSet
 
 __all__ = ["TomographyResult", "mle_reconstruct", "mle_reconstruct_many"]
@@ -153,6 +153,29 @@ def _difference_norms(after: np.ndarray, before: np.ndarray, frob_sq: np.ndarray
     tr += f[:, 20] + f[:, 30]
 
 
+def _steps_below(frob_sq: np.ndarray, trace: np.ndarray, traj: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each step d of a block has trace distance below ``tol``, from the block's (k, B)
+    arrays of ||d||_F^2 and Tr d; ``traj`` holds its iterates, iterate j of row r at flat index
+    j B + r, so step j of row r runs from ``traj[j B + r]`` to ``traj[(j + 1) B + r]``.
+
+    For Hermitian 4x4 d with t = Tr d, max(||d||_F^2, 2 ||d||_F^2 - t^2) <= ||d||_1^2 <= 4 ||d||_F^2,
+    and the trace distance is ||d||_1 / 2. The middle term: with P the sum of d's positive
+    eigenvalues and N that of the moduli of its negative ones, ||d||_1 = P + N, t = P - N and
+    ||d||_F^2 <= P^2 + N^2 = (||d||_1^2 + t^2) / 2. For the step between two unit-trace iterates
+    (t = 0) it is sqrt(2) tighter than ||d||_F; the max keeps it never weaker. Both take only
+    squares of d's entries, so they underflow no sooner than ||d||_F^2. Each bound is applied
+    with a 1e-9 relative margin for rounding. So two numbers per step decide most steps, with
+    no eigenvalues; only the steps they leave open are taken apart."""
+    below = frob_sq < (tol * (1 - 1e-9)) ** 2
+    lower_sq = np.maximum(frob_sq, 2 * frob_sq - trace * trace)
+    open_ = (lower_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below
+    if open_.any():
+        rows = open_.ravel()
+        k, b = frob_sq.shape
+        below[open_] = trace_distance(traj[b : (k + 1) * b][rows], traj[: k * b][rows]) < tol
+    return below
+
+
 def _run_blocks(
     flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, max_iter: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,7 +210,7 @@ def _run_blocks(
             _difference_norms(blk[j0 + 1 : j1 + 1], blk[j0:j1], frob_sq[j0:j1], trace[j0:j1])
         # one stopping test per block: a row stops at its first step below tol, and the
         # steps it ran past that, on its own data alone, are dropped
-        done = trace_distance_below_norms(frob_sq, trace, 4, tol, lambda rows: trace_distance(traj[rows + b], traj[rows]))
+        done = _steps_below(frob_sq, trace, traj, tol)
         keep, first = ~done.any(axis=0), done.argmax(axis=0)
         rows = np.flatnonzero(~keep)
         final[active[rows]] = blk[first[rows] + 1, rows]

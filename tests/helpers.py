@@ -1,8 +1,23 @@
 """Random states, closed forms and oracles that only the tests use."""
 
+import tracemalloc
+
 import numpy as np
 
 from envarsim.metrics import fidelity
+
+
+def traced_peak_mib(call) -> float:
+    """tracemalloc's peak over one warm call of ``call`` (it runs once untraced first), above
+    what was traced at the call's entry, in MiB."""
+    call()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - entry) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

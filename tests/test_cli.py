@@ -21,6 +21,7 @@ from envarsim.harness import simulate_grid
 from envarsim.io import read_count_csv, read_json
 from envarsim.measurement import CountRecord, tomography_projectors
 from envarsim.son import COMBOS, combo_axis_and_basis, extract_correlation, son_fit
+from helpers import traced_peak_mib
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BUNDLED = sorted(CONFIG_DIR.glob("*.json"))
@@ -188,6 +189,78 @@ class TestSimulate:
         a = read_count_csv(tmp_path / "s1" / "counts_x_00000_I.csv")
         b = read_count_csv(tmp_path / "s2" / "counts_x_00000_I.csv")
         assert not np.array_equal(a.counts, b.counts)
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+class TestOneRunPerDirectory:
+    """A subcommand removes the files that it and the subcommands reading its files own
+    (``io.OWNED_FILES``) before it writes, so a directory holds one run; no other name is touched."""
+
+    FOREIGN = {"notes.txt": b"mine", "counts_x.json": b"{}", "curve.csv": b"a,b\n", "plot_a.txt": b""}
+
+    def test_each_step_leaves_what_it_writes_beside_its_inputs_alone(self, tmp_path, capsys):
+        # shrinking grids and format switches: each step runs into D, which starts with foreign
+        # files, and into a reference directory that is emptied before each simulate or report
+        son = {"werner_v": 0.98267, "poisson": True, "flux_hz": 5400.0, "axes": ["x", "z"]}
+        big = _write_config(tmp_path / "big.json", **son, angles_deg=[30.0 * k for k in range(13)])
+        mid = _write_config(tmp_path / "mid.json", **son | {"axes": ["z"]}, angles_deg=[30.0 * k for k in range(7)])
+        small = _write_config(tmp_path / "small.json", angles_deg=[0.0, 90.0])
+        steps = [
+            ["simulate", "--config", str(big)],
+            ["analyze"],
+            ["son-fit"],
+            ["report", "--config", str(mid), "--format", "json"],
+            ["analyze", "--format", "csv"],
+            ["son-fit", "--format", "csv"],
+            ["simulate", "--config", str(small)],
+            ["analyze", "--format", "json"],
+            ["report", "--config", str(small), "--format", "csv"],
+        ]
+        out, ref = tmp_path / "D", tmp_path / "ref"
+        out.mkdir()
+        for name, data in self.FOREIGN.items():
+            (out / name).write_bytes(data)
+        for argv in steps:
+            if argv[0] in ("simulate", "report") and ref.exists():
+                for path in ref.iterdir():
+                    path.unlink()
+            assert main([*argv, "--out", str(ref)]) == 0
+            assert main([*argv, "--out", str(out)]) == 0
+            files = _files(out)
+            assert {name: files.pop(name) for name in self.FOREIGN} == self.FOREIGN
+            assert files == _files(ref), argv
+        capsys.readouterr()
+
+    def test_the_stale_files_probe_leaves_only_the_second_run(self, tmp_path, capsys):
+        out, fresh = tmp_path / "D", tmp_path / "fresh"
+        noiseless = str(CONFIG_DIR / "noiseless_small.json")
+        assert main(["report", "--out", str(out)]) == 0
+        (out / "notes.txt").write_bytes(b"mine")
+        assert main(["report", "--config", noiseless, "--out", str(out)]) == 0
+        assert main(["report", "--config", noiseless, "--out", str(fresh)]) == 0
+        files = _files(out)
+        assert files.pop("notes.txt") == b"mine"
+        assert files == _files(fresh)
+        assert not (out / "son_fit.json").exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--format", "xml"], ["analyze", "--seed", "6"], ["son-fit", "--seed", "6"], ["report", "--seed", "-1"]],
+        ids=["bad-format", "analyze-seed-disagrees", "son-fit-seed-disagrees", "bad-seed"],
+    )
+    def test_a_usage_error_leaves_the_directory_as_it_was(self, tmp_path, capsys, argv):
+        cfg = _write_config(tmp_path / "c.json", werner_v=0.98267, poisson=True, angles_deg=[30.0 * k for k in range(13)])
+        out = tmp_path / "D"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "notes.txt").write_bytes(b"mine")
+        before = _files(out)
+        assert main([*argv, "--out", str(out)]) == 1
+        assert _files(out) == before
+        capsys.readouterr()
 
 
 class TestAnalyze:
@@ -922,6 +995,19 @@ def test_report_writes_what_the_three_subcommands_write_and_reads_nothing_back(t
     for command in ("simulate", "analyze", "son-fit"):
         assert main([command, *args, "--out", str(tmp_path / "steps")]) == 0
     assert _tree_hash(tmp_path / "report") == _tree_hash(tmp_path / "steps")
+
+
+def test_one_default_report_stays_within_its_memory_budget(tmp_path, capsys):
+    """A warm default ``report`` (each call into its own empty directory) peaks at 1.047 MiB
+    under tracemalloc on numpy 2.4.6; the budget is 24 % above that."""
+    codes = []
+
+    def report():
+        codes.append(main(["report", "--out", str(tmp_path / str(len(codes)))]))
+
+    assert traced_peak_mib(report) < 1.3
+    assert codes == [0, 0]
+    capsys.readouterr()
 
 
 def test_report_checks_simulated_records_as_analyze_checks_count_files(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from envarsim import linalg
 from envarsim.measurement import CountRecord, NoiseModel, born_probability, simulate_counts, tomography_projectors
-from envarsim.metrics import bhattacharyya, fidelity, normalize_counts
+from envarsim.metrics import _sqrt_psd, bhattacharyya, fidelity, normalize_counts
 from helpers import random_density_matrix, random_unitary
 
 
@@ -69,6 +69,38 @@ class TestFidelity:
     def test_rejects_invalid_input(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(4, dtype=complex), linalg.werner(1.0))  # trace 4
+
+
+class TestSqrtPsd:
+    """``fidelity``'s square root: ``eigh`` of the Hermitized matrix, eigenvalues clipped at 0."""
+
+    def test_identity(self):
+        np.testing.assert_allclose(_sqrt_psd(np.eye(4, dtype=complex)), np.eye(4), atol=1e-12)
+
+    def test_diagonal(self):
+        m = np.diag([4.0, 1.0, 0.0, 0.0]).astype(complex)
+        np.testing.assert_allclose(_sqrt_psd(m), np.diag([2.0, 1.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_rank_one_projector_is_its_own_root(self):
+        p = linalg.projector(linalg.singlet())
+        np.testing.assert_allclose(_sqrt_psd(p), p, atol=1e-12)
+
+    def test_werner_square(self):
+        m = linalg.werner(0.5)
+        root = _sqrt_psd(m)
+        np.testing.assert_allclose(root @ root, m, atol=1e-8)
+
+    def test_random_psd_roundtrip(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            m = random_density_matrix(4, rng)
+            root = _sqrt_psd(m)
+            np.testing.assert_allclose(root @ root, m, atol=1e-8)
+
+    def test_fidelity_rejects_a_negative_eigenvalue_before_any_root(self):
+        # unit trace and Hermitian: only the eigenvalue -0.5 is wrong
+        with pytest.raises(ValueError, match="eigenvalue below -1e-10"):
+            fidelity(np.diag([1.0, -0.5, 0.2, 0.3]).astype(complex), linalg.werner(0.5))
 
 
 class TestBhattacharyya:

@@ -18,6 +18,7 @@ from envarsim.measurement import (
 )
 from envarsim.metrics import fidelity
 from envarsim.tomography import mle_reconstruct, mle_reconstruct_many
+from helpers import random_density_matrix, random_unitary
 
 
 def _noiseless_counts(rho, pairs_per_setting=1e6):
@@ -216,11 +217,13 @@ class TestMleReconstructMany:
     def test_equal_records_are_reconstructed_once(self, monkeypatch):
         calls = []
 
-        def counting(frob_sq, trace, n, tol, exact):
-            calls.append(frob_sq.shape[:2])
-            return linalg.trace_distance_below_norms(frob_sq, trace, n, tol, exact)
+        steps_below = tomography._steps_below
 
-        monkeypatch.setattr(tomography, "trace_distance_below_norms", counting)
+        def counting(frob_sq, *rest):
+            calls.append(frob_sq.shape[:2])
+            return steps_below(frob_sq, *rest)
+
+        monkeypatch.setattr(tomography, "_steps_below", counting)
         rng = np.random.default_rng(7)
         a, b = (simulate_counts(linalg.werner(v), 5400.0, 5.0, NoiseModel(werner_v=v), rng) for v in (0.9, 0.6))
         projs = tomography_projectors()
@@ -402,11 +405,13 @@ def test_block_edges_match_the_oracle_and_each_record_alone(max_iter, stop):
 def test_stops_are_tested_once_per_block(monkeypatch, max_iter):
     calls = []
 
-    def counting(frob_sq, trace, n, tol, exact):
-        calls.append(frob_sq.shape[:2])
-        return linalg.trace_distance_below_norms(frob_sq, trace, n, tol, exact)
+    steps_below = tomography._steps_below
 
-    monkeypatch.setattr(tomography, "trace_distance_below_norms", counting)
+    def counting(frob_sq, *rest):
+        calls.append(frob_sq.shape[:2])
+        return steps_below(frob_sq, *rest)
+
+    monkeypatch.setattr(tomography, "_steps_below", counting)
     records, tol = _edge_records(2 * K + 1)
     many = mle_reconstruct_many(records, tomography_projectors(), max_iter=max_iter, tol=tol)
     last = max(r.iterations for r in many)
@@ -454,3 +459,195 @@ def test_one_grid_call_stays_within_its_memory_bounds():
     assert len(results) == 156
     assert (peak - entry) / 2**20 < 1.2
     assert (held - entry) / 2**20 < 0.3
+
+
+def _unit_step(rng: np.random.Generator, shape: str) -> np.ndarray:
+    """A 4x4 Hermitian step of unit Frobenius norm whose trace norm is 1, 2 or in between."""
+    u = random_unitary(4, rng)
+    spectrum = {"rank1": [1.0, 0, 0, 0], "flat": [0.5, -0.5, 0.5, -0.5], "random": rng.normal(size=4)}[shape]
+    d = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return d / np.linalg.norm(d)
+
+
+# trace distance ||d||_1 / 2 equals ||d||_F / 2 for rank 1 and ||d||_F for the flat spectrum,
+# so these scales put rows on both sides of tol, at it and next to it
+step_scales = st.one_of(
+    st.sampled_from([1 + e for e in (0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8)]),
+    st.sampled_from([2 + e for e in (0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8)]),
+    st.floats(0.4, 2.5),
+)
+step_rows = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(["rank1", "flat", "random"]), step_scales),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _below(a, b, tol):
+    """``trace_distance(a, b) < tol`` by the MLE's stop rule ``tomography._steps_below``, from
+    ||d||_F^2 and Tr d of each d = a - b, in d's leading shape. The rule gets them as one step of
+    a (1, N) block whose trajectory steps from 0 to d: d - 0 is d, the same matrices
+    trace_distance(a, b) takes apart."""
+    d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    stack = d.reshape(-1, 4, 4)
+    flat = stack.reshape(-1, 16).view(float)
+    frob_sq = np.einsum("...k,...k->...", flat, flat)[None]
+    trace = np.trace(stack, axis1=-2, axis2=-1).real[None]
+    below = tomography._steps_below(frob_sq, trace, np.concatenate([np.zeros_like(stack), stack]), tol)
+    return below.reshape(d.shape[:-2])
+
+
+class TestTraceDistanceBelow:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=step_rows, tol=st.sampled_from([1e-3, 1e-6]))
+    def test_equals_trace_distance_below_tol(self, rows, tol):
+        a, b = [], []
+        for seed, shape, scale in rows:
+            rng = np.random.default_rng(seed)
+            base = random_density_matrix(4, rng)
+            b.append(base)
+            a.append(base + scale * tol * _unit_step(rng, shape))
+        a, b = np.stack(a), np.stack(b)
+        np.testing.assert_array_equal(_below(a, b, tol), linalg.trace_distance(a, b) < tol)
+
+    def test_decides_far_rows_without_eigenvalues(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        b = np.stack([random_density_matrix(4, rng) for _ in range(3)])
+        steps = np.stack([_unit_step(rng, "random") for _ in range(3)])
+        a = b + np.array([0.5, 1.5, 3.0])[:, None, None] * 1e-6 * steps
+        seen = []
+        original = linalg.trace_distance
+        monkeypatch.setattr(tomography, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
+        np.testing.assert_array_equal(_below(a, b, 1e-6), original(a, b) < 1e-6)
+        assert seen == []
+
+    def test_two_matrices_give_one_bool(self):
+        # each row of a 4x4 matrix was taken for a matrix, and 4 bools came back
+        rng = np.random.default_rng(5)
+        a = random_density_matrix(4, rng)
+        below = _below(a, a, 1e-6)
+        assert below.shape == () and bool(below) is True
+        b = a + 3e-6 * _unit_step(rng, "random")
+        below = _below(a, b, 1e-6)
+        assert below.shape == () and bool(below) is (linalg.trace_distance(a, b) < 1e-6) is False
+
+    def test_broadcasts_over_leading_axes_as_trace_distance_does(self):
+        rng = np.random.default_rng(6)
+        b = random_density_matrix(4, rng)
+        scales = np.array([[0.5, 1.5, 3.0], [1.2, 1.9, 0.1]])[..., None, None]
+        a = b + scales * 1e-6 * np.stack([_unit_step(rng, "random") for _ in range(6)]).reshape(2, 3, 4, 4)
+        below = _below(a, b, 1e-6)
+        assert below.shape == (2, 3)
+        np.testing.assert_array_equal(below, linalg.trace_distance(a, b) < 1e-6)
+
+    def test_empty_stack_gives_an_empty_array(self):
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        assert _below(empty, empty, 1e-6).shape == linalg.trace_distance(empty, empty).shape == (0,)
+
+
+def _rank2_step(rng: np.random.Generator, eps: float) -> np.ndarray:
+    """A 4x4 Hermitian step of unit Frobenius norm with spectrum proportional to (1, -1, eps, -eps)."""
+    u = random_unitary(4, rng)
+    d = (u * np.array([1.0, -1.0, eps, -eps])) @ u.conj().T
+    return d / np.linalg.norm(d)
+
+
+def _rank2_trace_norm(eps: float) -> float:
+    """||d||_1 of the unit-Frobenius ``_rank2_step``."""
+    return (2 + 2 * eps) / np.sqrt(2 + 2 * eps**2)
+
+
+# traceless near-flat spectra, where the trace-corrected bound ||d||_1^2 >= 2 ||d||_F^2 - (Tr d)^2
+# is tight (eps = 0) or nearly so;
+# each row's Frobenius norm is scale * tol with scale in [1, 2], on both sides of the trace-distance
+# threshold 2 / _rank2_trace_norm(eps), at it and next to it
+rank2_rows = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-9, 1e-4, 0.05, 0.3]),
+        st.one_of(
+            st.sampled_from([1 + e for e in (0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 1e-3, -1e-3)]),
+            st.floats(0.7, 1.4),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _traceless_step(rng: np.random.Generator, rank: int | None) -> np.ndarray:
+    """A 4x4 Hermitian step of unit Frobenius norm with a random zero-sum spectrum of ``rank``
+    nonzero eigenvalues, or with the spectrum (3, -1, -1, -1) for ``rank=None``."""
+    if rank is None:
+        spectrum = np.array([3.0, -1.0, -1.0, -1.0])
+    else:
+        spectrum = np.zeros(4)
+        spectrum[:rank] = rng.normal(size=rank)
+        spectrum[:rank] -= spectrum[:rank].mean()
+    u = random_unitary(4, rng)
+    d = (u * spectrum) @ u.conj().T
+    return d / np.linalg.norm(d)
+
+
+# traceless steps of Frobenius norm scale * tol, scale in [sqrt(2) (1 + 1e-8), 2]: the Frobenius
+# bound leaves each open, and ||d||_1 >= sqrt(2) ||d||_F puts its trace distance above tol; the
+# first row of every example has the spectrum (3, -1, -1, -1), where Hölder's lower bound
+# ||d||_F^3 / ||d^2||_F reaches only 1.31 ||d||_F
+_SQRT2_UP = np.sqrt(2) * (1 + 1e-8)
+traceless_rows = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 2, 3, 4]),
+        st.one_of(st.sampled_from([_SQRT2_UP, 1.45, 2.0]), st.floats(_SQRT2_UP, 2.0)),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda rows: [(rows[0][0], None, rows[0][2])] + rows[1:])
+
+
+class TestTraceDistanceBelowHolder:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=rank2_rows, tol=st.sampled_from([1e-3, 1e-6]))
+    def test_rank2_steps_equal_trace_distance_below_tol(self, rows, tol):
+        a, b = [], []
+        for seed, eps, offset in rows:
+            rng = np.random.default_rng(seed)
+            base = random_density_matrix(4, rng)
+            scale = np.clip(offset * 2 / _rank2_trace_norm(eps), 1.0, 2.0)
+            b.append(base)
+            a.append(base + scale * tol * _rank2_step(rng, eps))
+        a, b = np.stack(a), np.stack(b)
+        np.testing.assert_array_equal(_below(a, b, tol), linalg.trace_distance(a, b) < tol)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-80])
+    def test_rank2_step_is_decided_without_eigenvalues(self, monkeypatch, tol):
+        # F = 1.9 tol lies inside the Frobenius bound's open interval [tol / 2, 2 tol] of ||d||_F / 2 ...
+        rng = np.random.default_rng(8)
+        a = 1.9 * tol * np.stack([_rank2_step(rng, 0.0), _rank2_step(rng, 1e-3)])
+        b = np.zeros_like(a)
+        seen = []
+        original = linalg.trace_distance
+        monkeypatch.setattr(tomography, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
+        # ... and its trace distance, 1.9 tol / sqrt(2) or more, is above tol by the trace-corrected bound
+        np.testing.assert_array_equal(_below(a, b, tol), [False, False])
+        assert seen == []
+        assert np.all(original(a, b) >= tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=traceless_rows, tol=st.sampled_from([1e-3, 1e-6, 1e-80]))
+    def test_traceless_steps_are_decided_without_eigenvalues(self, rows, tol):
+        a, b = [], []
+        for seed, rank, scale in rows:
+            rng = np.random.default_rng(seed)
+            # a 1e-80 step vanishes when added to a density matrix, so it is taken from zero
+            base = np.zeros((4, 4), dtype=complex) if tol < 1e-20 else random_density_matrix(4, rng)
+            b.append(base)
+            a.append(base + scale * tol * _traceless_step(rng, rank))
+        a, b = np.stack(a), np.stack(b)
+        seen = []
+        original = linalg.trace_distance
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tomography, "trace_distance", lambda x, y: seen.append(len(x)) or original(x, y))
+            below = _below(a, b, tol)
+        np.testing.assert_array_equal(below, original(a, b) < tol)
+        assert seen == []
