@@ -368,9 +368,7 @@ def assemble_report(
     ]
     # the grid's consecutive stage-I pairs, scored once; the cells lo:hi own pairs lo:hi - 1,
     # and the grid is axis-major, so each axis is one such run of cells
-    pair_f = pair_bc = np.empty(0)
-    if len(keys) >= 3:
-        pair_f, pair_bc = fidelity(rhos[:-1, 0], rhos[1:, 0]), bhattacharyya(dists[:-1, 0], dists[1:, 0])
+    pair_f, pair_bc = fidelity(rhos[:-1, 0], rhos[1:, 0]), bhattacharyya(dists[:-1, 0], dists[1:, 0])
 
     def summary(label: str, lo: int, hi: int) -> AxisSummary:
         return _summary(label, cells[lo:hi], pair_f[lo : hi - 1], pair_bc[lo : hi - 1])

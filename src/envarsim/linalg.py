@@ -108,7 +108,7 @@ def validate_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("unitary must be a square matrix")
-    dev = np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])))
+    dev = np.max(np.abs(_dagger(u) @ u - np.eye(u.shape[-1])), initial=0.0)
     if dev > 1e-10:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > 1e-10)")
     return u
@@ -125,11 +125,11 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         raise ValueError("density matrix must be 4x4")
     if not np.all(np.isfinite(rho.view(float))):
         raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - _dagger(rho))) > 1e-10:
+    if np.any(np.abs(rho - _dagger(rho)) > 1e-10):
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > 1e-10:
+    if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) > 1e-10):
         raise ValueError("density matrix trace differs from 1 by more than 1e-10")
-    if np.linalg.eigvalsh((rho + _dagger(rho)) / 2).min() < -1e-10:
+    if np.any(np.linalg.eigvalsh((rho + _dagger(rho)) / 2) < -1e-10):
         raise ValueError("density matrix has eigenvalue below -1e-10")
     return rho
 

@@ -10,7 +10,8 @@ states are positive semidefinite only to rounding, and ``fidelity`` validates
 both inputs to 1e-10 first. The Bhattacharyya coefficient sum_i sqrt(p_i q_i)
 compares the normalized 36-outcome count distributions directly, with no
 quantum assumptions. Count distributions are normalized by the grand total
-over all 36 entries, so each of the 9 settings carries weight 1/9. Both
+over all 36 entries, so each of the 9 settings weighs its share of the
+record's total, 1/9 only when the setting totals are equal. Both
 measures are clipped to [0, 1]: rounding can carry an exact 1, such as the
 overlap of a distribution with itself, to 1 + 2**-52. Both broadcast over
 leading axes, and a stack gives each pair's one-pair result bit for bit.
@@ -53,7 +54,7 @@ def validate_distribution(p: np.ndarray) -> np.ndarray:
         raise ValueError("distribution must have exactly 36 entries")
     if np.any(p < 0):
         raise ValueError("distribution entries must be non-negative")
-    if np.max(np.abs(p.sum(axis=-1) - 1.0)) > 1e-9:
+    if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("distribution must sum to 1 within 1e-9")
     return p
 

@@ -7,14 +7,11 @@ decreases the log-likelihood L(rho) = sum_j n_j log Tr(P_j rho) for this
 measurement structure and converges to its physical (PSD, unit-trace)
 maximum; R's scale cancels in the normalization N. Every record starts at
 I/4 and leaves the stack at the iteration where its own trace-distance step
-drops below ``tol``. The stop test reads two numbers per step, ||d||_F^2 and
-Tr d of the step d, taken as the block of ``_BLOCK`` steps runs; a block holds
-no stack of its differences. The stops are decided once per block, by the
-stop rule ``_steps_below``, whose norm bounds (Frobenius, then a
-trace-corrected Frobenius bound) decide most steps; eigenvalues are taken only
-of the open steps, read from two views of the block's iterates. A record keeps the
-iterate and the iteration of its first step below ``tol``, and the steps it
-ran past that are dropped.
+drops below ``tol``. The stops are decided once per block of ``_BLOCK``
+steps, by the stop rule ``_steps_below``: its norm bounds on ||d||_F^2 and Tr d
+of each step d decide most steps, and eigenvalues are taken only of the steps
+they leave open. A record keeps the iterate and the iteration of its first step
+below ``tol``, and the steps it ran past that are dropped.
 Each step takes R rho R in real arithmetic. A complex product a @ m equals
 a.view(float) @ E(m), with E(m) the real 8x8 matrix of right-multiplication
 by m. So a step builds E(R) from R's 36 weights through one (36, 64) map,
@@ -54,7 +51,7 @@ __all__ = ["TomographyResult", "mle_reconstruct", "mle_reconstruct_many"]
 
 _PROB_FLOOR = 1e-12
 _BLOCK = 12  # R-rho-R steps between two stopping tests
-# matrices per norm call: a block of B active rows takes the norms of max(1, 512 // B) steps
+# matrices per norm call: the stop rule takes the norms of max(1, 512 // B) steps of B rows
 # at once, so a small batch pays few calls and no difference stack passes 128 kB unless one step does
 _NORM_MATRICES = 512
 
@@ -143,22 +140,23 @@ def _step(flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, rho: np.ndarra
     return probs
 
 
-def _difference_norms(after: np.ndarray, before: np.ndarray, frob_sq: np.ndarray, trace: np.ndarray) -> None:
-    """||d||_F^2 and Tr d of each step d = after - before of two (g, B, 4, 4) Hermitian stacks,
-    into the contiguous (g, B) arrays ``frob_sq`` and ``trace``."""
-    f = (after - before).view(float).reshape(-1, 32)
+def _difference_norms(seg: np.ndarray, frob_sq: np.ndarray, trace: np.ndarray) -> None:
+    """||d||_F^2 and Tr d of each step d of a (g + 1, B, 4, 4) stack of Hermitian iterates, into
+    the contiguous (g, B) arrays ``frob_sq`` and ``trace``."""
+    f = (seg[1:] - seg[:-1]).view(float).reshape(-1, 32)
     np.einsum("bk,bk->b", f, f, out=frob_sq.reshape(-1))
     # the real diagonal is float entries 0, 10, 20 and 30, paired as np.trace pairs a complex diagonal
     tr = np.add(f[:, 0], f[:, 10], out=trace.reshape(-1))
     tr += f[:, 20] + f[:, 30]
 
 
-def _steps_below(frob_sq: np.ndarray, trace: np.ndarray, traj: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each step d of a block has trace distance below ``tol``, from the block's (k, B)
-    arrays of ||d||_F^2 and Tr d; ``traj`` holds its iterates, iterate j of row r at flat index
-    j B + r, so step j of row r runs from ``traj[j B + r]`` to ``traj[(j + 1) B + r]``.
+def _steps_below(blk: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each of the k steps of a (k + 1, B, 4, 4) block of iterates has trace distance
+    below ``tol``: (k, B), step j of row r running from ``blk[j, r]`` to ``blk[j + 1, r]``.
 
-    For Hermitian 4x4 d with t = Tr d, max(||d||_F^2, 2 ||d||_F^2 - t^2) <= ||d||_1^2 <= 4 ||d||_F^2,
+    Each step d is first read as two numbers, ||d||_F^2 and Tr d, taken for about
+    ``_NORM_MATRICES`` matrices per call. For Hermitian 4x4 d with t = Tr d,
+    max(||d||_F^2, 2 ||d||_F^2 - t^2) <= ||d||_1^2 <= 4 ||d||_F^2,
     and the trace distance is ||d||_1 / 2. The middle term: with P the sum of d's positive
     eigenvalues and N that of the moduli of its negative ones, ||d||_1 = P + N, t = P - N and
     ||d||_F^2 <= P^2 + N^2 = (||d||_1^2 + t^2) / 2. For the step between two unit-trace iterates
@@ -166,13 +164,16 @@ def _steps_below(frob_sq: np.ndarray, trace: np.ndarray, traj: np.ndarray, tol: 
     squares of d's entries, so they underflow no sooner than ||d||_F^2. Each bound is applied
     with a 1e-9 relative margin for rounding. So two numbers per step decide most steps, with
     no eigenvalues; only the steps they leave open are taken apart."""
+    k, b = len(blk) - 1, blk.shape[1]
+    frob_sq, trace = np.empty((2, k, b))
+    g = max(1, _NORM_MATRICES // max(1, b))  # a block of no rows is one call
+    for j in range(0, k, g):
+        _difference_norms(blk[j : j + g + 1], frob_sq[j : j + g], trace[j : j + g])
     below = frob_sq < (tol * (1 - 1e-9)) ** 2
     lower_sq = np.maximum(frob_sq, 2 * frob_sq - trace * trace)
     open_ = (lower_sq <= (2 * tol * (1 + 1e-9)) ** 2) & ~below
     if open_.any():
-        rows = open_.ravel()
-        k, b = frob_sq.shape
-        below[open_] = trace_distance(traj[b : (k + 1) * b][rows], traj[: k * b][rows]) < tol
+        below[open_] = trace_distance(blk[1:][open_], blk[:-1][open_]) < tol
     return below
 
 
@@ -180,12 +181,8 @@ def _run_blocks(
     flat_re: np.ndarray, mult: np.ndarray, raw: np.ndarray, max_iter: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R-rho-R from I/4 on every (1, 36) row of counts ``raw``, in blocks of ``_BLOCK`` steps: each
-    row's final iterate, iterations and convergence.
-
-    A block keeps its iterates and two numbers per step, ||d||_F^2 and Tr d, taken as it runs,
-    a few steps per call when the batch is small; it never holds a stack of its differences.
-    Its stops are decided at its end from those numbers, and only the steps their bounds leave
-    open are gathered from its iterates for eigenvalues."""
+    row's final iterate, iterations and convergence. A block runs its steps, then asks
+    ``_steps_below`` once which of them stop."""
     batch = len(raw)
     # row k of raw and rho belongs to input row active[k]; its rows leave when it stops
     active = np.arange(batch)
@@ -197,20 +194,14 @@ def _run_blocks(
     it0 = 0
     while active.size and it0 < max_iter:
         k, b = min(_BLOCK, max_iter - it0), active.size
-        # a block runs k steps on the B active rows; blk[j] is iterate it0 + j, so in traj the
-        # iterates before and after the step of flat index j * B + r lie B matrices apart
+        # a block runs k steps on the B active rows; blk[j] is iterate it0 + j
         blk = traj[: (k + 1) * b].reshape(k + 1, b, 4, 4)
         blk[0] = rho
-        frob_sq, trace = np.empty((k, b)), np.empty((k, b))
-        g = max(1, _NORM_MATRICES // b)
-        for j0 in range(0, k, g):
-            j1 = min(j0 + g, k)
-            for j in range(j0, j1):
-                _step(flat_re, mult, raw, blk[j], blk[j + 1])
-            _difference_norms(blk[j0 + 1 : j1 + 1], blk[j0:j1], frob_sq[j0:j1], trace[j0:j1])
+        for j in range(k):
+            _step(flat_re, mult, raw, blk[j], blk[j + 1])
         # one stopping test per block: a row stops at its first step below tol, and the
         # steps it ran past that, on its own data alone, are dropped
-        done = _steps_below(frob_sq, trace, traj, tol)
+        done = _steps_below(blk, tol)
         keep, first = ~done.any(axis=0), done.argmax(axis=0)
         rows = np.flatnonzero(~keep)
         final[active[rows]] = blk[first[rows] + 1, rows]

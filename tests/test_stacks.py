@@ -6,7 +6,10 @@ pair exactly the value the one-pair call gives, for every broadcast shape
 and for rank-deficient states as well.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +22,9 @@ from envarsim.harness import (
     run_experiment,
     simulate_grid,
 )
-from envarsim.measurement import born_probabilities, tomography_projectors
+from envarsim.measurement import NoiseModel, born_probabilities, simulate_counts_many, tomography_projectors
 from envarsim.metrics import bhattacharyya, fidelity, normalize_counts
+from envarsim.tomography import mle_reconstruct_many
 from helpers import random_unitary, source_stability
 
 
@@ -149,3 +153,27 @@ def test_axis_stability_is_its_slice_of_the_grid_pair_series():
     x_run, m_run = np.split(np.stack([rhos[0] for rhos in report.states.values()]), 2)
     within = np.concatenate([fidelity(run[:-1], run[1:]) for run in (x_run, m_run)])
     assert report.overall.stability_fidelity != float(np.std(within, ddof=1))
+
+
+def test_every_stacked_call_maps_an_empty_stack_to_an_empty_result():
+    # each validator reduces over the whole stack, and an empty one must pass its checks
+    states, unitaries = np.zeros((0, 4, 4), dtype=complex), np.zeros((0, 2, 2), dtype=complex)
+    projectors = tomography_projectors().flat_projectors.reshape(36, 4, 4)
+    assert fidelity(states, states).shape == (0,)
+    assert bhattacharyya(np.zeros((0, 36)), np.zeros((0, 36))).shape == (0,)
+    assert linalg.apply_local(unitaries, unitaries, states).shape == (0, 4, 4)
+    assert born_probabilities(states, projectors).shape == (0, 36)
+    assert linalg.trace_distance(states, states).shape == (0,)
+    assert simulate_counts_many(states, 100.0, 1.0, NoiseModel.noiseless(), []) == []
+    assert mle_reconstruct_many([], tomography_projectors()) == []
+
+
+@pytest.mark.parametrize(
+    "axes, angles_deg",
+    [(("m",), (0.0,)), (("m",), (0.0, 90.0)), (("x", "m"), (0.0,))],
+    ids=["one-cell", "two-cells", "one-angle-on-two-axes"],
+)
+def test_a_grid_below_three_cells_reports_nan_stability(axes, angles_deg):
+    report = run_experiment(ExperimentPlan(axes=axes, angles_deg=angles_deg, noise=calibrated_noise()))
+    for summary in (*report.per_axis, report.overall):
+        assert math.isnan(summary.stability_fidelity) and math.isnan(summary.stability_bc)

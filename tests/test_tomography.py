@@ -219,9 +219,9 @@ class TestMleReconstructMany:
 
         steps_below = tomography._steps_below
 
-        def counting(frob_sq, *rest):
-            calls.append(frob_sq.shape[:2])
-            return steps_below(frob_sq, *rest)
+        def counting(blk, tol):
+            calls.append((len(blk) - 1, blk.shape[1]))
+            return steps_below(blk, tol)
 
         monkeypatch.setattr(tomography, "_steps_below", counting)
         rng = np.random.default_rng(7)
@@ -407,9 +407,9 @@ def test_stops_are_tested_once_per_block(monkeypatch, max_iter):
 
     steps_below = tomography._steps_below
 
-    def counting(frob_sq, *rest):
-        calls.append(frob_sq.shape[:2])
-        return steps_below(frob_sq, *rest)
+    def counting(blk, tol):
+        calls.append((len(blk) - 1, blk.shape[1]))
+        return steps_below(blk, tol)
 
     monkeypatch.setattr(tomography, "_steps_below", counting)
     records, tol = _edge_records(2 * K + 1)
@@ -442,9 +442,10 @@ def test_the_likelihood_gap_bound_closes_at_a_tight_tol():
 def test_one_grid_call_stays_within_its_memory_bounds():
     """One warm call over the default grid's 156 records, traced by tracemalloc: the loop
     keeps no likelihood history and its stop test no stack of a block's differences, so its
-    peak and the results it returns stay small (0.95 and 0.16 MiB on numpy 2.4; a 1.37 MiB
-    peak when the stop test formed the (12, 156) difference stack, and 1.83 and 0.73 MiB
-    when the loop also kept the histories)."""
+    peak and the results it returns stay small (0.92 and 0.16 MiB on numpy 2.4; a 0.95 MiB
+    peak when the block's norm arrays were held across its steps, 1.37 MiB when the stop test
+    formed the (12, 156) difference stack, and 1.83 and 0.73 MiB when the loop also kept the
+    histories)."""
     records = [stage.counts for stages in simulate_grid(ExperimentPlan(noise=calibrated_noise())).values() for stage in stages]
     assert len(records) == 156
     projs = tomography_projectors()
@@ -484,16 +485,12 @@ step_rows = st.lists(
 
 
 def _below(a, b, tol):
-    """``trace_distance(a, b) < tol`` by the MLE's stop rule ``tomography._steps_below``, from
-    ||d||_F^2 and Tr d of each d = a - b, in d's leading shape. The rule gets them as one step of
-    a (1, N) block whose trajectory steps from 0 to d: d - 0 is d, the same matrices
-    trace_distance(a, b) takes apart."""
+    """``trace_distance(a, b) < tol`` by the MLE's stop rule ``tomography._steps_below``, in the
+    leading shape of d = a - b. The rule gets each d as one step of a (1, N) block whose iterates
+    step from 0 to d: d - 0 is d, the same matrices trace_distance(a, b) takes apart."""
     d = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     stack = d.reshape(-1, 4, 4)
-    flat = stack.reshape(-1, 16).view(float)
-    frob_sq = np.einsum("...k,...k->...", flat, flat)[None]
-    trace = np.trace(stack, axis1=-2, axis2=-1).real[None]
-    below = tomography._steps_below(frob_sq, trace, np.concatenate([np.zeros_like(stack), stack]), tol)
+    below = tomography._steps_below(np.stack([np.zeros_like(stack), stack]), tol)
     return below.reshape(d.shape[:-2])
 
 
@@ -543,6 +540,29 @@ class TestTraceDistanceBelow:
     def test_empty_stack_gives_an_empty_array(self):
         empty = np.zeros((0, 4, 4), dtype=complex)
         assert _below(empty, empty, 1e-6).shape == linalg.trace_distance(empty, empty).shape == (0,)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+@pytest.mark.parametrize("b", [1, 43, 100, 171, 600])
+@pytest.mark.parametrize("k", [1, 5, 12])
+def test_the_block_rule_equals_trace_distance_across_norm_chunks(k, b, tol):
+    """``_steps_below`` takes a block's norms max(1, 512 // B) steps per call, so B = 43, 100 and
+    171 end a block of 12 or 5 steps in a partial chunk, and B = 600 takes one step per call.
+    Every step's trace distance sits at a factor of tol: near 1 the norm bounds leave it open."""
+    rng = np.random.default_rng([k, b, round(-np.log10(tol))])
+    a = rng.normal(size=(k, b, 4, 4)) + 1j * rng.normal(size=(k, b, 4, 4))
+    steps = a + np.conj(np.swapaxes(a, -1, -2))
+    # the MLE's steps join unit-trace iterates, so most are traceless; about one in four keeps its trace
+    steps[..., np.arange(4), np.arange(4)] -= (np.trace(steps, axis1=-2, axis2=-1) / 4)[..., None] * (rng.random((k, b, 1)) < 0.75)
+    # far below and above tol first, so that even a block of one row and 5 steps straddles it
+    factors = [0.5, 2.5, 1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9, 1 - 1e-6, 1 + 1e-6, 0.9, 1.1]
+    factors = rng.permutation(np.resize(factors, k * b)).reshape(k, b)
+    steps *= (tol * factors / linalg.trace_distance(steps, np.zeros_like(steps)))[..., None, None]
+    blk = np.concatenate([np.stack([random_density_matrix(4, rng) for _ in range(b)])[None], steps]).cumsum(axis=0)
+    below = tomography._steps_below(blk, tol)
+    expected = linalg.trace_distance(blk[1:], blk[:-1]) < tol
+    assert below.shape == (k, b) and (0 < expected.sum() < expected.size or k * b == 1)
+    np.testing.assert_array_equal(below, expected)
 
 
 def _rank2_step(rng: np.random.Generator, eps: float) -> np.ndarray:
