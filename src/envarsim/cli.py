@@ -24,13 +24,11 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io as eio
 from .errors import ConvergenceError, MissingDataError, echo, echo_path, escape
-from .harness import _SCORE_SERIES, STAGES, ExperimentPlan, assemble_report, calibrated_noise, simulate_grid
+from .harness import STAGES, ExperimentPlan, assemble_report, calibrated_noise, simulate_grid
 from .measurement import CountRecord, NoiseModel
-from .son import COMBOS, fit_exponent, fitted_correlation
+from .son import COMBOS, fit_exponent
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -169,44 +167,28 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
     return config
 
 
-def _config_echo(config: RunConfig) -> dict:
-    # only the data keys, so the manifest is identical wherever the run lands
-    return {key: value for key, value in asdict(config).items() if key in _DATA_KEYS}
-
-
 def _grid_echo(plan: ExperimentPlan) -> dict:
     return {"axes": list(plan.axes), "angles_deg": [float(a) for a in plan.angles_deg]}
 
 
-def _state_tables(states: dict) -> dict:
-    """Record tag -> [re, im] table of each state in ``states``, keyed (axis, angle_deg, stage):
-    the layout of the manifest's ``cells`` and of ``states.json``."""
-    return {eio.record_tag(*key): eio.density_matrix_to_table(rho) for key, rho in states.items()}
-
-
 def cmd_simulate(config: RunConfig) -> dict:
-    """Write the grid's count files and manifest; return its count records, keyed (axis, angle_deg, stage)."""
+    """Write the grid's count files and manifest; return its stage I/II/III count records by
+    (axis, angle_deg), the records alone, so that report holds no true state past here."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     plan = config.plan()
-    results = {(*cell, result.stage): result for cell, stages in simulate_grid(plan).items() for result in stages}
-    # a run that fails past here leaves no earlier run's manifest beside its count files,
-    # and no earlier run's files of any subcommand
-    eio.remove_owned(out, "simulate")
-    for key, result in results.items():
-        eio.write_count_csv(out / eio.count_file_name(*key), result.counts)
-    true_states = {key: result.rho_true for key, result in results.items()}
-    manifest = {"config": _config_echo(config), "grid": _grid_echo(plan), "cells": _state_tables(true_states)}
-    eio.write_json(out / "manifest.json", manifest)
-    print(f"simulate: wrote {len(results)} count files to {out}")
-    return {key: result.counts for key, result in results.items()}
+    grid = simulate_grid(plan)
+    # only the data keys, so the manifest is identical wherever the run lands
+    data = {key: value for key, value in asdict(config).items() if key in _DATA_KEYS}
+    eio.write_simulate(out, grid, {"config": data, "grid": _grid_echo(plan)})
+    print(f"simulate: wrote {len(grid) * len(STAGES)} count files to {out}")
+    return {cell: tuple(stage.counts for stage in stages) for cell, stages in grid.items()}
 
 
 def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stage: str) -> CountRecord:
     """One stage's record from ``grid``, else from its file; a bad file or an empty setting is missing data."""
     path = out / eio.count_file_name(axis, angle_deg, stage)
     if grid is not None:
-        record = grid[axis, angle_deg, stage]
+        record = grid[axis, angle_deg][STAGES.index(stage)]
     elif not path.exists():
         raise MissingDataError(f"missing stage file: {echo_path(path)}")
     else:
@@ -214,18 +196,18 @@ def _read_counts(out: Path, grid: dict | None, axis: str, angle_deg: float, stag
             record = eio.read_count_csv(path)
         except ValueError as exc:
             raise MissingDataError(f"malformed count file {exc}") from exc
-    empty = np.flatnonzero(record.setting_totals() == 0)
-    if empty.size:
+    empty = [k for k, total in enumerate(record.setting_totals(), 1) if total == 0]
+    if empty:
         tag = eio.record_tag(axis, angle_deg, stage)
         source = f"malformed count file {echo_path(path)}" if grid is None else f"simulated count record {tag}"
-        raise MissingDataError(f"{source}: setting {empty[0] + 1} of 9 has no counts")
+        raise MissingDataError(f"{source}: setting {empty[0]} of 9 has no counts")
     return record
 
 
 def _manifest_plan(config: RunConfig) -> ExperimentPlan:
     """The plan of the simulate run whose manifest is in ``config.out_dir``; its ``grid`` must be
     its config's, and each data key ``config`` was given must hold the manifest's value."""
-    path = Path(config.out_dir) / "manifest.json"
+    path = Path(config.out_dir) / eio.OWNED_FILES["simulate"][0]  # simulate's first name, the manifest
     if not path.exists():
         raise MissingDataError(f"missing manifest: {echo_path(path)} (run simulate first)")
     try:
@@ -257,32 +239,11 @@ def cmd_analyze(config: RunConfig, grid: dict | None = None) -> None:
             f"did not reach the MLE tolerance in {max(missed)} iterations",
             file=sys.stderr,
         )
-
-    eio.remove_owned(out, "analyze")
-    if "csv" in config.formats:
-        eio.write_report_csv(out / "report.csv", report)
-        _write_plot_files(out, report)
-    if "json" in config.formats:
-        eio.write_json(out / "report.json", eio.report_to_dict(report))
-        states = {(*cell, stage): rho for cell, rhos in report.states.items() for stage, rho in zip(STAGES, rhos)}
-        eio.write_json(out / "states.json", _state_tables(states))
+    eio.write_analyze(out, report, config.formats)
     print(
         f"analyze: overall F(I,III) = {report.overall.f_i_iii_mean:.4f}, "
         f"BC(I,III) = {report.overall.bc_i_iii_mean:.5f}"
     )
-
-
-def _write_plot_files(out: Path, report) -> None:
-    # the cells are axis-major, one run per per_axis summary
-    run = len(report.cells) // len(report.per_axis)
-    for a, summary in enumerate(report.per_axis):
-        cells = report.cells[a * run : (a + 1) * run]
-        for prefix, metric in (("f", "fidelity"), ("bc", "bc")):
-            stability = getattr(summary, f"stability_{metric}")
-            for tag in _SCORE_SERIES:
-                err = 0.0 if tag.endswith("_theory") else stability
-                rows = [(c.angle_deg, getattr(c, f"{prefix}_{tag}"), err) for c in cells]
-                eio.write_plot_series(out / f"plot_{metric}_{summary.axis}_{tag}.csv", rows)
 
 
 class _StageII:
@@ -312,20 +273,8 @@ def cmd_son_fit(config: RunConfig, grid: dict | None = None) -> None:
     at_edge = [combo for combo, edge in zip(result.per_combo, result.per_combo_at_edge) if edge]
     if at_edge:
         print(f"son-fit: warning: n settled on a bound of its fit range for {at_edge}", file=sys.stderr)
-    eio.remove_owned(out, "son-fit")
-    if "csv" in config.formats:
-        eio.write_correlation_csv(out / "correlations.csv", samples)
-        _write_fit_curves(out, result)
-    if "json" in config.formats:
-        eio.write_json(out / "son_fit.json", eio.son_result_to_dict(result))
+    eio.write_son_fit(out, samples, result, config.formats)
     print(f"son-fit: n = {result.n:.3f} +- {result.n_uncertainty:.3f} over {len(result.per_combo)} combos")
-
-
-def _write_fit_curves(out: Path, result) -> None:
-    phi_grid = np.deg2rad(np.arange(0.0, 180.5, 1.0))
-    for combo, values in zip(result.per_combo, fitted_correlation(result, result.per_combo, phi_grid)):
-        rows = [(float(np.rad2deg(phi)), float(v), 0.0) for phi, v in zip(phi_grid, values)]
-        eio.write_plot_series(out / f"curve_{combo}.csv", rows)
 
 
 def cmd_report(config: RunConfig) -> None:

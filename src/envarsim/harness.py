@@ -64,6 +64,7 @@ __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_ANGLES_DEG",
     "STAGES",
+    "SCORE_SERIES",
     "ExperimentPlan",
     "StageResult",
     "CellMetrics",
@@ -85,8 +86,9 @@ STAGES = ("I", "II", "III")
 
 _I2 = np.eye(2, dtype=complex)
 
-# the four scores of a cell, each for fidelity and BC: stage I against III, II, ideal III and ideal II
-_SCORE_SERIES = ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory")
+# the four scores of a cell, each for fidelity and BC: stage I against III, II, ideal III and ideal II;
+# the series of io's plot files
+SCORE_SERIES = ("i_iii", "i_ii", "i_iii_theory", "i_ii_theory")
 
 
 def calibrated_noise(seed: int = 0) -> NoiseModel:
@@ -361,7 +363,7 @@ def assemble_report(
     # stage I against III, II, ideal III and ideal II, one column each
     f = fidelity(rhos[:, :1], np.concatenate([rhos[:, [2, 1]], theory], axis=1))
     bc = bhattacharyya(dists[:, :1], np.concatenate([dists[:, [2, 1]], _distribution_from_rho(theory)], axis=1))
-    scores = {f"{m}_{tag}": col.tolist() for m, metric in (("f", f), ("bc", bc)) for tag, col in zip(_SCORE_SERIES, metric.T)}
+    scores = {f"{m}_{tag}": col.tolist() for m, metric in (("f", f), ("bc", bc)) for tag, col in zip(SCORE_SERIES, metric.T)}
     cells = [
         CellMetrics(axis, float(angle_deg), **{name: col[k] for name, col in scores.items()})
         for k, (axis, angle_deg) in enumerate(keys)

@@ -7,7 +7,7 @@ is written by ``_write_text`` to a sibling temporary file moved over the
 target, so it holds its previous or its complete new content. A CSV is
 built whole (no field needs quoting: fixed vocabularies and reprs); JSON
 is streamed, not held as one string. ``write_json`` refuses NaN and +-inf;
-``report_to_dict`` maps the one NaN the program makes to null.
+``_report_to_dict`` maps the one NaN the program makes to null.
 
 Each reader is its writer's inverse. ``read_count_csv`` splits lines on
 ``\n`` and fields on ``,``, as ``_write_csv`` joins them: no quoting and
@@ -20,11 +20,13 @@ otherwise collapse to its last value, and reports an integer of more digits
 than the interpreter converts as an ``OverflowError`` that counts them, not
 as a decode error.
 
-An output directory holds one run. ``OWNED_FILES`` lists the names each
-subcommand writes; ``remove_owned`` removes a subcommand's names, and for
-``simulate`` those of the two subcommands that read its files, before it
-writes, so no earlier run's file stays beside the new ones. No other name
-is touched.
+An output directory holds one run, and this module alone names its files.
+``OWNED_FILES`` lists the names each subcommand writes, and beside it each
+subcommand's writer, ``write_simulate``, ``write_analyze`` or
+``write_son_fit``, writes them: the library and the CLI take these three.
+Each first calls ``_remove_owned``, which removes its subcommand's names, and
+for ``simulate`` those of the two subcommands that read its files, so no
+earlier run's file stays beside the new ones. No other name is touched.
 """
 
 from __future__ import annotations
@@ -40,14 +42,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import echo, echo_path
-from .harness import EnvarianceReport
+from .harness import SCORE_SERIES, STAGES, EnvarianceReport
 from .measurement import INT64_MAX, CountRecord, tomography_projectors
-from .son import CorrelationSample, SonFitResult
+from .son import CorrelationSample, SonFitResult, fitted_correlation
 
 __all__ = [
     "COUNT_CSV_HEADER",
     "OWNED_FILES",
-    "remove_owned",
+    "write_simulate",
+    "write_analyze",
+    "write_son_fit",
     "is_decimal",
     "record_tag",
     "count_file_name",
@@ -57,10 +61,8 @@ __all__ = [
     "write_json",
     "read_json",
     "write_report_csv",
-    "report_to_dict",
     "write_plot_series",
     "write_correlation_csv",
-    "son_result_to_dict",
 ]
 
 COUNT_CSV_HEADER = ("setting_label", "outcome_label", "counts", "duration_s")
@@ -92,7 +94,7 @@ OWNED_FILES = {
 }
 
 
-def remove_owned(out: Path, command: str) -> None:
+def _remove_owned(out: Path, command: str) -> None:
     """Remove the files in ``out`` that ``command`` owns, and for ``simulate`` those of
     ``analyze`` and ``son-fit``, which read its files."""
     entries = list(out.iterdir())
@@ -100,6 +102,54 @@ def remove_owned(out: Path, command: str) -> None:
         for path in entries:
             if path.match(pattern):
                 path.unlink()
+
+
+def _state_tables(states: dict) -> dict:
+    """Record tag -> [re, im] table of each stage's state, from (axis, angle_deg) -> its three stages'
+    states: the layout of the manifest's ``cells`` and of ``states.json``."""
+    return {record_tag(*cell, s): density_matrix_to_table(rho) for cell, rhos in states.items() for s, rho in zip(STAGES, rhos)}
+
+
+def write_simulate(out: Path, grid: dict, manifest_head: dict) -> None:
+    """Write ``simulate_grid``'s cells into ``out``, made if missing: a count file per record, then the
+    manifest, ``manifest_head`` with each record's true state under ``cells``."""
+    out.mkdir(parents=True, exist_ok=True)
+    _remove_owned(out, "simulate")
+    for cell, stages in grid.items():
+        for result in stages:
+            write_count_csv(out / count_file_name(*cell, result.stage), result.counts)
+    cells = _state_tables({cell: [result.rho_true for result in stages] for cell, stages in grid.items()})
+    write_json(out / "manifest.json", {**manifest_head, "cells": cells})
+
+
+def write_analyze(out: Path, report: EnvarianceReport, formats) -> None:
+    """Write ``report`` into ``out``: for csv its table and its plot series, for json its summary and its states."""
+    _remove_owned(out, "analyze")
+    if "csv" in formats:
+        write_report_csv(out / "report.csv", report)
+        for summary in report.per_axis:
+            cells = [c for c in report.cells if c.axis == summary.axis]
+            for prefix, metric in (("f", "fidelity"), ("bc", "bc")):
+                for tag in SCORE_SERIES:
+                    err = 0.0 if tag.endswith("_theory") else getattr(summary, f"stability_{metric}")
+                    rows = [(c.angle_deg, getattr(c, f"{prefix}_{tag}"), err) for c in cells]
+                    write_plot_series(out / f"plot_{metric}_{summary.axis}_{tag}.csv", rows)
+    if "json" in formats:
+        write_json(out / "report.json", _report_to_dict(report))
+        write_json(out / "states.json", _state_tables(report.states))
+
+
+def write_son_fit(out: Path, samples: list[CorrelationSample], result: SonFitResult, formats) -> None:
+    """Write a fit of n into ``out``: for csv its samples and a fitted curve per combo, for json the fit."""
+    _remove_owned(out, "son-fit")
+    if "csv" in formats:
+        write_correlation_csv(out / "correlations.csv", samples)
+        phi_grid = np.deg2rad(np.arange(0.0, 180.5, 1.0))
+        for combo, values in zip(result.per_combo, fitted_correlation(result, result.per_combo, phi_grid)):
+            rows = [(float(np.rad2deg(phi)), float(v), 0.0) for phi, v in zip(phi_grid, values)]
+            write_plot_series(out / f"curve_{combo}.csv", rows)
+    if "json" in formats:
+        write_json(out / "son_fit.json", _son_result_to_dict(result))
 
 
 def _write_text(path: Path, chunks) -> None:
@@ -231,7 +281,7 @@ def write_report_csv(path: Path, report: EnvarianceReport) -> None:
     _write_csv(path, _REPORT_COLUMNS, rows)
 
 
-def report_to_dict(report: EnvarianceReport) -> dict:
+def _report_to_dict(report: EnvarianceReport) -> dict:
     def summary_dict(summary) -> dict:
         row = asdict(summary)
         del row["axis"]
@@ -261,7 +311,7 @@ def write_correlation_csv(path: Path, samples: list[CorrelationSample]) -> None:
     _write_csv(path, ("combo", "phi_deg", "E", "sigma_E"), rows)
 
 
-def son_result_to_dict(result: SonFitResult) -> dict:
+def _son_result_to_dict(result: SonFitResult) -> dict:
     return {
         "n": result.n,
         "n_uncertainty": result.n_uncertainty,

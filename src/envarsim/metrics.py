@@ -48,10 +48,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
 
 
 def validate_distribution(p: np.ndarray) -> np.ndarray:
-    """Check a 36-entry probability distribution, or a stack of them (non-negative, sums to 1)."""
+    """Check a 36-entry probability distribution, or a stack of them (finite, non-negative, sums to 1)."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (36,):
         raise ValueError("distribution must have exactly 36 entries")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("distribution has non-finite entries")
     if np.any(p < 0):
         raise ValueError("distribution entries must be non-negative")
     if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):

@@ -1085,32 +1085,47 @@ def test_report_son_fit_and_library_give_one_infeasibility_reason(tmp_path, caps
     assert failed == f"error: son-fit: {exc.value}"
 
 
-@pytest.mark.parametrize("config", [None, "son_quick.json"], ids=["default", "son_quick"])
-def test_the_library_fit_of_a_simulated_grid_is_reports_son_fit(tmp_path, config):
-    from envarsim import cli, fit_exponent
+@pytest.mark.parametrize("config", [None, *(c.name for c in BUNDLED)], ids=["default", *(c.stem for c in BUNDLED)])
+def test_the_library_writes_reports_tree_and_fit(tmp_path, capsys, config):
+    """``simulate_grid``, ``assemble_report``, ``fit_exponent`` and io's three writers give
+    report's tree byte for byte; the manifest's config echo stays the CLI's, so of the
+    manifest only its true states are compared."""
+    from envarsim import fit_exponent
+    from envarsim.harness import assemble_report
 
     cfg = None if config is None else str(CONFIG_DIR / config)
     out = tmp_path / "report"
     assert main(["report", *(["--config", cfg] if cfg else []), "--out", str(out)]) == 0
-    plan = load_config(cfg).plan()
-    records = {cell: stages[1].counts for cell, stages in simulate_grid(plan).items()}
-    samples, result = fit_exponent(plan.axes, plan.angles_deg, records)
-    reported = read_json(out / "son_fit.json")
-    assert result.per_combo == tuple(reported["per_combo"])
-    assert (result.n, result.n_uncertainty, list(result.per_combo_n), result.objective) == (
-        reported["n"],
-        reported["n_uncertainty"],
-        reported["per_combo_n"],
-        reported["objective"],
-    )
-    # state_ab reaches report's files through the fitted curves alone: the library's are report's, byte for byte
+    capsys.readouterr()
+    run = load_config(cfg)
+    plan = run.plan()
+    grid = simulate_grid(plan)
     lib = tmp_path / "library"
-    lib.mkdir()
-    cli._write_fit_curves(lib, result)
-    eio.write_correlation_csv(lib / "correlations.csv", samples)
-    assert len(list(lib.iterdir())) == len(result.per_combo) + 1
-    for path in lib.iterdir():
-        assert path.read_bytes() == (out / path.name).read_bytes(), path.name
+    eio.write_simulate(lib, grid, {})
+    report = assemble_report(plan, {cell: tuple(stage.counts for stage in stages) for cell, stages in grid.items()})
+    eio.write_analyze(lib, report, run.formats)
+    records = {cell: stages[1].counts for cell, stages in grid.items()}
+    try:
+        samples, result = fit_exponent(plan.axes, plan.angles_deg, records)
+    except ValueError:
+        # a grid that cannot fix n: report skips the fit and writes none of its files
+        assert not (out / "son_fit.json").exists()
+    else:
+        reported = read_json(out / "son_fit.json")
+        assert result.per_combo == tuple(reported["per_combo"])
+        assert (result.n, result.n_uncertainty, list(result.per_combo_n), result.objective) == (
+            reported["n"],
+            reported["n_uncertainty"],
+            reported["per_combo_n"],
+            reported["objective"],
+        )
+        eio.write_son_fit(lib, samples, result, run.formats)
+    names = sorted(path.name for path in out.iterdir())
+    assert sorted(path.name for path in lib.iterdir()) == names
+    assert read_json(lib / "manifest.json") == {"cells": read_json(out / "manifest.json")["cells"]}
+    for name in names:
+        if name != "manifest.json":
+            assert (lib / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class _NoLookup(dict):

@@ -42,6 +42,11 @@ CHECKS = {
         lambda: metrics.bhattacharyya(np.r_[-0.5, np.full(35, 1.5 / 35)], np.full(36, 1 / 36)),
         "distribution entries must be non-negative",
     ),
+    # NaN passes both the sign and the sum test, and np.clip would pass it through
+    "distribution-nan": (
+        lambda: metrics.bhattacharyya(np.full(36, 1 / 36), np.r_[np.nan, np.full(35, 1 / 35)]),
+        "distribution has non-finite entries",
+    ),
     "decompose-4x4": (lambda: optics.decompose_rotation(np.eye(4)), "target must be a 2x2 unitary"),
     "curve-shapes": (lambda: _curve(_GRID, np.zeros(2)), "grid and values must have matching shapes"),
     "curve-value": (lambda: _curve(_GRID, np.array([-1.0, 0.0, 1.5])), "correlation values must lie in [-1, 1]"),
