@@ -54,7 +54,7 @@ class RunConfig:
     poisson: bool = _DEFAULT.noise.poisson
     seed: int = _DEFAULT.seed
     out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
+    formats: tuple[str, ...] = eio.FORMATS
     # the keys its config file or --seed set, in that order: not a config key, and not compared
     given: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
@@ -155,11 +155,10 @@ def load_config(path: str | None, seed=None, out=None, fmt=None) -> RunConfig:
     _check_path("out_dir", config.out_dir, "directory")
     if fmt is not None:
         config = replace(config, formats=(fmt,))
-    if not config.formats:
-        raise UsageError("formats must name at least one of csv, json")
-    for f in config.formats:
-        if f not in ("csv", "json"):
-            raise UsageError(f"unknown output format {echo(f)}")
+    try:
+        eio.check_formats(config.formats)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         config.plan()
     except ValueError as exc:

@@ -26,7 +26,9 @@ subcommand's writer, ``write_simulate``, ``write_analyze`` or
 ``write_son_fit``, writes them: the library and the CLI take these three.
 Each first calls ``_remove_owned``, which removes its subcommand's names, and
 for ``simulate`` those of the two subcommands that read its files, so no
-earlier run's file stays beside the new ones. No other name is touched.
+earlier run's file stays beside the new ones. No other name is touched. A writer
+that takes ``formats`` refuses a bad one (``check_formats``) before it removes
+anything, and each takes ``out`` as a ``str`` or a ``Path``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .son import CorrelationSample, SonFitResult, fitted_correlation
 __all__ = [
     "COUNT_CSV_HEADER",
     "OWNED_FILES",
+    "FORMATS",
+    "check_formats",
     "write_simulate",
     "write_analyze",
     "write_son_fit",
@@ -94,6 +98,20 @@ OWNED_FILES = {
 }
 
 
+FORMATS = ("csv", "json")
+
+
+def check_formats(formats) -> None:
+    """Refuse ``formats`` unless it is a sequence, not a string, of at least one format, each csv or json."""
+    if isinstance(formats, str):
+        raise ValueError(f"formats must be a sequence of format names, not the string {echo(formats)}")
+    if not formats:
+        raise ValueError(f"formats must name at least one of {', '.join(FORMATS)}")
+    for f in formats:
+        if f not in FORMATS:
+            raise ValueError(f"unknown output format {echo(f)}")
+
+
 def _remove_owned(out: Path, command: str) -> None:
     """Remove the files in ``out`` that ``command`` owns, and for ``simulate`` those of
     ``analyze`` and ``son-fit``, which read its files."""
@@ -110,9 +128,10 @@ def _state_tables(states: dict) -> dict:
     return {record_tag(*cell, s): density_matrix_to_table(rho) for cell, rhos in states.items() for s, rho in zip(STAGES, rhos)}
 
 
-def write_simulate(out: Path, grid: dict, manifest_head: dict) -> None:
+def write_simulate(out: str | Path, grid: dict, manifest_head: dict) -> None:
     """Write ``simulate_grid``'s cells into ``out``, made if missing: a count file per record, then the
     manifest, ``manifest_head`` with each record's true state under ``cells``."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     _remove_owned(out, "simulate")
     for cell, stages in grid.items():
@@ -122,8 +141,10 @@ def write_simulate(out: Path, grid: dict, manifest_head: dict) -> None:
     write_json(out / "manifest.json", {**manifest_head, "cells": cells})
 
 
-def write_analyze(out: Path, report: EnvarianceReport, formats) -> None:
+def write_analyze(out: str | Path, report: EnvarianceReport, formats) -> None:
     """Write ``report`` into ``out``: for csv its table and its plot series, for json its summary and its states."""
+    check_formats(formats)
+    out = Path(out)
     _remove_owned(out, "analyze")
     if "csv" in formats:
         write_report_csv(out / "report.csv", report)
@@ -139,8 +160,10 @@ def write_analyze(out: Path, report: EnvarianceReport, formats) -> None:
         write_json(out / "states.json", _state_tables(report.states))
 
 
-def write_son_fit(out: Path, samples: list[CorrelationSample], result: SonFitResult, formats) -> None:
+def write_son_fit(out: str | Path, samples: list[CorrelationSample], result: SonFitResult, formats) -> None:
     """Write a fit of n into ``out``: for csv its samples and a fitted curve per combo, for json the fit."""
+    check_formats(formats)
+    out = Path(out)
     _remove_owned(out, "son-fit")
     if "csv" in formats:
         write_correlation_csv(out / "correlations.csv", samples)

@@ -88,7 +88,9 @@ def _distinct_rows(records: Sequence[CountRecord]) -> tuple[np.ndarray, list[int
     index: dict[bytes, int] = {}
     owner = [index.setdefault(r.counts.tobytes(), len(index)) for r in records]
     counts = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), 1, 36)
-    # keeps an all-zero record, whose R is 0, from a 0/0 normalization
+    # the 36 projectors span the 16 real dimensions of the 4x4 Hermitian matrices, but without one
+    # setting's 4 only 15: an empty setting leaves its two-body correlator unmeasured, so the counts
+    # do not fix the record's ML state (and an all-zero record would make R 0, a 0/0 normalization)
     if np.any(counts.reshape(-1, 9, 4).sum(axis=2) <= 0):
         raise ValueError("every setting needs at least one positive count")
     return counts.astype(float), owner

@@ -21,7 +21,7 @@ from envarsim.harness import simulate_grid
 from envarsim.io import read_count_csv, read_json
 from envarsim.measurement import CountRecord, tomography_projectors
 from envarsim.son import COMBOS, combo_axis_and_basis, extract_correlation, son_fit
-from helpers import traced_peak_mib
+from helpers import BUDGETS, layer_call, traced_mib
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BUNDLED = sorted(CONFIG_DIR.glob("*.json"))
@@ -997,17 +997,10 @@ def test_report_writes_what_the_three_subcommands_write_and_reads_nothing_back(t
     assert _tree_hash(tmp_path / "report") == _tree_hash(tmp_path / "steps")
 
 
-def test_one_default_report_stays_within_its_memory_budget(tmp_path, capsys):
-    """A warm default ``report`` (each call into its own empty directory) peaks at 1.047 MiB
-    under tracemalloc on numpy 2.4.6; the budget is 24 % above that."""
-    codes = []
-
-    def report():
-        codes.append(main(["report", "--out", str(tmp_path / str(len(codes)))]))
-
-    assert traced_peak_mib(report) < 1.3
-    assert codes == [0, 0]
-    capsys.readouterr()
+def test_one_default_report_stays_within_its_memory_budget(tmp_path):
+    """A warm default ``report``, each call into its own empty directory, stays within its tracemalloc budget."""
+    assert traced_mib(layer_call("report", tmp_path))[0] < BUDGETS["report"].bound
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1"]
 
 
 def test_report_checks_simulated_records_as_analyze_checks_count_files(tmp_path, capsys):

@@ -18,7 +18,7 @@ from envarsim.harness import (
 )
 from envarsim.measurement import NoiseModel
 from envarsim.metrics import fidelity
-from helpers import random_unitary, source_stability, traced_peak_mib
+from helpers import BUDGETS, default_run, layer_call, random_unitary, source_stability, traced_mib
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -268,8 +268,15 @@ def test_plan_refuses_axes_given_as_one_string(axes):
         ExperimentPlan(axes=axes)
 
 
-def test_one_default_grid_simulation_stays_within_its_memory_budget():
-    """A warm ``simulate_grid`` of the calibrated default plan peaks at 0.596 MiB under
-    tracemalloc on numpy 2.4.6; the budget is 17 % above that."""
-    plan = ExperimentPlan(noise=harness.calibrated_noise())
-    assert traced_peak_mib(lambda: simulate_grid(plan)) < 0.7
+def test_one_default_grid_simulation_stays_within_its_memory_budget(tmp_path):
+    """A warm ``simulate_grid`` of the calibrated default plan stays within its tracemalloc budget."""
+    assert traced_mib(layer_call("simulate_grid", tmp_path))[0] < BUDGETS["simulate_grid"].bound
+
+
+def test_one_default_report_assembly_without_the_mle_stays_within_its_memory_budget(tmp_path):
+    """A warm ``assemble_report`` of the default grid whose MLE returns precomputed results stays
+    within its tracemalloc budget, and gives the report the real MLE gives."""
+    call = layer_call("assemble_report_without_mle", tmp_path)
+    assert call().cells == default_run().report.cells
+    assert harness.mle_reconstruct_many is tomography.mle_reconstruct_many
+    assert traced_mib(call)[0] < BUDGETS["assemble_report_without_mle"].bound

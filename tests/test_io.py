@@ -1,5 +1,6 @@
 """Tests for file formats: count-CSV round trip, each writer's bytes, replace-on-success writers and the subcommand writers' memory budgets."""
 
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from envarsim import ExperimentPlan, calibrated_noise, fit_exponent, simulate_grid
 from envarsim import io as eio
-from envarsim.harness import assemble_report
 from envarsim.measurement import INT64_MAX, CountRecord, tomography_projectors
 from envarsim.son import CorrelationSample
-from helpers import traced_peak_mib
+from helpers import BUDGETS, default_run, layer_call, traced_mib
 
 count_arrays = arrays(np.int64, 36, elements=st.integers(0, 2**63 - 1)).filter(lambda c: c.any())
 durations = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
@@ -176,21 +175,42 @@ def test_write_json_refuses_nan_rather_than_write_null(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.fixture(scope="module")
-def default_run():
-    """The calibrated default grid, its report and its fit of n, made once for the module."""
-    plan = ExperimentPlan(noise=calibrated_noise())
-    grid = simulate_grid(plan)
-    report = assemble_report(plan, {cell: tuple(stage.counts for stage in stages) for cell, stages in grid.items()})
-    samples, result = fit_exponent(plan.axes, plan.angles_deg, {cell: stages[1].counts for cell, stages in grid.items()})
-    return grid, report, samples, result
+@pytest.mark.parametrize("writer, budget", [(w, BUDGETS[w].bound) for w in ("write_simulate", "write_analyze", "write_son_fit")])
+def test_one_writer_call_on_the_default_run_stays_within_its_memory_budget(tmp_path, writer, budget):
+    assert traced_mib(layer_call(writer, tmp_path))[0] < budget
 
 
-# a warm call of each writer on the default run, traced by tracemalloc on numpy 2.4.6, peaks at
-# 0.42, 0.42 and 0.307 MiB; each budget is about 25 % above its figure
-@pytest.mark.parametrize("writer, budget", [("write_simulate", 0.53), ("write_analyze", 0.53), ("write_son_fit", 0.38)])
-def test_one_writer_call_on_the_default_run_stays_within_its_memory_budget(tmp_path, default_run, writer, budget):
-    grid, report, samples, result = default_run
-    formats = ("csv", "json")
-    args = {"write_simulate": (grid, {}), "write_analyze": (report, formats), "write_son_fit": (samples, result, formats)}
-    assert traced_peak_mib(lambda: getattr(eio, writer)(tmp_path, *args[writer])) < budget
+def _write_run(out) -> dict:
+    """The default run's files, written into ``out``, a str or a Path, by the three writers: name -> bytes."""
+    run = default_run()
+    eio.write_simulate(out, run.grid, {})
+    eio.write_analyze(out, run.report, eio.FORMATS)
+    eio.write_son_fit(out, run.samples, run.result, eio.FORMATS)
+    return {p.name: p.read_bytes() for p in Path(out).iterdir()}
+
+
+BAD_FORMATS = {
+    "empty": ((), "formats must name at least one of csv, json"),
+    "xml": (("xml",), "unknown output format 'xml'"),
+    "csv-and-xml": (("csv", "xml"), "unknown output format 'xml'"),
+    "bare-string": ("json", "formats must be a sequence of format names, not the string 'json'"),
+    "jsonx": ("jsonx", "formats must be a sequence of format names, not the string 'jsonx'"),
+}
+
+
+@pytest.mark.parametrize("writer", ["write_analyze", "write_son_fit"])
+@pytest.mark.parametrize("formats, message", BAD_FORMATS.values(), ids=BAD_FORMATS)
+def test_a_writer_refuses_bad_formats_before_it_removes_a_file(tmp_path, writer, formats, message):
+    # an empty or unknown formats removed the earlier run's files and wrote nothing, and a
+    # string was searched for "json" as a substring
+    before = _write_run(tmp_path)
+    run = default_run()
+    args = {"write_analyze": (run.report,), "write_son_fit": (run.samples, run.result)}[writer]
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        getattr(eio, writer)(tmp_path, *args, formats)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_the_writers_take_out_as_a_str(tmp_path):
+    # write_simulate made the directory with str.mkdir, an AttributeError
+    assert _write_run(str(tmp_path / "str")) == _write_run(tmp_path / "path")

@@ -35,7 +35,7 @@ from envarsim.son import (
     solve_son,
     son_fit,
 )
-from helpers import e_qm, random_density_matrix, traced_peak_mib, value_at
+from helpers import BUDGETS, e_qm, layer_call, random_density_matrix, traced_mib, value_at
 
 PHI_GRID = np.deg2rad(np.arange(0, 181, 15))
 
@@ -582,12 +582,9 @@ class TestFitExponent:
         assert samples == _calibrated_samples(0)
         assert result == son_fit(samples)
 
-    def test_one_fit_of_the_default_grid_stays_within_its_memory_budget(self):
-        """A warm fit of the calibrated default grid's stage-II records peaks at 0.320 MiB
-        under tracemalloc on numpy 2.4.6; the budget is 25 % above that."""
-        plan = ExperimentPlan(noise=calibrated_noise())
-        records = {cell: stages[1].counts for cell, stages in simulate_grid(plan).items()}
-        assert traced_peak_mib(lambda: fit_exponent(plan.axes, plan.angles_deg, records)) < 0.4
+    def test_one_fit_of_the_default_grid_stays_within_its_memory_budget(self, tmp_path):
+        """A warm fit of the calibrated default grid's stage-II records stays within its tracemalloc budget."""
+        assert traced_mib(layer_call("fit_exponent", tmp_path))[0] < BUDGETS["fit_exponent"].bound
 
 
 class TestStateFit:

@@ -1,7 +1,5 @@
 """Tests for iterative maximum-likelihood reconstruction."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,7 @@ from envarsim.measurement import (
 )
 from envarsim.metrics import fidelity
 from envarsim.tomography import mle_reconstruct, mle_reconstruct_many
-from helpers import random_density_matrix, random_unitary
+from helpers import BUDGETS, default_run, layer_call, random_density_matrix, random_unitary, traced_mib
 
 
 def _noiseless_counts(rho, pairs_per_setting=1e6):
@@ -207,12 +205,29 @@ class TestMleReconstructMany:
 
     @pytest.mark.parametrize("empty", [slice(8, 12), slice(None)], ids=["one-empty-setting", "all-36-zero"])
     def test_rejects_a_record_with_an_empty_setting(self, empty):
-        # with R built from counts, an all-zero record would make R 0 and the step's normalization 0/0
+        # an empty setting leaves its correlator unmeasured (below), and an all-zero record would
+        # also make R 0 and the step's normalization 0/0
         counts = np.full(36, 50)
         counts[empty] = 0
         good = CountRecord(counts=np.full(36, 50), duration_s=1.0)
         with pytest.raises(ValueError, match="every setting needs at least one positive count"):
             mle_reconstruct_many([good, CountRecord(counts=counts, duration_s=1.0)], tomography_projectors())
+
+    @pytest.mark.parametrize("setting", range(9))
+    def test_an_empty_setting_leaves_its_correlator_unmeasured(self, setting):
+        """The 36 projectors' maps rho -> Tr(P rho), as float rows, span all 16 Hermitian
+        directions; without one setting's 4 they span 15. The lost direction is the setting's
+        two-body correlator C = P_00 - P_01 - P_10 + P_11, which every other setting's
+        projectors read as 0: counts with that setting empty leave C's weight in the state free."""
+        projectors = tomography_projectors().flat_projectors
+        rows = projectors.view(float).reshape(36, 32)
+        own = slice(4 * setting, 4 * setting + 4)
+        assert np.linalg.matrix_rank(rows) == 16
+        assert np.linalg.matrix_rank(np.delete(rows, own, axis=0)) == 15
+        correlator = np.tensordot([1, -1, -1, 1], projectors[own], axes=1)
+        reads = np.einsum("aij,ji->a", projectors, correlator).real
+        np.testing.assert_allclose(np.delete(reads, own), 0.0, atol=1e-12)
+        np.testing.assert_allclose(reads[own], [1, -1, -1, 1], atol=1e-12)
 
     def test_equal_records_are_reconstructed_once(self, monkeypatch):
         calls = []
@@ -439,27 +454,18 @@ def test_the_likelihood_gap_bound_closes_at_a_tight_tol():
     assert gap.max() < 0.3
 
 
-def test_one_grid_call_stays_within_its_memory_bounds():
+def test_one_grid_call_stays_within_its_memory_bounds(tmp_path):
     """One warm call over the default grid's 156 records, traced by tracemalloc: the loop
     keeps no likelihood history and its stop test no stack of a block's differences, so its
     peak and the results it returns stay small (0.92 and 0.16 MiB on numpy 2.4; a 0.95 MiB
     peak when the block's norm arrays were held across its steps, 1.37 MiB when the stop test
     formed the (12, 156) difference stack, and 1.83 and 0.73 MiB when the loop also kept the
     histories)."""
-    records = [stage.counts for stages in simulate_grid(ExperimentPlan(noise=calibrated_noise())).values() for stage in stages]
-    assert len(records) == 156
-    projs = tomography_projectors()
-    mle_reconstruct_many(records, projs)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        results = mle_reconstruct_many(records, projs)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(results) == 156
-    assert (peak - entry) / 2**20 < 1.2
-    assert (held - entry) / 2**20 < 0.3
+    assert len(default_run().counts) == 156
+    budget = BUDGETS["mle_reconstruct_many"]
+    peak, held = traced_mib(layer_call("mle_reconstruct_many", tmp_path))
+    assert peak < budget.bound
+    assert held < budget.held
 
 
 def _unit_step(rng: np.random.Generator, shape: str) -> np.ndarray:
